@@ -33,7 +33,7 @@ def main() -> None:
         oracle = br.build_oracle(
             Q, t0, "occupation", args.n_samples, args.seed, cache_dir=args.cache
         )
-        res = br.infconv_dvg(rho, oracle, br.transition_at(Q, t0), seed=args.seed)
+        res = br.infconv_dvg(rho, oracle, br.transition_at(Q, t0))
         per_time = res.value / t0 if math.isfinite(res.value) else math.inf
         print(
             f"{t0:5.2f} {per_time:10.6f} {abs(per_time - ref):9.2e} "

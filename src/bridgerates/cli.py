@@ -245,14 +245,14 @@ def cmd_infconv(cfg: ExperimentConfig, args) -> dict:
     )
     P = transition_at(Q, cfg.t0)
     if cfg.mode == "occupation":
-        res = infconv_dvg(rho, oracle, P, seed=cfg.seed)
+        res = infconv_dvg(rho, oracle, P)
         reference = dvg_rate(rho, Q).value
         target = {"rho": rho.weights}
     else:
         if cfg.flux is None:
             raise ValueError("flux mode needs a 'flux' target in the config")
         j = np.asarray(cfg.flux, dtype=float)
-        res = infconv_bfg(rho, j, oracle, P, seed=cfg.seed)
+        res = infconv_bfg(rho, j, oracle, P)
         reference = bfg_rate(rho, j, Q)
         target = {"rho": rho.weights, "flux": j}
     per_time = res.value / cfg.t0 if math.isfinite(res.value) else math.inf

@@ -1,11 +1,12 @@
 """Log moment generating functions and their Legendre-Fenchel conjugates.
 
 Laws come in two flavors: empirical sample clouds and exact finite-support
-or classical laws used as test fixtures. Both expose a log-MGF; conjugates
-are computed numerically by cyclic coordinate maximization over a box
-[-L, L]^d (per-coordinate Newton with derivative bisection safeguards and a
-golden-section fallback), finished by a bound-constrained quasi-Newton run
-whenever the sweeps stall. Contact with the box boundary is a first-class
+or classical laws used as test fixtures. Each supplies its log-MGF together
+with the tilted mean and covariance (its gradient and Hessian) from one
+pass over its points. Conjugates are computed over a box [-L, L]^d by one
+projected Newton solver with minimum-norm steps, so directions in which a
+law's support is flat (occupation fractions summing to one, zero flux
+diagonals) never move. Contact with the box boundary is a first-class
 result flag, and "effectively infinite" conjugate values are detected by
 re-solving on doubled boxes and checking for sustained growth.
 """
@@ -15,10 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
-from scipy import optimize
 
 from .chain import GeneratorMatrix, transition_at
 
@@ -43,6 +42,14 @@ __all__ = [
 
 DEFAULT_LAM_BOX = 40.0
 GRAD_TOL = 1e-9
+# curvature below this fraction of the largest tilted variance is a flat
+# direction of the support's affine hull, not a Newton direction
+EIG_RTOL = 1e-12
+MAX_NEWTON = 100
+MAX_RAY = 40
+# a ray point is accepted once its slope has fallen to within this fraction
+# of the starting slope below zero (the ray maximum is then close)
+RAY_ETA = 0.25
 # relative growth across a box doubling above which a boundary-contacting
 # conjugate is declared effectively infinite; hull vertices carrying point
 # mass plateau across doublings, genuinely unreachable points keep growing
@@ -94,8 +101,13 @@ class EmpiricalLaw:
     def _log_weights(self) -> np.ndarray:
         return np.full(self.n_samples, -math.log(self.n_samples))
 
-    def _points(self):
-        return self.samples, self._log_weights
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        # one contiguous row per coordinate keeps the per-pass sweeps fast
+        return np.ascontiguousarray(self.samples.T)
+
+    def _moments(self, lam: np.ndarray):
+        return _tilted_moments(self._columns, self._log_weights, lam)
 
     def mean(self) -> np.ndarray:
         return self.samples.mean(axis=0)
@@ -136,8 +148,8 @@ class DiscreteLaw:
     def d(self) -> int:
         return self.atoms.shape[1]
 
-    def _points(self):
-        return self.atoms, np.log(self.weights)
+    def _moments(self, lam: np.ndarray):
+        return _tilted_moments(self.atoms.T, np.log(self.weights), lam)
 
     def mean(self) -> np.ndarray:
         return self.weights @ self.atoms
@@ -176,6 +188,10 @@ class PoissonLaw:
     def abs_law(self) -> "PoissonLaw":
         return self
 
+    def _moments(self, lam: np.ndarray):
+        tilted = self.rate * math.exp(lam[0])
+        return self.rate * math.expm1(lam[0]), np.array([tilted]), np.array([[tilted]])
+
 
 def _weighted_lse(points: np.ndarray, logw: np.ndarray, lam: np.ndarray) -> float:
     lam = lam.ravel()
@@ -184,6 +200,23 @@ def _weighted_lse(points: np.ndarray, logw: np.ndarray, lam: np.ndarray) -> floa
     z = points @ lam + logw
     m = float(z.max())
     return m + math.log(float(np.exp(z - m).sum()))
+
+
+def _tilted_moments(columns: np.ndarray, logw: np.ndarray, lam: np.ndarray):
+    """log-MGF, tilted mean and tilted covariance at lam, in one pass.
+
+    ``columns`` holds the support points as a (d, N) array. The covariance
+    is taken about the tilted mean, so flat directions of the support come
+    out with curvature at roundoff level rather than at cancellation level.
+    """
+    z = lam @ columns + logw
+    m = z.max()
+    e = np.exp(z - m)
+    total = e.sum()
+    w = e / total
+    mean = columns @ w
+    centered = columns - mean[:, None]
+    return float(m + math.log(total)), mean, (centered * w) @ centered.T
 
 
 def log_mgf(law, lam) -> float:
@@ -197,165 +230,32 @@ def abs_log_mgf(law, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# derivative providers for the coordinate solver
+# projected Newton solver
 
 
-class _ExactProvider:
-    """Tilted-moment derivatives for laws with explicit support points."""
+def _newton_direction(H: np.ndarray, g: np.ndarray, fixed: np.ndarray, lam_box: float,
+                      null_tol: float) -> np.ndarray:
+    """Minimum-norm Newton step on the free coordinates.
 
-    def __init__(self, points: np.ndarray, logw: np.ndarray):
-        self.points = points
-        self.logw = logw
-        self.z = None
-
-    def reset(self, lam: np.ndarray):
-        self.z = self.points @ lam + self.logw
-
-    def line(self, i: int):
-        col = self.points[:, i]
-        z = self.z
-
-        def derivs(c: float):
-            w = z + c * col
-            m = w.max()
-            e = np.exp(w - m)
-            total = e.sum()
-            phi = float(m + np.log(total))
-            p = e / total
-            mu = float(p @ col)
-            var = float(p @ (col * col)) - mu * mu
-            return phi, mu, max(var, 0.0)
-
-        return derivs
-
-    def advance(self, i: int, c: float):
-        self.z = self.z + c * self.points[:, i]
-
-    def value_and_grad(self, lam: np.ndarray):
-        m = self.z.max()
-        e = np.exp(self.z - m)
-        total = e.sum()
-        phi = float(m + np.log(total))
-        grad = (e / total) @ self.points
-        return phi, grad
-
-
-class _CallableProvider:
-    """Central finite-difference derivatives for a bare log-MGF callable."""
-
-    def __init__(self, f, d: int):
-        self.f = f
-        self.d = d
-        self.lam = None
-
-    def reset(self, lam: np.ndarray):
-        self.lam = lam.copy()
-
-    def line(self, i: int):
-        base = self.lam.copy()
-
-        def derivs(c: float):
-            h = 1e-6 * max(1.0, abs(base[i] + c))
-            probe = base.copy()
-            probe[i] += c
-            f0 = self.f(probe)
-            probe[i] += h
-            fp = self.f(probe)
-            probe[i] -= 2 * h
-            fm = self.f(probe)
-            d1 = (fp - fm) / (2 * h)
-            d2 = (fp - 2 * f0 + fm) / (h * h)
-            return f0, d1, max(d2, 0.0)
-
-        return derivs
-
-    def advance(self, i: int, c: float):
-        self.lam[i] += c
-
-    def value_and_grad(self, lam: np.ndarray):
-        f0 = self.f(lam)
-        grad = np.empty(self.d)
-        for i in range(self.d):
-            h = 1e-6 * max(1.0, abs(lam[i]))
-            probe = lam.copy()
-            probe[i] += h
-            fp = self.f(probe)
-            probe[i] -= 2 * h
-            fm = self.f(probe)
-            grad[i] = (fp - fm) / (2 * h)
-        return f0, grad
-
-
-def _provider_for(phi, d: int):
-    points = getattr(phi, "_points", None)
-    if points is not None:
-        pts, logw = points()
-        return _ExactProvider(pts, logw)
-    f = phi.log_mgf if hasattr(phi, "log_mgf") else phi
-    return _CallableProvider(f, d)
-
-
-def _golden_max(value_at, lo: float, hi: float, iters: int = 80) -> float:
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - phi * (b - a)
-    c2 = a + phi * (b - a)
-    f1, f2 = value_at(c1), value_at(c2)
-    for _ in range(iters):
-        if b - a < 1e-13 * max(1.0, abs(a), abs(b)):
-            break
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + phi * (b - a)
-            f2 = value_at(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - phi * (b - a)
-            f1 = value_at(c1)
-    return 0.5 * (a + b)
-
-
-def _maximize_line(a_i: float, derivs, lo: float, hi: float, d_tol: float) -> float:
-    """Maximize c -> a_i * c - phi(c) over [lo, hi] for convex phi."""
-    c = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
-    _, d1, d2 = derivs(c)
-    g = a_i - d1
-    if abs(g) < d_tol:
-        return c
-    if g > 0:
-        if a_i - derivs(hi)[1] >= 0:
-            return hi
-        lo = c
-    else:
-        if a_i - derivs(lo)[1] <= 0:
-            return lo
-        hi = c
-    bad_curvature = 0
-    for _ in range(80):
-        width = hi - lo
-        if d2 > 0:
-            step = c + g / d2
-        else:
-            bad_curvature += 1
-            step = math.nan
-        if not (lo + 1e-3 * width < step < hi - 1e-3 * width):
-            step = 0.5 * (lo + hi)
-        c = step
-        _, d1, d2 = derivs(c)
-        g = a_i - d1
-        if abs(g) < d_tol:
-            return c
-        if not math.isfinite(g) or bad_curvature >= 3:
-            # derivative information unusable: value-based golden section
-            return _golden_max(lambda t: a_i * t - derivs(t)[0], lo, hi)
-        if g > 0:
-            lo = c
-        else:
-            hi = c
-        if width < 1e-14 * max(1.0, abs(lo), abs(hi)):
-            return c
-    return c
+    Curvature directions below a relative cutoff are flat directions of the
+    law's affine hull: the log-MGF is linear along them, so the step leaves
+    them alone unless the gradient has a component there (the target lies
+    off the hull), in which case the step runs far enough to reach the box.
+    """
+    p = np.zeros_like(g)
+    free = ~fixed
+    if not free.any():
+        return p
+    w, V = np.linalg.eigh(H[np.ix_(free, free)] if fixed.any() else H)
+    coef = V.T @ g[free]
+    keep = w > EIG_RTOL * w[-1] if w[-1] > 0 else np.zeros(w.size, dtype=bool)
+    step = V[:, keep] @ (coef[keep] / w[keep])
+    off_hull = V[:, ~keep] @ coef[~keep]
+    reach = float(np.abs(off_hull).max(initial=0.0))
+    if reach > null_tol:
+        step = step + off_hull * (2.0 * lam_box / reach)
+    p[free] = step
+    return p
 
 
 def conjugate_at(
@@ -365,70 +265,70 @@ def conjugate_at(
     *,
     lam0=None,
     grad_tol: float = GRAD_TOL,
-    max_sweeps: int = 60,
 ) -> ConjugateEstimate:
-    """Conjugate sup_{lam in [-L, L]^d} (lam . a - phi(lam)) of a log-MGF.
+    """Conjugate sup_{lam in [-L, L]^d} (lam . a - phi(lam)) of a law's log-MGF.
 
-    ``phi`` is either a law object (its support points give exact tilted
-    derivatives) or a plain callable lam -> float (finite differences).
-    Cyclic coordinate maximization with safeguarded Newton steps runs until
-    the projected gradient drops below ``grad_tol``. ``boundary`` is set
-    when the maximizer presses against the box, which signals that the
-    unconstrained supremum lies outside (or at infinity).
+    ``phi`` is a law object (``EmpiricalLaw``, ``DiscreteLaw`` or
+    ``PoissonLaw``); anything else raises ``TypeError``. Projected Newton
+    (Bertsekas 1982) runs from ``lam0`` (default the origin): coordinates
+    pinned on the box with an outward gradient are held fixed, the rest take
+    the minimum-norm Newton step of the tilted covariance, and a safeguarded
+    search along that ray accepts a point by the sign and size of the slope
+    there, which stays reliable where value differences drown in roundoff.
+    It stops once the projected gradient drops below ``grad_tol``.
+    ``boundary`` is set when the maximizer presses against the box, which
+    signals that the unconstrained supremum lies outside (or at infinity).
     """
+    moments = getattr(phi, "_moments", None)
+    if moments is None:
+        raise TypeError(f"conjugate_at needs a law object, got {type(phi).__name__}")
     a = np.asarray(a, dtype=float).ravel()
-    d = a.size
-    provider = _provider_for(phi, d)
+    if a.size != phi.d:
+        raise ValueError(f"target dimension {a.size} does not match law dimension {phi.d}")
     if lam0 is not None:
-        lam = np.clip(np.asarray(lam0, dtype=float).ravel(), -lam_box, lam_box).copy()
+        lam = np.clip(np.asarray(lam0, dtype=float).ravel(), -lam_box, lam_box)
     else:
-        lam = np.zeros(d)
-    provider.reset(lam)
+        lam = np.zeros(a.size)
+    edge = lam_box * (1 - 1e-12)
+    phi_val, mean, H = moments(lam)
+    grad = a - mean
     converged = False
-    grad = np.zeros(d)
-    phi_val = 0.0
-    for _ in range(max_sweeps):
-        for i in range(d):
-            c = _maximize_line(a[i], provider.line(i), -lam_box - lam[i], lam_box - lam[i], 0.25 * grad_tol)
-            if c != 0.0:
-                lam[i] += c
-                provider.advance(i, c)
-        phi_val, grad_phi = provider.value_and_grad(lam)
-        grad = a - grad_phi
-        projected = grad.copy()
-        projected[(lam >= lam_box * (1 - 1e-12)) & (grad > 0)] = 0.0
-        projected[(lam <= -lam_box * (1 - 1e-12)) & (grad < 0)] = 0.0
-        if float(np.abs(projected).max(initial=0.0)) < grad_tol:
+    for _ in range(MAX_NEWTON):
+        on_hi, on_lo = lam >= edge, lam <= -edge
+        fixed = (on_hi & (grad > 0)) | (on_lo & (grad < 0))
+        if float(np.abs(np.where(fixed, 0.0, grad)).max(initial=0.0)) < grad_tol:
             converged = True
             break
-    if not converged:
-        # coordinate sweeps crawl when the maximizer runs along a ridge of
-        # the box; hand the tail to a bound-constrained quasi-Newton solve.
-        # Without this the returned value depends on lam0, and callers that
-        # compare conjugate values across nearby points see pure noise.
-        def negated(lam_arr):
-            provider.reset(lam_arr)
-            val, grad_val = provider.value_and_grad(lam_arr)
-            return val - float(lam_arr @ a), grad_val - a
-
-        res = optimize.minimize(
-            negated,
-            lam,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(-lam_box, lam_box)] * d,
-            options={"maxfun": 4000, "ftol": 1e-14, "gtol": 0.1 * grad_tol},
-        )
-        cand = np.clip(np.asarray(res.x, dtype=float), -lam_box, lam_box)
-        provider.reset(cand)
-        cand_phi, cand_grad = provider.value_and_grad(cand)
-        if float(cand @ a) - cand_phi >= float(lam @ a) - phi_val:
-            lam, phi_val = cand, cand_phi
-            grad = a - cand_grad
-            projected = grad.copy()
-            projected[(lam >= lam_box * (1 - 1e-12)) & (grad > 0)] = 0.0
-            projected[(lam <= -lam_box * (1 - 1e-12)) & (grad < 0)] = 0.0
-            converged = float(np.abs(projected).max(initial=0.0)) < grad_tol
+        while True:
+            # a coordinate on the box that the step would push outward is
+            # held too, so the ray below never starts against a wall
+            p = _newton_direction(H, grad, fixed, lam_box, 0.5 * grad_tol)
+            pushed = (on_hi & (p > 0)) | (on_lo & (p < 0))
+            if not pushed.any():
+                break
+            fixed |= pushed
+        slope0 = float(p @ grad)
+        if not slope0 > 0:
+            break
+        moving = p != 0
+        wall = np.where(p[moving] > 0, lam_box, -lam_box)
+        t = min(1.0, float(np.min((wall - lam[moving]) / p[moving])))
+        for _ in range(MAX_RAY):
+            trial = np.clip(lam + t * p, -lam_box, lam_box)
+            trial_phi, trial_mean, trial_H = moments(trial)
+            slope = float(p @ (a - trial_mean))
+            # f is concave along the ray: a nonnegative slope means the value
+            # rose; a small negative one means the ray maximum is close
+            if slope >= -RAY_ETA * slope0:
+                break
+            # overshot: safeguarded Newton step on the slope, back toward 0
+            curvature = float(p @ trial_H @ p)
+            t_next = t + slope / curvature if curvature > 0 else 0.0
+            t = t_next if 0.1 * t < t_next < t else 0.5 * t
+        else:
+            break
+        lam, phi_val, mean, H = trial, trial_phi, trial_mean, trial_H
+        grad = a - mean
     at_hi = (lam >= lam_box * (1 - 1e-6)) & (grad > grad_tol)
     at_lo = (lam <= -lam_box * (1 - 1e-6)) & (grad < -grad_tol)
     boundary = bool(np.any(at_hi | at_lo))

@@ -13,6 +13,7 @@ direct simulation.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,19 +89,22 @@ def build_oracle(
 
     One empirical law per ordered pair (x, y), diagonal included, each from
     its own deterministic stream. With ``cache_dir`` set, per-pair sample
-    dumps are reused across runs; the file name carries everything the
-    samples depend on, so stale caches cannot be picked up silently.
+    dumps are reused across runs; the file name carries a hash of everything
+    the samples depend on (generator rates, mode, pair, window, seed and
+    sample count), so stale caches cannot be picked up silently.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     n = Q.n_states
+    rates = np.ascontiguousarray(Q.rates, dtype="<f8").tobytes()
     laws = {}
     for x in range(n):
         for y in range(n):
             path = None
             if cache_dir is not None:
-                tag = f"{mode}_x{x}_y{y}_t{t0:.12g}_seed{seed}_n{n_samples}.f64"
-                path = Path(cache_dir) / tag
+                key = hashlib.sha256(rates)
+                key.update(repr((mode, x, y, float(t0), int(seed), int(n_samples))).encode())
+                path = Path(cache_dir) / f"{mode}_x{x}_y{y}_{key.hexdigest()[:16]}.f64"
             if path is not None and path.exists():
                 laws[(x, y)] = EmpiricalLaw(load_samples(path))
                 continue
@@ -293,19 +297,11 @@ class _BoxedObjective:
 
 
 def _pair_starts(P: TransitionKernel, proj: _JointProjector, allowed: np.ndarray,
-                 target: np.ndarray, seed: int, n_random: int = 1):
-    """Starting decompositions (stationary, uniform, random), projected feasible."""
-    n = P.n_states
-    d = target.size
-    thetas = []
+                 target: np.ndarray):
+    """Starting decompositions (stationary, uniform), projected feasible."""
     pi = dtmc_invariant(P).weights
-    thetas.append(pi[:, None] * P.probs)
     uni = np.where(allowed, 1.0, 0.0)
-    thetas.append(uni / uni.sum())
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1DF]))
-    for _ in range(n_random):
-        raw = np.where(allowed, rng.random((n, n)), 0.0)
-        thetas.append(raw / raw.sum())
+    thetas = [pi[:, None] * P.probs, uni / uni.sum()]
     starts = []
     for theta0 in thetas:
         k0 = theta0[:, :, None] * target[None, None, :]
@@ -365,7 +361,7 @@ def _thinned(oracle: ConjugateOracle, keep: int = 4000) -> ConjugateOracle:
 
 
 def _solve_at_box(oracle: ConjugateOracle, P: TransitionKernel, proj: _JointProjector,
-                  allowed: np.ndarray, target: np.ndarray, lam_box: float, seed: int, *,
+                  allowed: np.ndarray, target: np.ndarray, lam_box: float, *,
                   max_iters: int, tol: float, warm=None, polish_iters: int = 150):
     # bulk of the descent runs against a thinned law; the full law only
     # polishes from the thinned optimum (the objective is jointly convex,
@@ -376,7 +372,7 @@ def _solve_at_box(oracle: ConjugateOracle, P: TransitionKernel, proj: _JointProj
         # stays convex when the box grows, so the warm point suffices
         starts = [warm]
     else:
-        starts = _pair_starts(P, proj, allowed, target, seed)[:2]
+        starts = _pair_starts(P, proj, allowed, target)
     best = None
     total_iters = 0
     for k0, theta0 in starts:
@@ -404,7 +400,7 @@ def _solve_at_box(oracle: ConjugateOracle, P: TransitionKernel, proj: _JointProj
 
 
 def _infconv(oracle: ConjugateOracle, P: TransitionKernel, target: np.ndarray, *,
-             seed: int = 0, max_iters: int = 400, tol: float = 1e-7) -> InfConvResult:
+             max_iters: int = 400, tol: float = 1e-7) -> InfConvResult:
     target = np.asarray(target, dtype=float)
     if target.shape != (oracle.d,):
         raise ValueError(f"target has dimension {target.shape}, oracle expects ({oracle.d},)")
@@ -420,9 +416,9 @@ def _infconv(oracle: ConjugateOracle, P: TransitionKernel, target: np.ndarray, *
         k = FluxField(np.zeros((n, n, oracle.d)))
         return InfConvResult(math.inf, theta, k, math.inf, True, False, 0)
     lam = oracle.lam_box
-    v1, k1, t1, it1, conv1 = _solve_at_box(oracle, P, proj, allowed, target, lam, seed,
+    v1, k1, t1, it1, conv1 = _solve_at_box(oracle, P, proj, allowed, target, lam,
                                            max_iters=max_iters, tol=tol)
-    v2, k2, t2, it2, conv2 = _solve_at_box(oracle, P, proj, allowed, target, 2 * lam, seed,
+    v2, k2, t2, it2, conv2 = _solve_at_box(oracle, P, proj, allowed, target, 2 * lam,
                                            max_iters=max_iters, tol=tol, warm=(k1, t1))
     growth = (v2 - v1) / max(1.0, abs(v1))
     feasible = growth <= SWEEP_GROWTH_RTOL
@@ -434,7 +430,7 @@ def _infconv(oracle: ConjugateOracle, P: TransitionKernel, target: np.ndarray, *
 
 
 def infconv_dvg(rho, oracle: ConjugateOracle, P: TransitionKernel, *,
-                seed: int = 0, max_iters: int = 400, tol: float = 1e-7) -> InfConvResult:
+                max_iters: int = 400, tol: float = 1e-7) -> InfConvResult:
     """Infimum of the block rate over decompositions of an occupation target.
 
     Divided by the window length, the value matches the occupation rate of
@@ -443,11 +439,11 @@ def infconv_dvg(rho, oracle: ConjugateOracle, P: TransitionKernel, *,
     if oracle.mode != "occupation":
         raise ValueError("infconv_dvg needs an occupation-mode oracle")
     rho = rho.weights if isinstance(rho, ProbVector) else np.asarray(rho, dtype=float)
-    return _infconv(oracle, P, rho, seed=seed, max_iters=max_iters, tol=tol)
+    return _infconv(oracle, P, rho, max_iters=max_iters, tol=tol)
 
 
 def infconv_bfg(rho, j, oracle: ConjugateOracle, P: TransitionKernel, *,
-                seed: int = 0, max_iters: int = 400, tol: float = 1e-7) -> InfConvResult:
+                max_iters: int = 400, tol: float = 1e-7) -> InfConvResult:
     """Infimum of the block rate over decompositions of a joint (rho, j) target.
 
     The flux part of the target is in jumps per unit time; unreachable
@@ -462,7 +458,7 @@ def infconv_bfg(rho, j, oracle: ConjugateOracle, P: TransitionKernel, *,
     if j.shape != (n, n):
         raise ValueError(f"flux target shape {j.shape} does not match {n} states")
     target = np.concatenate([rho, j.ravel()])
-    return _infconv(oracle, P, target, seed=seed, max_iters=max_iters, tol=tol)
+    return _infconv(oracle, P, target, max_iters=max_iters, tol=tol)
 
 
 # ---------------------------------------------------------------------------

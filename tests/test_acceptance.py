@@ -148,7 +148,7 @@ def test_05_occupation_infconv_identity():
     per_time = []
     for t0 in (0.5, 1.0, 2.0):
         oracle = br.build_oracle(Q, t0, "occupation", 100_000, seed=7)
-        res = br.infconv_dvg(rho, oracle, br.transition_at(Q, t0), seed=7)
+        res = br.infconv_dvg(rho, oracle, br.transition_at(Q, t0))
         assert res.feasible and math.isfinite(res.value)
         per_time.append(res.value / t0)
     worst = max(abs(v - 0.083485) for v in per_time)
@@ -170,7 +170,7 @@ def test_06_flux_infconv_identity():
     P = br.transition_at(Q, t0)
 
     j = np.array([[0.0, 1.0], [1.0, 0.0]])
-    res = br.infconv_bfg(np.array([0.5, 0.5]), j, oracle, P, seed=7)
+    res = br.infconv_bfg(np.array([0.5, 0.5]), j, oracle, P)
     assert res.feasible and math.isfinite(res.value)
     ref = 2.0 * br.rel_entropy(1.0, 0.5)
     err = abs(res.value / t0 - ref)
@@ -178,7 +178,7 @@ def test_06_flux_infconv_identity():
     pi = br.invariant_measure(Q).weights
     j_pi = pi[:, None] * Q.rates
     np.fill_diagonal(j_pi, 0.0)
-    res_min = br.infconv_bfg(pi, j_pi, oracle, P, seed=7)
+    res_min = br.infconv_bfg(pi, j_pi, oracle, P)
     v_min = res_min.value / t0
 
     elapsed = time.perf_counter() - start

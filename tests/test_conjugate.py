@@ -65,6 +65,13 @@ def test_conjugate_boundary_flag(bernoulli):
 def test_conjugate_or_inf_outside_hull(bernoulli):
     est = br.conjugate_or_inf(bernoulli, np.array([1.5]))
     assert est.value == math.inf
+    # a law on the line x0 + x1 = 1: off that line the log-MGF is flat
+    # along (1, 1) and the target is unreachable, on it the value is finite
+    flat = br.DiscreteLaw(atoms=np.array([[0.0, 1.0], [0.4, 0.6], [1.0, 0.0]]),
+                          weights=np.array([0.2, 0.5, 0.3]))
+    assert br.conjugate_or_inf(flat, np.array([0.5, 0.6])).value == math.inf
+    inside = br.conjugate_or_inf(flat, np.array([0.3, 0.7]))
+    assert inside.converged and not inside.boundary and math.isfinite(inside.value)
 
 
 def test_conjugate_or_inf_vertex_atom(bernoulli):
@@ -150,3 +157,49 @@ def test_conjugate_nonnegative(seed):
     law = br.EmpiricalLaw(rng.normal(size=(30, 2)))
     a = rng.normal(size=2)
     assert br.conjugate_at(law, a).value >= -1e-10
+
+
+def _tilted_mean(law, lam):
+    z = law.samples @ lam
+    w = np.exp(z - z.max())
+    return (w / w.sum()) @ law.samples
+
+
+@pytest.mark.parametrize("chain, mode", [("symmetric_two", "flux"), ("ring_three", "occupation")])
+def test_conjugate_flat_directions(request, chain, mode):
+    # bridge laws are flat along known directions (occupations sum to one,
+    # flux diagonals vanish, divergence is fixed by the endpoints); at a
+    # tilted mean a = grad phi(lam*) the conjugate is lam* . a - phi(lam*),
+    # and cold and warm starts must both reach it
+    oracle = br.build_oracle(request.getfixturevalue(chain), 0.5, mode, 2000, seed=5)
+    rng = np.random.default_rng(11)
+    for pair in oracle.pairs():
+        law = oracle.law(*pair)
+        for _ in range(5):
+            lam_star = 2.0 * rng.normal(size=law.d)
+            a = _tilted_mean(law, lam_star)
+            near = _tilted_mean(law, lam_star + 0.1 * rng.normal(size=law.d))
+            cold = br.conjugate_at(law, a)
+            warm = br.conjugate_at(law, a, lam0=br.conjugate_at(law, near).maximizer)
+            assert cold.converged and warm.converged
+            assert warm.value == pytest.approx(cold.value, abs=1e-9)
+            assert cold.value == pytest.approx(lam_star @ a - br.log_mgf(law, lam_star), abs=1e-9)
+
+
+def test_conjugate_near_point_mass_vertex(symmetric_two):
+    # staying in state 1 over the window puts most of the law on the vertex
+    # (0, 1); targets next to it have a large, sharply curved maximizer
+    law = br.build_oracle(symmetric_two, 0.5, "occupation", 8000, seed=1).law(1, 1)
+    assert np.mean(law.samples[:, 0] == 0.0) > 0.8
+    for a0 in (0.045, 0.01, 0.002):
+        a = np.array([a0, 1.0 - a0])
+        cold = br.conjugate_at(law, a)
+        warm = br.conjugate_at(law, a, lam0=br.conjugate_at(law, [1.1 * a0, 1.0 - 1.1 * a0]).maximizer)
+        assert cold.converged and warm.converged
+        assert not cold.boundary
+        assert warm.value == pytest.approx(cold.value, abs=1e-9)
+
+
+def test_conjugate_rejects_non_law():
+    with pytest.raises(TypeError):
+        br.conjugate_at(lambda lam: float(lam @ lam), np.array([0.5]))

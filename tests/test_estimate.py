@@ -23,7 +23,7 @@ def test_build_oracle_covers_all_pairs(occ_oracle):
         assert law.n_samples == 4000
 
 
-def test_build_oracle_cache_roundtrip(symmetric_two, tmp_path):
+def test_build_oracle_cache_roundtrip(symmetric_two, lopsided_two, tmp_path):
     a = br.build_oracle(
         symmetric_two, 0.5, "occupation", 300, seed=6, cache_dir=tmp_path
     )
@@ -43,11 +43,20 @@ def test_build_oracle_cache_roundtrip(symmetric_two, tmp_path):
     assert not np.array_equal(
         a.laws[(0, 1)].samples, c.laws[(0, 1)].samples
     )
+    # and on the generator: another chain with the same (mode, pair, t0,
+    # seed, n) must sample afresh, not reuse the first chain's dumps
+    other = br.build_oracle(
+        lopsided_two, 0.5, "occupation", 300, seed=6, cache_dir=tmp_path
+    )
+    assert len(list(tmp_path.iterdir())) == 12
+    fresh = br.build_oracle(lopsided_two, 0.5, "occupation", 300, seed=6)
+    for pair in a.laws:
+        assert np.array_equal(other.laws[pair].samples, fresh.laws[pair].samples)
 
 
 def test_infconv_dvg_matches_closed_form(symmetric_two, occ_oracle):
     P = br.transition_at(symmetric_two, 0.5)
-    res = br.infconv_dvg(np.array([0.7, 0.3]), occ_oracle, P, seed=20)
+    res = br.infconv_dvg(np.array([0.7, 0.3]), occ_oracle, P)
     assert res.feasible
     assert res.converged
     assert res.value / 0.5 == pytest.approx(DVG_73, abs=0.01)
