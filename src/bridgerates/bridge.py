@@ -3,21 +3,23 @@
 A bridge pins the chain to start at x and end at y after a window of
 length t0. Its inhomogeneous transition law is a ratio of unconditioned
 kernels; sampling is by rejection: run the unconditioned chain from x over
-the window and keep paths that end in y. The sampled occupation (and
-optionally flux) blocks are the conditional laws feeding the per-pair
-conjugate oracle.
+the window and keep paths that end in y. ``conditional_samples`` runs the
+candidates in lockstep batches on the vectorized window step of
+``simulate`` and returns their occupation (and optionally flux) blocks,
+the conditional laws feeding the per-pair conjugate oracle.
+``sample_bridge`` draws single paths with ``simulate.gillespie`` and stays
+as the independent reference for the kernels.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import GeneratorMatrix, transition_at
 from .conjugate import EmpiricalLaw
-from .simulate import AbsorbingState, MODES, PathRecord, cumulative_flux, gillespie, occupation
+from .simulate import MODES, PathRecord, _batch_step, gillespie
 
 __all__ = [
     "DegenerateDenominator",
@@ -32,6 +34,11 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ATTEMPTS = 1_000_000
+# Candidate paths per lockstep rejection round of conditional_samples.
+ROUND_SIZE = 8192
+# Changes whenever conditional_samples draws differently for the same
+# inputs; cached sample dumps are keyed on it.
+SAMPLER_VERSION = 2
 
 
 class DegenerateDenominator(ValueError):
@@ -136,98 +143,48 @@ def sample_bridge(
     )
 
 
-def _block_features(path: PathRecord, spec: BridgeSpec, mode: str) -> np.ndarray:
-    occ = occupation(path).weights
-    if mode == "occupation":
-        return occ
-    flux = cumulative_flux(path).ravel() / spec.t0
-    return np.concatenate([occ, flux])
-
-
-def _fast_features(spec: BridgeSpec, mode: str, rng: np.random.Generator,
-                   exit_rates: np.ndarray, cum_jump: np.ndarray,
-                   max_attempts: int) -> np.ndarray:
-    """One accepted bridge block, drawing exactly like sample_bridge does."""
-    n = spec.n_states
-    t0 = spec.t0
-    want_flux = mode == "flux"
-    occ = np.empty(n)
-    flux = np.empty((n, n)) if want_flux else None
-    for _ in range(max_attempts):
-        occ[:] = 0.0
-        if want_flux:
-            flux[:] = 0.0
-        state = spec.x
-        t_prev = 0.0
-        t = 0.0
-        while True:
-            rate = exit_rates[state]
-            if rate <= 0.0:
-                raise AbsorbingState(f"state {state} has zero exit rate")
-            t += rng.exponential(1.0 / rate)
-            if t > t0:
-                break
-            u = rng.random()
-            new = int(np.searchsorted(cum_jump[state], u, side="right"))
-            occ[state] += t - t_prev
-            if want_flux:
-                flux[state, new] += 1.0
-            state = new
-            t_prev = t
-        if state == spec.y:
-            occ[state] += t0 - t_prev
-            occ /= t0
-            if want_flux:
-                return np.concatenate([occ, flux.ravel() / t0])
-            return occ.copy()
-    raise RejectionBudgetExceeded(
-        f"no acceptance in {max_attempts} attempts for pair ({spec.x}, {spec.y})"
-    )
-
-
-def _sample_range(spec: BridgeSpec, mode: str, seed: int, lo: int, hi: int,
-                  max_attempts: int) -> np.ndarray:
-    n = spec.n_states
-    pair_index = spec.x * n + spec.y
-    d = n if mode == "occupation" else n + n * n
-    exit_rates = spec.Q.exit_rates
-    cum_jump = np.cumsum(spec.Q.jump_probs(), axis=1)
-    out = np.empty((hi - lo, d))
-    for idx in range(lo, hi):
-        stream = np.random.default_rng(np.random.SeedSequence([seed, pair_index, idx]))
-        out[idx - lo] = _fast_features(spec, mode, stream, exit_rates, cum_jump, max_attempts)
-    return out
-
-
-def conditional_samples(
-    spec: BridgeSpec,
-    mode: str,
-    n_samples: int,
-    seed: int,
-    *,
-    threads: int = 1,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> EmpiricalLaw:
+def conditional_samples(spec: BridgeSpec, mode: str, n_samples: int, seed: int) -> EmpiricalLaw:
     """Sample the conditional law of a block statistic given its endpoints.
 
     In "occupation" mode each sample is the occupation-fraction vector of a
     bridge path (d = n); in "flux" mode the jump counts divided by t0 are
     appended (d = n + n^2, diagonal entries always zero, kept for fixed
-    shape). Every sample index derives its own counter-based stream from
-    (seed, pair index, sample index), so the result depends only on
-    (seed, spec, n_samples) and never on thread count.
+    shape). Rejection runs in lockstep rounds of ROUND_SIZE candidate paths
+    from x; round r draws from the stream keyed by (seed, pair index, r)
+    and keeps, in order, the paths that end in y. The result depends only
+    on (seed, spec, n_samples), and its first k rows are the same for every
+    n_samples >= k.
+
+    Raises
+    ------
+    RejectionBudgetExceeded
+        If DEFAULT_MAX_ATTEMPTS consecutive candidates bring no acceptance.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    if threads <= 1:
-        samples = _sample_range(spec, mode, seed, 0, n_samples, max_attempts)
-        return EmpiricalLaw(samples)
-    chunk = 1024
-    ranges = [(lo, min(lo + chunk, n_samples)) for lo in range(0, n_samples, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(lambda r: _sample_range(spec, mode, seed, r[0], r[1], max_attempts), ranges)
-        )
-    return EmpiricalLaw(np.concatenate(parts, axis=0))
+    n = spec.n_states
+    pair_index = spec.x * n + spec.y
+    starts = np.full(ROUND_SIZE, spec.x)
+    parts = []
+    kept = 0
+    misses = 0  # candidates rejected since the last acceptance
+    round_index = 0
+    while kept < n_samples:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, pair_index, round_index]))
+        occ, flux, ends = _batch_step(spec.Q, spec.t0, starts, rng, mode == "flux")
+        hits = np.flatnonzero(ends == spec.y)
+        first = hits[0] if hits.size else ROUND_SIZE
+        if misses + first >= DEFAULT_MAX_ATTEMPTS:
+            raise RejectionBudgetExceeded(
+                f"no acceptance in {DEFAULT_MAX_ATTEMPTS} attempts for pair ({spec.x}, {spec.y})"
+            )
+        misses = ROUND_SIZE - 1 - hits[-1] if hits.size else misses + ROUND_SIZE
+        block = occ[hits]
+        if mode == "flux":
+            block = np.concatenate([block, flux[hits].reshape(hits.size, n * n) / spec.t0], axis=1)
+        parts.append(block)
+        kept += hits.size
+        round_index += 1
+    return EmpiricalLaw(np.concatenate(parts, axis=0)[:n_samples])

@@ -50,7 +50,6 @@ class ExperimentConfig:
     mode: str = "occupation"
     n_samples: int = 20_000
     seed: int = 0
-    threads: int = 1
     lam_box: float = 40.0
     rho: list | None = None
     flux: list | None = None
@@ -222,7 +221,7 @@ def cmd_bridge_sample(cfg: ExperimentConfig, args) -> dict:
     summary = []
     for x, y in pairs:
         spec = BridgeSpec(Q, x, y, cfg.t0)
-        law = conditional_samples(spec, cfg.mode, cfg.n_samples, cfg.seed, threads=args.threads)
+        law = conditional_samples(spec, cfg.mode, cfg.n_samples, cfg.seed)
         dump = out_dir / f"samples_{cfg.mode}_x{x}_y{y}.f64"
         save_samples(dump, law.samples)
         summary.append({
@@ -241,7 +240,7 @@ def cmd_infconv(cfg: ExperimentConfig, args) -> dict:
     rho = cfg.rho_vector()
     oracle = build_oracle(
         Q, cfg.t0, cfg.mode, cfg.n_samples, cfg.seed,
-        cache_dir=args.cache, threads=args.threads, lam_box=cfg.lam_box,
+        cache_dir=args.cache, lam_box=cfg.lam_box,
     )
     P = transition_at(Q, cfg.t0)
     if cfg.mode == "occupation":
@@ -339,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to the JSON experiment config")
         cmd.add_argument("--out", default="out", help="output directory (default: out)")
         cmd.add_argument("--threads", type=int, default=None,
-                         help="sampling threads (default: config value)")
+                         help="ignored; sampling is single-threaded (kept so old command lines run)")
         cmd.add_argument("--cache", default=None,
                          help="directory for reusable per-pair sample dumps")
         cmd.set_defaults(handler=handler)
@@ -357,8 +356,6 @@ def main(argv=None) -> int:
         env_seed = os.environ.get(SEED_ENV)
         if env_seed is not None:
             cfg = dataclasses.replace(cfg, seed=int(env_seed))
-        if args.threads is None:
-            args.threads = cfg.threads
         seed = cfg.seed
         payload = args.handler(cfg, args)
     except Exception as exc:

@@ -512,8 +512,8 @@ class ConjugateOracle:
     """Per-endpoint-pair log-MGF and conjugate evaluators.
 
     Maps every ordered state pair (x, y) to the law of its conditioned
-    block statistic. All evaluators are pure, so a single oracle can be
-    shared across threads for read-only evaluation.
+    block statistic. All evaluators are pure, so one oracle can serve any
+    number of read-only evaluations.
     """
 
     laws: dict

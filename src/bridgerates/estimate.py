@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from scipy import optimize
 
-from .bridge import BridgeSpec, conditional_samples
+from .bridge import SAMPLER_VERSION, BridgeSpec, conditional_samples
 from .chain import GeneratorMatrix, ProbVector, TransitionKernel, dtmc_invariant, invariant_measure
 from .conjugate import (
     DEFAULT_LAM_BOX,
@@ -82,7 +82,6 @@ def build_oracle(
     seed: int,
     *,
     cache_dir=None,
-    threads: int = 1,
     lam_box: float = DEFAULT_LAM_BOX,
 ) -> ConjugateOracle:
     """Sample every endpoint pair's conditional block law and wrap it.
@@ -90,8 +89,9 @@ def build_oracle(
     One empirical law per ordered pair (x, y), diagonal included, each from
     its own deterministic stream. With ``cache_dir`` set, per-pair sample
     dumps are reused across runs; the file name carries a hash of everything
-    the samples depend on (generator rates, mode, pair, window, seed and
-    sample count), so stale caches cannot be picked up silently.
+    the samples depend on (sampler version, generator rates, mode, pair,
+    window, seed and sample count), so stale caches cannot be picked up
+    silently.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -103,13 +103,14 @@ def build_oracle(
             path = None
             if cache_dir is not None:
                 key = hashlib.sha256(rates)
-                key.update(repr((mode, x, y, float(t0), int(seed), int(n_samples))).encode())
+                key.update(repr((SAMPLER_VERSION, mode, x, y, float(t0), int(seed),
+                                 int(n_samples))).encode())
                 path = Path(cache_dir) / f"{mode}_x{x}_y{y}_{key.hexdigest()[:16]}.f64"
             if path is not None and path.exists():
                 laws[(x, y)] = EmpiricalLaw(load_samples(path))
                 continue
             spec = BridgeSpec(Q, x, y, t0)
-            law = conditional_samples(spec, mode, n_samples, seed, threads=threads)
+            law = conditional_samples(spec, mode, n_samples, seed)
             if path is not None:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 save_samples(path, law.samples)

@@ -4,8 +4,9 @@ Single paths are simulated jump by jump (exponential holding times plus the
 embedded jump chain). Whole-path statistics (occupation fractions, jump
 counts) and the windowed block embedding (endpoint skeleton plus per-window
 additive statistics) are computed from the recorded jump sequence. Batch
-helpers advance many paths in lockstep with vectorized draws; they use one
-stream per batch and exist for throughput in tail-probability estimation.
+helpers advance many paths in lockstep with vectorized draws, one stream
+per batch; they drive tail-probability estimation and the rejection rounds
+of bridge sampling (``bridge.conditional_samples``).
 """
 
 from __future__ import annotations
@@ -273,11 +274,10 @@ def _batch_step(Q: GeneratorMatrix, t0: float, states: np.ndarray, rng: np.rando
 
     Returns occupation fractions over the window, jump counts (or None),
     and the end states. Paths advance in lockstep: one exponential and one
-    uniform draw per active path per jump round.
+    uniform draw per active path per jump round. Raises AbsorbingState
+    when a path that is still moving sits in a state with zero exit rate.
     """
     exit_rates = Q.exit_rates
-    if exit_rates.min() <= 0:
-        raise AbsorbingState("batch simulation needs strictly positive exit rates")
     cum_jump = np.cumsum(Q.jump_probs(), axis=1)
     n = Q.n_states
     batch = states.size
@@ -288,7 +288,10 @@ def _batch_step(Q: GeneratorMatrix, t0: float, states: np.ndarray, rng: np.rando
     active = np.arange(batch)
     while active.size:
         act_states = current[active]
-        dwell = rng.standard_exponential(active.size) / exit_rates[act_states]
+        rates = exit_rates[act_states]
+        if rates.min() <= 0.0:
+            raise AbsorbingState(f"state {act_states[rates.argmin()]} has zero exit rate")
+        dwell = rng.standard_exponential(active.size) / rates
         rem = remaining[active]
         jumped = dwell < rem
         held = np.minimum(dwell, rem)

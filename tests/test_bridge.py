@@ -106,10 +106,31 @@ def test_conditional_samples_deterministic(spec_one):
     assert np.array_equal(a.samples, b.samples)
 
 
-def test_conditional_samples_thread_invariant(spec_one):
-    a = br.conditional_samples(spec_one, "flux", 96, seed=5, threads=1)
-    b = br.conditional_samples(spec_one, "flux", 96, seed=5, threads=4)
-    assert np.array_equal(a.samples, b.samples)
+def test_conditional_samples_prefix_stable(spec_one):
+    # the first k rows do not depend on how many samples were asked for
+    for mode in ("occupation", "flux"):
+        a = br.conditional_samples(spec_one, mode, 64, seed=5)
+        b = br.conditional_samples(spec_one, mode, 96, seed=5)
+        assert np.array_equal(a.samples, b.samples[:64])
+
+
+def test_conditional_samples_rejection_budget(symmetric_two):
+    # P_01(1e-9) is about 1e-9: a million candidates almost surely all miss
+    spec = br.BridgeSpec(symmetric_two, 0, 1, 1e-9)
+    with pytest.raises(br.RejectionBudgetExceeded):
+        br.conditional_samples(spec, "occupation", 1, seed=0)
+
+
+def test_conditional_samples_beside_absorbing_state():
+    # state 2 cannot leave, but paths from 0 never reach it: the batch step
+    # and the bridges between 0 and 1 must not refuse the chain
+    Q = br.GeneratorMatrix(np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]]))
+    occ = br.batch_occupations(Q, 2.0, 200, np.random.default_rng(3), 0)
+    assert np.allclose(occ.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(occ[:, 2] == 0.0)
+    law = br.conditional_samples(br.BridgeSpec(Q, 0, 1, 0.5), "flux", 200, seed=4)
+    assert law.samples.shape == (200, 3 + 9)
+    assert np.all(law.samples[:, 2] == 0.0)
 
 
 def test_conditional_occupation_rows_sum_to_one(spec_one):
@@ -137,3 +158,31 @@ def test_conditional_mean_matches_kernel_quadrature(spec_one):
     want = np.trapezoid(rows, grid, axis=0) / spec_one.t0
     got = law.samples.mean(axis=0)
     assert np.abs(got - want).max() < 0.01
+
+
+def test_conditional_flux_means_match_quadrature(ring_three):
+    # occupation of z: (1/t0) int P_xz(s) P_zy(t0-s) ds / P_xy(t0); jumps
+    # a -> b per unit time: (1/t0) int P_xa(s) Q_ab P_by(t0-s) ds / P_xy(t0)
+    t0, n, count = 0.25, 3, 20_000
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    s = 0.5 * t0 * (nodes + 1.0)
+    w = 0.5 * t0 * weights
+    head = np.array([br.transition_at(ring_three, si).probs for si in s])
+    tail = np.array([br.transition_at(ring_three, t0 - si).probs for si in s])
+    p_xy = br.transition_at(ring_three, t0).probs
+    off = ring_three.rates * (1.0 - np.eye(n))
+    for x in range(n):
+        for y in range(n):
+            occ = np.einsum("k,kz,kz->z", w, head[:, x, :], tail[:, :, y])
+            jumps = np.einsum("k,ka,ab,kb->ab", w, head[:, x, :], off, tail[:, :, y])
+            want = np.concatenate([occ, jumps.ravel()]) / (t0 * p_xy[x, y])
+            law = br.conditional_samples(br.BridgeSpec(ring_three, x, y, t0), "flux", count,
+                                         seed=29)
+            got = law.samples.mean(axis=0)
+            se = law.samples.std(axis=0, ddof=1) / np.sqrt(count)
+            # rare jumps are Poisson-like: floor their standard error at the
+            # one the exact mean count implies
+            se[n:] = np.maximum(se[n:], np.sqrt(want[n:] / (t0 * count)))
+            assert np.allclose(got[n:].reshape(n, n).diagonal(), 0.0)
+            live = se > 0
+            assert np.all(np.abs(got - want)[live] < 5.0 * se[live])

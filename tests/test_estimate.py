@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -52,6 +53,24 @@ def test_build_oracle_cache_roundtrip(symmetric_two, lopsided_two, tmp_path):
     fresh = br.build_oracle(lopsided_two, 0.5, "occupation", 300, seed=6)
     for pair in a.laws:
         assert np.array_equal(other.laws[pair].samples, fresh.laws[pair].samples)
+
+
+def test_build_oracle_ignores_dumps_of_older_sampler(symmetric_two, tmp_path):
+    # a dump under the name the per-sample sampler's key gave (no sampler
+    # version in the hash) holds other draws and must not be served
+    mode, t0, seed, count = "occupation", 0.5, 6, 300
+    rates = np.ascontiguousarray(symmetric_two.rates, dtype="<f8").tobytes()
+    for x in range(2):
+        for y in range(2):
+            key = hashlib.sha256(rates)
+            key.update(repr((mode, x, y, float(t0), int(seed), int(count))).encode())
+            br.save_samples(tmp_path / f"{mode}_x{x}_y{y}_{key.hexdigest()[:16]}.f64",
+                            np.full((count, 2), 0.5))
+    oracle = br.build_oracle(symmetric_two, t0, mode, count, seed, cache_dir=tmp_path)
+    fresh = br.build_oracle(symmetric_two, t0, mode, count, seed)
+    for pair, law in oracle.laws.items():
+        assert np.array_equal(law.samples, fresh.laws[pair].samples)
+    assert len(list(tmp_path.iterdir())) == 8
 
 
 def test_infconv_dvg_matches_closed_form(symmetric_two, occ_oracle):
