@@ -270,6 +270,8 @@ def cmd_infconv(cfg: ExperimentConfig, args) -> dict:
         "feasible": res.feasible,
         "converged": res.converged,
         "iterations": res.iterations,
+        "conjugate_solves": res.conjugate_solves,
+        "decrement": res.decrement,
         "theta": res.theta.weights,
         "k": res.k.vectors,
     }

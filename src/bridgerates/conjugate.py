@@ -63,12 +63,22 @@ class ZeroRate(ValueError):
 
 @dataclass(frozen=True)
 class ConjugateEstimate:
-    """Numerical conjugate value with its maximizer and status flags."""
+    """Numerical conjugate value with its maximizer and status flags.
+
+    ``curvature`` is the d x d Hessian in ``a`` of the boxed conjugate at
+    the maximizer, i.e. the derivative of ``maximizer`` in ``a``. On the
+    coordinates not pinned to the box it is the pseudo-inverse of the
+    tilted covariance, with the flat directions of the law's affine hull
+    (curvature below ``EIG_RTOL`` of the largest) given zero; pinned
+    coordinates get zero rows and columns, since the boxed conjugate is
+    linear in them.
+    """
 
     value: float
     maximizer: np.ndarray
     converged: bool
     boundary: bool
+    curvature: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +243,24 @@ def abs_log_mgf(law, s: float) -> float:
 # projected Newton solver
 
 
+def _hull_eigh(H: np.ndarray):
+    """Eigenpairs of a tilted covariance and the mask of its curved directions."""
+    w, V = np.linalg.eigh(H)
+    keep = w > EIG_RTOL * w[-1] if w[-1] > 0 else np.zeros(w.size, dtype=bool)
+    return w, V, keep
+
+
+def _pinned_pinv(H: np.ndarray, pinned: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of H on the unpinned coordinates, zero elsewhere."""
+    out = np.zeros_like(H)
+    free = ~pinned
+    if not free.any():
+        return out
+    w, V, keep = _hull_eigh(H[np.ix_(free, free)])
+    out[np.ix_(free, free)] = (V[:, keep] / w[keep]) @ V[:, keep].T
+    return out
+
+
 def _newton_direction(H: np.ndarray, g: np.ndarray, fixed: np.ndarray, lam_box: float,
                       null_tol: float) -> np.ndarray:
     """Minimum-norm Newton step on the free coordinates.
@@ -246,9 +274,8 @@ def _newton_direction(H: np.ndarray, g: np.ndarray, fixed: np.ndarray, lam_box: 
     free = ~fixed
     if not free.any():
         return p
-    w, V = np.linalg.eigh(H[np.ix_(free, free)] if fixed.any() else H)
+    w, V, keep = _hull_eigh(H[np.ix_(free, free)] if fixed.any() else H)
     coef = V.T @ g[free]
-    keep = w > EIG_RTOL * w[-1] if w[-1] > 0 else np.zeros(w.size, dtype=bool)
     step = V[:, keep] @ (coef[keep] / w[keep])
     off_hull = V[:, ~keep] @ coef[~keep]
     reach = float(np.abs(off_hull).max(initial=0.0))
@@ -275,7 +302,9 @@ def conjugate_at(
     the minimum-norm Newton step of the tilted covariance, and a safeguarded
     search along that ray accepts a point by the sign and size of the slope
     there, which stays reliable where value differences drown in roundoff.
-    It stops once the projected gradient drops below ``grad_tol``.
+    It stops once the projected gradient drops below ``grad_tol``. The
+    returned ``curvature`` is built from the tilted covariance already held
+    at the last iterate, so it costs no further pass over the law.
     ``boundary`` is set when the maximizer presses against the box, which
     signals that the unconstrained supremum lies outside (or at infinity).
     """
@@ -333,7 +362,8 @@ def conjugate_at(
     at_lo = (lam <= -lam_box * (1 - 1e-6)) & (grad < -grad_tol)
     boundary = bool(np.any(at_hi | at_lo))
     value = float(lam @ a - phi_val)
-    return ConjugateEstimate(value, lam, converged, boundary)
+    pinned = ((lam >= edge) & (grad > 0)) | ((lam <= -edge) & (grad < 0))
+    return ConjugateEstimate(value, lam, converged, boundary, _pinned_pinv(H, pinned))
 
 
 def conjugate_or_inf(
@@ -360,7 +390,7 @@ def conjugate_or_inf(
     if not est2.boundary:
         return est2
     if est2.value - est.value > growth_rtol * max(1.0, abs(est.value)):
-        return ConjugateEstimate(math.inf, est2.maximizer, est2.converged, True)
+        return ConjugateEstimate(math.inf, est2.maximizer, est2.converged, True, est2.curvature)
     return est2
 
 

@@ -5,10 +5,13 @@ block decomposition says that the continuous-time rate of a time-averaged
 statistic equals (after dividing by the window length) the infimum of the
 composite block rate over all pair decompositions (k, theta) whose totals
 hit the target. ``infconv_dvg`` / ``infconv_bfg`` compute that infimum
-numerically against a sampled per-pair oracle, ``contract_dvg_from_bfg``
-checks the flux-to-occupation contraction by convex duality, and
-``mc_decay_rate`` estimates the decay exponent of ball probabilities from
-direct simulation.
+numerically against a sampled per-pair oracle: an equality-constrained,
+gradient-regularized Newton method on (k, theta) whose Hessian comes from
+the curvature each conjugate solve already returns, run on the conjugate
+box and again on the doubled box to certify the optimum.
+``contract_dvg_from_bfg`` checks the flux-to-occupation contraction by
+convex duality, and ``mc_decay_rate`` estimates the decay exponent of ball
+probabilities from direct simulation.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize
+from scipy import linalg, optimize
 
 from .bridge import SAMPLER_VERSION, BridgeSpec, conditional_samples
 from .chain import GeneratorMatrix, ProbVector, TransitionKernel, dtmc_invariant, invariant_measure
@@ -47,10 +50,14 @@ __all__ = [
     "mc_decay_rate",
 ]
 
-# Smallest theta kept alive during iterations; below UNFLOOR at the end the
-# pair is dropped exactly.
-THETA_FLOOR = 1e-12
+# Pairs whose weight ends a solve below this are dropped exactly.
 THETA_UNFLOOR = 1e-10
+# Newton on (k, theta): share of the distance to theta = 0 a step may
+# cover, Armijo sufficient-decrease fraction, and the step length below
+# which backtracking gives up.
+FRACTION_TO_BOUNDARY = 0.99
+ARMIJO = 1e-4
+MIN_STEP = 1e-12
 # Relative growth of the optimum under box doubling that flags an
 # unreachable target (the box acts as a penalty weight on the constraints).
 SWEEP_GROWTH_RTOL = 1e-2
@@ -130,7 +137,11 @@ class InfConvResult:
     length for the continuous-time rate); infinite when the target was
     flagged unreachable. ``certificate`` is the relative change of the
     optimum under doubling of the conjugate box, small when the reported
-    optimum has stabilized.
+    optimum has stabilized. ``iterations`` counts the Newton steps of both
+    box passes, ``conjugate_solves`` the per-pair conjugate solves they
+    made, and ``decrement`` is the Newton decrement at the end of the
+    doubled-box pass; ``converged`` says both passes brought their
+    decrement under tolerance.
     """
 
     value: float
@@ -140,6 +151,8 @@ class InfConvResult:
     converged: bool
     feasible: bool
     iterations: int
+    conjugate_solves: int
+    decrement: float
 
 
 class _JointProjector:
@@ -153,7 +166,10 @@ class _JointProjector:
     keeps every conjugate evaluation on the affine hull of its law's
     support, where the conjugate is smooth. The orthant part keeps theta
     nonnegative. On an unreachable target the affine system itself is
-    inconsistent, which ``residual`` exposes.
+    inconsistent, which ``residual`` exposes. ``null_basis`` spans the
+    directions that keep every affine constraint, where the Newton steps
+    run; the projection itself gives the feasible start and the exact
+    clean-up at the end of a solve.
     """
 
     def __init__(self, mode: str, n: int, d: int, t0: float | None,
@@ -221,6 +237,15 @@ class _JointProjector:
         self._b = np.array(rhs)
         self._gram_pinv = np.linalg.pinv(self._C @ self._C.T)
         self._theta_off = theta_off
+        # orthonormal directions that keep every affine constraint, and the
+        # flat positions of the allowed theta entries
+        self.null_basis = linalg.null_space(self._C)
+        self.theta_slots = theta_off + np.flatnonzero(allowed.ravel())
+
+    def split(self, z: np.ndarray):
+        """(k, theta) views of a flat (k.ravel(), theta.ravel()) vector."""
+        off = self._theta_off
+        return z[:off].reshape(self.n, self.n, self.d), z[off:].reshape(self.n, self.n)
 
     def _affine(self, z: np.ndarray) -> np.ndarray:
         return z - self._C.T @ (self._gram_pinv @ (self._C @ z - self._b))
@@ -247,15 +272,29 @@ class _JointProjector:
                 and float(np.abs(z - y).max()) < tol
             ):
                 break
-        return z[:off].reshape(self.n, self.n, self.d), z[off:].reshape(self.n, self.n)
+        return self.split(z)
 
 
 class _BoxedObjective:
-    """Composite block rate with conjugates solved on a fixed box.
+    """Composite block rate on a fixed box, with its gradient and Hessian.
 
-    Finite everywhere thanks to the box, hence usable as a penalized
-    objective for projected gradient descent. Keeps one warm-start
-    multiplier per pair to make repeated evaluations cheap.
+    Over the allowed pairs p = (x, y),
+
+        F(k, theta) = sum_p theta_p phi*_p(k_p / theta_p)
+                      + sum_p theta_p log(theta_p / (row_x(theta) P_xy)),
+
+    with each conjugate phi*_p solved on the box [-L, L]^d, which keeps F
+    finite everywhere. F is jointly convex. The conjugate terms
+    differentiate by the envelope rule: the k slope is the maximizing
+    multiplier and the theta slope is phi*_p(u) - lam . u at u = k_p /
+    theta_p; their second derivatives form the perspective Hessian
+    (1/theta_p) [[A, -A u], [-u' A, u' A u]] of the conjugate's curvature A,
+    all read off the solved conjugate. The entropy part adds diag(1/theta)
+    minus 1/row_x within each row. Pairs of zero weight (dropped at the
+    end of a solve) contribute nothing: the perspective vanishes at (0, 0).
+    Gradient and Hessian are in the flat layout (k.ravel(), theta.ravel()).
+    Keeps one warm-start multiplier per pair to make repeated solves cheap,
+    and counts the solves in ``solves``.
     """
 
     def __init__(self, oracle: ConjugateOracle, P: TransitionKernel, allowed: np.ndarray,
@@ -267,141 +306,118 @@ class _BoxedObjective:
         n = allowed.shape[0]
         self._pairs = [(x, y) for x in range(n) for y in range(n) if allowed[x, y]]
         self._warm = {p: None for p in self._pairs}
+        self.solves = 0
 
-    def value_and_grads(self, k: np.ndarray, theta: np.ndarray):
-        """Objective plus gradients in (k, theta) on the allowed support.
-
-        The conjugate terms differentiate by the envelope rule: the k slope
-        is the maximizing multiplier itself and the theta slope is minus
-        the log-MGF at that multiplier, both free once the conjugate is
-        solved.
-        """
-        n = theta.shape[0]
-        safe_theta = np.maximum(theta, THETA_FLOOR)
+    def __call__(self, k: np.ndarray, theta: np.ndarray):
+        n, _, d = k.shape
+        off = n * n * d
+        grad = np.zeros(off + n * n)
+        hess = np.zeros((grad.size, grad.size))
         total = 0.0
-        grad_k = np.zeros_like(k)
-        grad_t = np.zeros_like(theta)
-        for x, y in self._pairs:
-            w = safe_theta[x, y]
+        live = [(x, y) for x, y in self._pairs if theta[x, y] > 0]
+        row = np.where(self.allowed, theta, 0.0).sum(axis=1)
+        for x, y in live:
+            w = theta[x, y]
             u = k[x, y] / w
             est = conjugate_at(self.oracle.law(x, y), u, self.lam_box, lam0=self._warm[(x, y)])
+            self.solves += 1
             self._warm[(x, y)] = est.maximizer
-            total += w * est.value
-            grad_k[x, y] = est.maximizer
-            grad_t[x, y] = est.value - float(est.maximizer @ u)
-        row = safe_theta.sum(axis=1)
-        ref = row[:, None] * self.P.probs
-        for x, y in self._pairs:
-            total += safe_theta[x, y] * math.log(safe_theta[x, y] / ref[x, y])
-            grad_t[x, y] += math.log(safe_theta[x, y] / ref[x, y])
-        return total, grad_k, grad_t
+            ks = slice((x * n + y) * d, (x * n + y + 1) * d)
+            t = off + x * n + y
+            log_ratio = math.log(w / (row[x] * self.P.probs[x, y]))
+            total += w * (est.value + log_ratio)
+            grad[ks] = est.maximizer
+            grad[t] = est.value - float(est.maximizer @ u) + log_ratio
+            au = est.curvature @ u / w
+            hess[ks, ks] = est.curvature / w
+            hess[ks, t] = hess[t, ks] = -au
+            hess[t, t] = float(u @ au) + 1.0 / w
+        for x in range(n):
+            slots = [off + x * n + y for y in range(n) if (x, y) in live]
+            if slots:
+                hess[np.ix_(slots, slots)] -= 1.0 / row[x]
+        return total, grad, hess
 
 
-def _pair_starts(P: TransitionKernel, proj: _JointProjector, allowed: np.ndarray,
-                 target: np.ndarray):
-    """Starting decompositions (stationary, uniform), projected feasible."""
+def _pair_start(P: TransitionKernel, proj: _JointProjector, target: np.ndarray) -> np.ndarray:
+    """Stationary pair decomposition of the target, projected feasible, flat."""
     pi = dtmc_invariant(P).weights
-    uni = np.where(allowed, 1.0, 0.0)
-    thetas = [pi[:, None] * P.probs, uni / uni.sum()]
-    starts = []
-    for theta0 in thetas:
-        k0 = theta0[:, :, None] * target[None, None, :]
-        starts.append(proj(k0, theta0, tol=1e-12, max_rounds=2000))
-    return starts
+    theta0 = pi[:, None] * P.probs
+    k0, theta0 = proj(theta0[:, :, None] * target[None, None, :], theta0,
+                      tol=1e-12, max_rounds=2000)
+    return np.concatenate([k0.ravel(), theta0.ravel()])
 
 
-def _descend(objective: _BoxedObjective, proj: _JointProjector,
-             k: np.ndarray, theta: np.ndarray, *, max_iters: int, tol: float,
-             stall_window: int = 20, stall_scale: float = 100.0):
-    """Projected gradient descent with Armijo backtracking on (k, theta).
+def _newton(objective: _BoxedObjective, proj: _JointProjector, z: np.ndarray, *,
+            max_iters: int, tol: float):
+    """Equality-constrained, gradient-regularized Newton on z = (k, theta).
 
-    Stops on a small projected move, on step-size underflow, or when a
-    window of accepted steps gains less than ``stall_scale * tol`` relative
-    value (the zigzag tail of a first-order method on a kinked surface).
+    Each step solves (H + mu I) dz = -g on the null space of the
+    projector's constraints with mu = |projected gradient| (Polyak,
+    Math. Program. 120:125-145, 2009); the shift keeps steps bounded along
+    directions where the boxed conjugates are linear (pinned multipliers,
+    flat hull directions) and fades as the gradient vanishes. The step is
+    cut so theta stays positive (fraction to the boundary), then halved
+    until the value drops by the Armijo rule. Stops once the Newton
+    decrement -g . dz / 2 falls below ``tol * max(1, |F|)``.
+
+    Returns (value, z, steps, decrement, converged).
     """
-    value, grad_k, grad_t = objective.value_and_grads(k, theta)
-    step = 0.1
-    history = [value]
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iters + 1):
-        cand_k, cand_t = proj(k - step * grad_k, theta - step * grad_t)
-        move = math.sqrt(float(np.sum((cand_k - k) ** 2) + np.sum((cand_t - theta) ** 2)))
-        cand_v, cand_gk, cand_gt = objective.value_and_grads(cand_k, cand_t)
-        if cand_v <= value - 1e-4 * move**2 / max(step, 1e-16):
-            k, theta, value = cand_k, cand_t, cand_v
-            grad_k, grad_t = cand_gk, cand_gt
-            step = min(step * 2.0, 10.0)
-            history.append(value)
-            stall = stall_scale * tol * max(1.0, abs(value))
-            if move / max(step, 1e-16) < tol:
-                converged = True
+    basis = proj.null_basis
+    live = proj.theta_slots
+    value, grad, hess = objective(*proj.split(z))
+    steps = 0
+    while True:
+        g = basis.T @ grad
+        mu = float(np.linalg.norm(g))
+        if mu == 0.0:
+            return value, z, steps, 0.0, True
+        reduced = basis.T @ hess @ basis
+        reduced[np.diag_indices_from(reduced)] += mu
+        dz = basis @ np.linalg.solve(reduced, -g)
+        slope = float(grad @ dz)
+        decrement = -0.5 * slope
+        if decrement < tol * max(1.0, abs(value)):
+            return value, z, steps, decrement, True
+        if steps == max_iters:
+            return value, z, steps, decrement, False
+        shrink = dz[live] < 0
+        alpha = 1.0
+        if shrink.any():
+            room = float(np.min(-z[live][shrink] / dz[live][shrink]))
+            alpha = min(1.0, FRACTION_TO_BOUNDARY * room)
+        while alpha >= MIN_STEP:
+            trial = z + alpha * dz
+            trial_value, trial_grad, trial_hess = objective(*proj.split(trial))
+            if trial_value <= value + ARMIJO * alpha * slope:
                 break
-            if len(history) > stall_window and history[-stall_window - 1] - value < stall:
-                converged = True
-                break
+            alpha *= 0.5
         else:
-            step *= 0.5
-            if step < 1e-14:
-                converged = True
-                break
-    if not converged and len(history) > 5:
-        window = min(stall_window, len(history) - 1)
-        converged = history[-window - 1] - value < stall_scale * tol * max(1.0, abs(value))
-    return value, k, theta, iterations, converged
+            return value, z, steps, decrement, False
+        z, value, grad, hess = trial, trial_value, trial_grad, trial_hess
+        steps += 1
 
 
-def _thinned(oracle: ConjugateOracle, keep: int = 4000) -> ConjugateOracle:
-    """Oracle over every stride-th sample, for cheap early iterations."""
-    first = next(iter(oracle.laws.values()))
-    stride = max(1, first.n_samples // keep)
-    if stride == 1:
-        return oracle
-    laws = {p: EmpiricalLaw(law.samples[::stride]) for p, law in oracle.laws.items()}
-    return ConjugateOracle(laws=laws, lam_box=oracle.lam_box, mode=oracle.mode, t0=oracle.t0)
-
-
-def _solve_at_box(oracle: ConjugateOracle, P: TransitionKernel, proj: _JointProjector,
-                  allowed: np.ndarray, target: np.ndarray, lam_box: float, *,
-                  max_iters: int, tol: float, warm=None, polish_iters: int = 150):
-    # bulk of the descent runs against a thinned law; the full law only
-    # polishes from the thinned optimum (the objective is jointly convex,
-    # so the basin is the same)
-    objective = _BoxedObjective(_thinned(oracle), P, allowed, lam_box)
-    if warm is not None:
-        # the doubled-box pass refines the base-box optimum; the objective
-        # stays convex when the box grows, so the warm point suffices
-        starts = [warm]
-    else:
-        starts = _pair_starts(P, proj, allowed, target)
-    best = None
-    total_iters = 0
-    for k0, theta0 in starts:
-        value, k, theta, iters, _ = _descend(
-            objective, proj, k0.copy(), theta0.copy(), max_iters=max_iters, tol=tol
-        )
-        total_iters += iters
-        if best is None or value < best[0]:
-            best = (value, k, theta)
-    objective = _BoxedObjective(oracle, P, allowed, lam_box)
-    value, k, theta, iters, any_converged = _descend(
-        objective, proj, best[1], best[2], max_iters=polish_iters, tol=tol
-    )
-    total_iters += iters
-    k, theta = proj(k, theta, tol=1e-14, max_rounds=2000)
-    small = (theta < THETA_UNFLOOR) & allowed
+def _solve_at_box(objective: _BoxedObjective, proj: _JointProjector, target: np.ndarray,
+                  start: np.ndarray, *, max_iters: int, tol: float):
+    value, z, steps, decrement, converged = _newton(objective, proj, start,
+                                                    max_iters=max_iters, tol=tol)
+    # the Newton iterate is on the affine set up to roundoff, so the exact
+    # projection leaves its value standing unless a pair is dropped
+    k, theta = proj(*proj.split(z), tol=1e-14, max_rounds=2000)
+    small = (theta < THETA_UNFLOOR) & objective.allowed
     if small.any():
         # drop residual mass exactly and reproject on the reduced support
-        sub = _JointProjector(oracle.mode, theta.shape[0], target.size, oracle.t0,
-                              allowed & ~small, target)
+        sub = _JointProjector(objective.oracle.mode, proj.n, proj.d, objective.oracle.t0,
+                              objective.allowed & ~small, target)
         k, theta = sub(np.where(small[:, :, None], 0.0, k),
                        np.where(small, 0.0, theta), tol=1e-14, max_rounds=2000)
-    value = objective.value_and_grads(k, np.maximum(theta, 0.0))[0]
-    return value, k, theta, total_iters, any_converged
+        value = objective(k, theta)[0]
+    return value, z, k, theta, steps, decrement, converged
 
 
 def _infconv(oracle: ConjugateOracle, P: TransitionKernel, target: np.ndarray, *,
-             max_iters: int = 400, tol: float = 1e-7) -> InfConvResult:
+             max_iters: int = 100, tol: float = 1e-7) -> InfConvResult:
     target = np.asarray(target, dtype=float)
     if target.shape != (oracle.d,):
         raise ValueError(f"target has dimension {target.shape}, oracle expects ({oracle.d},)")
@@ -415,27 +431,34 @@ def _infconv(oracle: ConjugateOracle, P: TransitionKernel, target: np.ndarray, *
         # decomposed (for instance a flux with nonzero divergence)
         theta = PairMeasure(np.where(allowed, 1.0, 0.0) / allowed.sum())
         k = FluxField(np.zeros((n, n, oracle.d)))
-        return InfConvResult(math.inf, theta, k, math.inf, True, False, 0)
-    lam = oracle.lam_box
-    v1, k1, t1, it1, conv1 = _solve_at_box(oracle, P, proj, allowed, target, lam,
-                                           max_iters=max_iters, tol=tol)
-    v2, k2, t2, it2, conv2 = _solve_at_box(oracle, P, proj, allowed, target, 2 * lam,
-                                           max_iters=max_iters, tol=tol, warm=(k1, t1))
+        return InfConvResult(math.inf, theta, k, math.inf, True, False, 0, 0, 0.0)
+    objective = _BoxedObjective(oracle, P, allowed, oracle.lam_box)
+    v1, z1, _, _, it1, _, conv1 = _solve_at_box(
+        objective, proj, target, _pair_start(P, proj, target), max_iters=max_iters, tol=tol)
+    # the doubled-box pass refines the base-box Newton iterate (theta still
+    # positive there) from the base-box multipliers; the objective stays
+    # convex when the box grows
+    objective.lam_box *= 2
+    v2, _, k2, t2, it2, dec2, conv2 = _solve_at_box(
+        objective, proj, target, z1, max_iters=max_iters, tol=tol)
     growth = (v2 - v1) / max(1.0, abs(v1))
     feasible = growth <= SWEEP_GROWTH_RTOL
     certificate = abs(v2 - v1) / max(1.0, abs(v1))
     theta = PairMeasure(np.maximum(t2, 0.0) / np.maximum(t2, 0.0).sum())
-    k = FluxField(k2)
     value = v2 if feasible else math.inf
-    return InfConvResult(value, theta, k, certificate, conv1 and conv2, feasible, it1 + it2)
+    return InfConvResult(value, theta, FluxField(k2), certificate, conv1 and conv2, feasible,
+                         it1 + it2, objective.solves, dec2)
 
 
 def infconv_dvg(rho, oracle: ConjugateOracle, P: TransitionKernel, *,
-                max_iters: int = 400, tol: float = 1e-7) -> InfConvResult:
+                max_iters: int = 100, tol: float = 1e-7) -> InfConvResult:
     """Infimum of the block rate over decompositions of an occupation target.
 
     Divided by the window length, the value matches the occupation rate of
     the underlying chain at ``rho``. Requires an occupation-mode oracle.
+    Each of the two box passes stops once its Newton decrement falls below
+    ``tol * max(1, |value|)``, or unconverged after ``max_iters`` Newton
+    steps.
     """
     if oracle.mode != "occupation":
         raise ValueError("infconv_dvg needs an occupation-mode oracle")
@@ -444,12 +467,13 @@ def infconv_dvg(rho, oracle: ConjugateOracle, P: TransitionKernel, *,
 
 
 def infconv_bfg(rho, j, oracle: ConjugateOracle, P: TransitionKernel, *,
-                max_iters: int = 400, tol: float = 1e-7) -> InfConvResult:
+                max_iters: int = 100, tol: float = 1e-7) -> InfConvResult:
     """Infimum of the block rate over decompositions of a joint (rho, j) target.
 
     The flux part of the target is in jumps per unit time; unreachable
     targets (for instance a flux with nonzero divergence) come back flagged
     infeasible with an infinite value. Requires a flux-mode oracle.
+    ``tol`` and ``max_iters`` mean what they do for ``infconv_dvg``.
     """
     if oracle.mode != "flux":
         raise ValueError("infconv_bfg needs a flux-mode oracle")

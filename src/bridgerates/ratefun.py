@@ -192,7 +192,8 @@ def dvg_rate(
     Raises
     ------
     NonConvergence
-        If every start stops with gradient norm above tolerance.
+        If every start stops with gradient norm above tolerance; its
+        ``best`` is the highest-valued of those unconverged results.
     """
     if rho.n_states != Q.n_states:
         raise ValueError("dimension mismatch between rho and Q")
@@ -210,6 +211,7 @@ def dvg_rate(
         return -dvg_objective(rho, Q, v), -grad[1:]
 
     best: VariationalResult | None = None
+    best_unconverged: VariationalResult | None = None
     for v0 in starts:
         res = optimize.minimize(
             negated,
@@ -219,15 +221,17 @@ def dvg_rate(
             options={"gtol": grad_tol, "maxiter": max_iters},
         )
         gnorm = float(np.abs(res.jac).max(initial=0.0))
-        if gnorm >= grad_tol:
-            continue
         result = VariationalResult(
             -float(res.fun), np.concatenate([[0.0], res.x]), gnorm, int(res.nit)
         )
-        if best is None or result.value > best.value:
+        if gnorm >= grad_tol:
+            if best_unconverged is None or result.value > best_unconverged.value:
+                best_unconverged = result
+        elif best is None or result.value > best.value:
             best = result
     if best is None:
-        raise NonConvergence("occupation-rate ascent failed to converge from every start")
+        raise NonConvergence("occupation-rate ascent failed to converge from every start",
+                             best=best_unconverged)
     return best
 
 

@@ -149,7 +149,7 @@ def test_05_occupation_infconv_identity():
     for t0 in (0.5, 1.0, 2.0):
         oracle = br.build_oracle(Q, t0, "occupation", 100_000, seed=7)
         res = br.infconv_dvg(rho, oracle, br.transition_at(Q, t0))
-        assert res.feasible and math.isfinite(res.value)
+        assert res.feasible and res.converged and math.isfinite(res.value)
         per_time.append(res.value / t0)
     worst = max(abs(v - 0.083485) for v in per_time)
     spread = max(per_time) - min(per_time)
@@ -171,7 +171,7 @@ def test_06_flux_infconv_identity():
 
     j = np.array([[0.0, 1.0], [1.0, 0.0]])
     res = br.infconv_bfg(np.array([0.5, 0.5]), j, oracle, P)
-    assert res.feasible and math.isfinite(res.value)
+    assert res.feasible and res.converged and math.isfinite(res.value)
     ref = 2.0 * br.rel_entropy(1.0, 0.5)
     err = abs(res.value / t0 - ref)
 
@@ -179,6 +179,7 @@ def test_06_flux_infconv_identity():
     j_pi = pi[:, None] * Q.rates
     np.fill_diagonal(j_pi, 0.0)
     res_min = br.infconv_bfg(pi, j_pi, oracle, P)
+    assert res_min.converged
     v_min = res_min.value / t0
 
     elapsed = time.perf_counter() - start

@@ -203,3 +203,54 @@ def test_conjugate_near_point_mass_vertex(symmetric_two):
 def test_conjugate_rejects_non_law():
     with pytest.raises(TypeError):
         br.conjugate_at(lambda lam: float(lam @ lam), np.array([0.5]))
+
+
+# --- curvature of the boxed conjugate ------------------------------------------
+
+
+def test_curvature_poisson_is_inverse_target():
+    # (s(a | rate))'' = 1 / a
+    law = br.PoissonLaw(rate=0.8)
+    for a in (0.1, 0.8, 2.5):
+        est = br.conjugate_at(law, np.array([a]))
+        assert est.curvature.shape == (1, 1)
+        assert est.curvature[0, 0] == pytest.approx(1.0 / a, rel=1e-8)
+
+
+def test_curvature_zero_on_pinned_coordinate(bernoulli):
+    # off the hull the maximizer sits on the box and the boxed conjugate is
+    # linear there
+    est = br.conjugate_at(bernoulli, np.array([1.5]))
+    assert est.boundary
+    assert est.curvature[0, 0] == 0.0
+    # two independent fair coins: the first coordinate is pinned, the second
+    # is a free Bernoulli tilted to mean 0.3, curvature 1 / (0.3 * 0.7)
+    atoms = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    law = br.DiscreteLaw(atoms=atoms, weights=np.full(4, 0.25))
+    est = br.conjugate_at(law, np.array([1.5, 0.3]))
+    assert np.all(est.curvature[0, :] == 0.0) and np.all(est.curvature[:, 0] == 0.0)
+    assert est.curvature[1, 1] == pytest.approx(1.0 / 0.21, rel=1e-8)
+
+
+def test_curvature_flat_along_occupation_sum(ring_three):
+    # occupation fractions sum to one, so the log-MGF is linear along the
+    # ones vector and the curvature must give that direction nothing
+    law = br.build_oracle(ring_three, 0.5, "occupation", 2000, seed=5).law(0, 1)
+    est = br.conjugate_at(law, _tilted_mean(law, np.array([0.8, -0.5, 0.3])))
+    assert est.converged and not est.boundary
+    scale = float(np.abs(est.curvature).max())
+    assert scale > 0
+    assert float(np.abs(est.curvature @ np.ones(3)).max()) < 1e-8 * scale
+
+
+def test_curvature_matches_maximizer_differences():
+    # the curvature is the derivative of the maximizer in the target
+    rng = np.random.default_rng(4)
+    law = br.EmpiricalLaw(rng.normal(size=(5000, 2)) @ np.array([[1.0, 0.3], [0.0, 0.7]]))
+    a = law.mean() + np.array([0.3, -0.2])
+    est = br.conjugate_at(law, a)
+    for direction in (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.6, -0.8])):
+        h = 1e-4 * direction
+        up = br.conjugate_at(law, a + h, lam0=est.maximizer).maximizer
+        down = br.conjugate_at(law, a - h, lam0=est.maximizer).maximizer
+        np.testing.assert_allclose(est.curvature @ h, (up - down) / 2.0, rtol=1e-4, atol=1e-9)

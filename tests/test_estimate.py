@@ -84,6 +84,20 @@ def test_infconv_dvg_matches_closed_form(symmetric_two, occ_oracle):
     assert np.all(res.theta.weights >= 0)
 
 
+def test_infconv_dvg_converges_on_ring(ring_three):
+    # nonreversible three-state chain: the decomposition has nine pairs with
+    # three-dimensional block laws and must still converge
+    t0 = 1.0
+    oracle = br.build_oracle(ring_three, t0, "occupation", 20_000, seed=7)
+    rho = br.ProbVector([0.5, 0.3, 0.2])
+    res = br.infconv_dvg(rho, oracle, br.transition_at(ring_three, t0))
+    assert res.converged
+    assert res.feasible
+    assert res.decrement < 1e-6
+    assert res.conjugate_solves >= 9
+    assert res.value / t0 == pytest.approx(br.dvg_rate(rho, ring_three).value, abs=0.01)
+
+
 def test_infconv_dvg_rejects_flux_oracle(symmetric_two):
     flux_oracle = br.build_oracle(symmetric_two, 0.5, "flux", 200, seed=1)
     P = br.transition_at(symmetric_two, 0.5)

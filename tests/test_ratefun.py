@@ -88,6 +88,19 @@ def test_dvg_rate_nonnegative_random(seed):
     assert res.value >= -1e-12
 
 
+def test_dvg_rate_nonconvergence_carries_best(ring_three):
+    # one BFGS iteration per start cannot reach the gradient tolerance; the
+    # error still hands back the best unconverged start
+    rho = br.ProbVector([0.5, 0.3, 0.2])
+    with pytest.raises(br.NonConvergence) as info:
+        br.dvg_rate(rho, ring_three, max_iters=1)
+    best = info.value.best
+    assert isinstance(best, br.VariationalResult)
+    assert best.gradient_norm >= 1e-10
+    assert best.iterations <= 1
+    assert best.value <= br.dvg_rate(rho, ring_three).value + 1e-12
+
+
 # --- flux rate ----------------------------------------------------------------
 
 
