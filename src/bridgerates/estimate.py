@@ -34,7 +34,15 @@ from .conjugate import (
     load_samples,
     save_samples,
 )
-from .ratefun import FluxField, PairMeasure, bfg_rate, divergence, dvg_rate
+from .ratefun import (
+    OFF_SUPPORT_GAP,
+    FluxField,
+    PairMeasure,
+    _strong_components,
+    bfg_rate,
+    divergence,
+    dvg_rate,
+)
 from .simulate import MODES, batch_occupations, batch_pair_statistics
 
 __all__ = [
@@ -509,41 +517,68 @@ class ContractionResult:
 def contract_dvg_from_bfg(rho, Q: GeneratorMatrix, *, gtol: float = 1e-11) -> ContractionResult:
     """Minimize the joint occupation-flux rate over divergence-free fluxes.
 
-    Solved through the concave dual over potentials v (gauge-fixed at
-    v[0] = 0) with an independent quasi-Newton method, then certified by
+    A flux must vanish wherever ``rho_x Q_xy`` does, so it lives on edges
+    inside S = supp(rho); each edge from S out of S costs its full weight
+    ``rho_x Q_xy``. On S the problem is solved through the concave dual over
+    the potentials v of S (gauge-fixed at the first state of S) with an
+    independent quasi-Newton method (BFGS on all of S, with no split into
+    strongly connected components, unlike ``dvg_rate``), then certified by
     evaluating the primal functional at the recovered flux
     ``j_xy = rho_x Q_xy exp(v_y - v_x)`` after a least-squares divergence
-    repair confined to the support of ``rho_x Q_xy``.
+    repair. Flux and repair are confined to the edges that lie on a cycle
+    inside S (within one strongly connected component); a divergence-free
+    flux is zero on every other edge, which therefore costs its full
+    weight. The exit flux is added to the dual value. A single support
+    state needs no optimizer. The returned ``potential`` is finite: states
+    outside S sit ``OFF_SUPPORT_GAP`` below the lowest potential of S.
     """
     rho = rho if isinstance(rho, ProbVector) else ProbVector(np.asarray(rho, dtype=float))
     n = Q.n_states
-    off = ~np.eye(n, dtype=bool)
     base = rho.weights[:, None] * Q.rates
-    base[~off] = 0.0
+    np.fill_diagonal(base, 0.0)
+    support = np.flatnonzero(rho.weights > 0)
+    outside = np.flatnonzero(rho.weights == 0)
+    inner = base[np.ix_(support, support)]
+    exit_flux = float(base[np.ix_(support, outside)].sum())
+
+    src, dst = np.nonzero(inner > 0)
+    weights = inner[src, dst]
 
     def dual_neg(v_free: np.ndarray):
         v = np.concatenate(([0.0], v_free))
-        expw = np.exp(v[None, :] - v[:, None])
-        flow = base * expw
-        val = float(np.sum(flow[off] - base[off]))
-        grad_full = flow.sum(axis=0) - flow.sum(axis=1)
-        return val, grad_full[1:]
+        flow = weights * np.exp(v[dst] - v[src])
+        grad_full = np.bincount(dst, flow, support.size) - np.bincount(src, flow, support.size)
+        return float(np.sum(flow - weights)), grad_full[1:]
 
-    res = optimize.minimize(dual_neg, np.zeros(n - 1), jac=True, method="BFGS",
-                            options={"gtol": gtol, "maxiter": 500})
-    v = np.concatenate(([0.0], res.x))
-    dual_value = -float(res.fun)
-    j = base * np.exp(v[None, :] - v[:, None])
-    support = np.argwhere(base > 0)
-    if support.size:
-        div_op = np.zeros((n, support.shape[0]))
-        for col, (x, y) in enumerate(support):
-            div_op[x, col] += 1.0
-            div_op[y, col] -= 1.0
-        delta, *_ = np.linalg.lstsq(div_op, -divergence(j), rcond=None)
-        j[support[:, 0], support[:, 1]] += delta
-    if j[off].min() < 0:
+    v_support = np.zeros(support.size)
+    dual_value = exit_flux
+    if support.size > 1:
+        res = optimize.minimize(dual_neg, v_support[1:], jac=True, method="BFGS",
+                                options={"gtol": gtol, "maxiter": 500})
+        v_support[1:] = res.x
+        dual_value -= float(res.fun)
+    # a divergence-free flux vanishes on every edge that lies on no cycle,
+    # that is, on edges between strongly connected components of S
+    label = np.zeros(support.size, dtype=np.int64)
+    for idx, comp in enumerate(_strong_components(inner > 0)):
+        label[comp] = idx
+    cyclic = label[src] == label[dst]
+    tail, head = src[cyclic], dst[cyclic]
+    local = np.zeros_like(inner)
+    local[tail, head] = weights[cyclic] * np.exp(v_support[head] - v_support[tail])
+    if tail.size:
+        cols = np.arange(tail.size)
+        div_op = np.zeros((support.size, tail.size))
+        div_op[tail, cols] = 1.0
+        div_op[head, cols] = -1.0
+        delta, *_ = np.linalg.lstsq(div_op, -divergence(local), rcond=None)
+        local[tail, head] += delta
+    j = np.zeros((n, n))
+    j[np.ix_(support, support)] = local
+    if j.min() < 0:
         raise RuntimeError("divergence repair produced a negative flux entry")
+    v = np.full(n, v_support.min() - OFF_SUPPORT_GAP)
+    v[support] = v_support
     value = bfg_rate(rho, j, Q)
     return ContractionResult(value, dual_value, value - dual_value, j, v)
 

@@ -274,39 +274,45 @@ def _batch_step(Q: GeneratorMatrix, t0: float, states: np.ndarray, rng: np.rando
 
     Returns occupation fractions over the window, jump counts (or None),
     and the end states. Paths advance in lockstep: one exponential and one
-    uniform draw per active path per jump round. Raises AbsorbingState
-    when a path that is still moving sits in a state with zero exit rate.
+    uniform draw per active path per jump round. Each round works on
+    compact arrays of the still-moving paths (batch index, state, time
+    left) and scatters their holding times into the batch once, through a
+    flat (path, state) index. Raises AbsorbingState when a path that is
+    still moving sits in a state with zero exit rate.
     """
     exit_rates = Q.exit_rates
+    absorbing = bool((exit_rates <= 0.0).any())
     cum_jump = np.cumsum(Q.jump_probs(), axis=1)
     n = Q.n_states
     batch = states.size
-    occ = np.zeros((batch, n))
-    flux = np.zeros((batch, n, n), dtype=np.int64) if want_flux else None
+    occ = np.zeros(batch * n)
+    flux = np.zeros(batch * n * n, dtype=np.int64) if want_flux else None
     current = states.copy()
-    remaining = np.full(batch, t0)
     active = np.arange(batch)
+    state = states.copy()
+    remaining = np.full(batch, t0)
     while active.size:
-        act_states = current[active]
-        rates = exit_rates[act_states]
-        if rates.min() <= 0.0:
-            raise AbsorbingState(f"state {act_states[rates.argmin()]} has zero exit rate")
+        rates = exit_rates[state]
+        if absorbing and rates.min() <= 0.0:
+            raise AbsorbingState(f"state {state[rates.argmin()]} has zero exit rate")
         dwell = rng.standard_exponential(active.size) / rates
-        rem = remaining[active]
-        jumped = dwell < rem
-        held = np.minimum(dwell, rem)
-        occ[active, act_states] += held
-        remaining[active] = rem - held
-        if jumped.any():
-            movers = active[jumped]
-            old = current[movers]
-            u = rng.random(movers.size)
-            new = (u[:, None] >= cum_jump[old]).sum(axis=1)
-            current[movers] = new
-            if want_flux:
-                flux[movers, old, new] += 1
-        active = active[jumped]
-    return occ / t0, flux, current
+        jumped = dwell < remaining
+        occ[active * n + state] += np.minimum(dwell, remaining)
+        movers = np.flatnonzero(jumped)
+        if movers.size < active.size:
+            held = ~jumped
+            current[active[held]] = state[held]
+            if not movers.size:
+                break
+            active, state = active[movers], state[movers]
+            remaining, dwell = remaining[movers], dwell[movers]
+        new = (rng.random(active.size)[:, None] >= cum_jump[state]).sum(axis=1)
+        if want_flux:
+            flux[(active * n + state) * n + new] += 1
+        state = new
+        remaining = remaining - dwell
+    flux = flux.reshape(batch, n, n) if want_flux else None
+    return occ.reshape(batch, n) / t0, flux, current
 
 
 def batch_occupations(

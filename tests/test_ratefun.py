@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import bridgerates as br
@@ -72,14 +72,21 @@ def test_dvg_objective_gauge_invariance(ring_three):
     assert a == pytest.approx(b, abs=1e-12)
 
 
-def test_dvg_rate_boundary_occupation(symmetric_two):
-    # all mass on one state: rate equals the exit rate out of it
+def test_dvg_rate_boundary_occupation(symmetric_two, ring_three):
+    # all mass on one state: rate equals the exit rate out of it, with no
+    # Newton step
     assert br.dvg_rate(br.ProbVector([1.0, 0.0]), symmetric_two).value == pytest.approx(
         1.0, abs=1e-8
     )
+    for x in range(3):
+        res = br.dvg_rate(br.ProbVector(np.eye(3)[x]), ring_three)
+        assert res.value == pytest.approx(ring_three.exit_rates[x], abs=1e-15)
+        assert res.iterations == 0
 
 
 @given(seed=st.integers(0, 2**32 - 1))
+# an interior rho on which the five-start BFGS solver raised NonConvergence
+@example(seed=350791571)
 def test_dvg_rate_nonnegative_random(seed):
     rng = np.random.default_rng(seed)
     Q = random_generator(rng, 3)
@@ -89,8 +96,8 @@ def test_dvg_rate_nonnegative_random(seed):
 
 
 def test_dvg_rate_nonconvergence_carries_best(ring_three):
-    # one BFGS iteration per start cannot reach the gradient tolerance; the
-    # error still hands back the best unconverged start
+    # one Newton step cannot reach the gradient tolerance; the error still
+    # hands back the unconverged iterate
     rho = br.ProbVector([0.5, 0.3, 0.2])
     with pytest.raises(br.NonConvergence) as info:
         br.dvg_rate(rho, ring_three, max_iters=1)
@@ -99,6 +106,72 @@ def test_dvg_rate_nonconvergence_carries_best(ring_three):
     assert best.gradient_norm >= 1e-10
     assert best.iterations <= 1
     assert best.value <= br.dvg_rate(rho, ring_three).value + 1e-12
+
+
+def _attained(rho: np.ndarray, Q, v: np.ndarray) -> tuple[float, float]:
+    """Objective value and gradient max-norm at v, summed over edges with rho_x Q_xy > 0."""
+    base = np.where(np.eye(Q.n_states, dtype=bool), 0.0, rho[:, None] * Q.rates)
+    flow = np.where(base > 0, base * np.exp(v[None, :] - v[:, None]), 0.0)
+    return -float(np.sum(flow - base)), float(np.abs(flow.sum(axis=1) - flow.sum(axis=0)).max())
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), zeros=st.integers(1, 2))
+def test_dvg_rate_boundary_occupation_random(symmetric_two, seed, n, zeros):
+    # rho with one or two zero entries: the support split never raises, the
+    # value is attained at the returned maximizer, and the BFGS contraction
+    # on the support agrees with it
+    rng = np.random.default_rng(seed)
+    Q = random_generator(rng, n)
+    w = rng.dirichlet(np.ones(n))
+    w[rng.choice(n, size=min(zeros, n - 1), replace=False)] = 0.0
+    rho = br.ProbVector(w / w.sum())
+    res = br.dvg_rate(rho, Q)
+    assert np.all(np.isfinite(res.maximizer))
+    value, grad = _attained(rho.weights, Q, res.maximizer)
+    assert res.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+    assert grad <= 1e-6
+    out = br.contract_dvg_from_bfg(rho, Q)
+    assert out.value == pytest.approx(res.value, abs=1e-6)
+    assert abs(out.gap) <= 1e-6
+    if n == 2:
+        r0, r1 = rho.weights
+        q01, q10 = Q.rates[0, 1], Q.rates[1, 0]
+        assert res.value == pytest.approx(two_state_closed_form(q01, q10, r0, r1), abs=1e-12)
+        unit = br.dvg_rate(rho, symmetric_two).value
+        assert unit == pytest.approx((math.sqrt(r0) - math.sqrt(r1)) ** 2, abs=1e-12)
+
+
+# supp(rho) = {0, 1} with the single edge 0 -> 1: the edge between the two
+# components (0.5) and the exit 1 -> 2 (1.0) count in full
+ONE_WAY = ([[-1.0, 1.0, 0.0], [0.0, -2.0, 2.0], [1.0, 1.0, -2.0]], [0.5, 0.5, 0.0], 1.5, 0.0)
+# 2-cycles {0, 4} and {1, 3} joined by 0 -> 3 and 4 -> 1 (weights 0.125 and
+# 0.5625), exit 4 -> 2 (0.1875):
+# (sqrt(.125) - sqrt(.375))^2 + (sqrt(.0625) - sqrt(.1875))^2 + 0.875
+TWO_CYCLES = (
+    [[-2.0, 0.0, 0.0, 1.0, 1.0],
+     [0.0, -0.5, 0.0, 0.5, 0.0],
+     [1.0, 0.0, -1.5, 0.5, 0.0],
+     [0.0, 0.5, 0.0, -0.5, 0.0],
+     [1.0, 1.5, 0.5, 0.0, -3.0]],
+    [0.125, 0.125, 0.0, 0.375, 0.375],
+    1.625 - 3.0 * math.sqrt(3.0) / 8.0,
+    1e-15,
+)
+
+
+@pytest.mark.parametrize(
+    "rates, weights, want, tol", [ONE_WAY, TWO_CYCLES], ids=["one-way", "two-cycles"]
+)
+def test_dvg_rate_support_not_strongly_connected(rates, weights, want, tol):
+    Q = br.validate_generator(rates)
+    rho = br.ProbVector(weights)
+    res = br.dvg_rate(rho, Q)
+    assert res.value == pytest.approx(want, rel=0.0, abs=tol)
+    assert br.dvg_objective(rho, Q, res.maximizer) == pytest.approx(want, abs=1e-15)
+    out = br.contract_dvg_from_bfg(rho, Q)
+    assert out.value == pytest.approx(want, abs=1e-12)
+    assert abs(out.gap) <= 1e-9
+    assert np.all(np.isfinite(out.potential))
 
 
 # --- flux rate ----------------------------------------------------------------
