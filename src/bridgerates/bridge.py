@@ -4,9 +4,10 @@ A bridge pins the chain to start at x and end at y after a window of
 length t0. Its inhomogeneous transition law is a ratio of unconditioned
 kernels; sampling is by rejection: run the unconditioned chain from x over
 the window and keep paths that end in y. ``conditional_samples`` runs the
-candidates in lockstep batches on the vectorized window step of
-``simulate`` and returns their occupation (and optionally flux) blocks,
-the conditional laws feeding the per-pair conjugate oracle.
+candidates in lockstep batches on the uniformized window step of
+``simulate``, draws occupation fractions for the kept candidates only, and
+returns their occupation (and optionally flux) blocks, the conditional
+laws feeding the per-pair conjugate oracle.
 ``sample_bridge`` draws single paths with ``simulate.gillespie`` and stays
 as the independent reference for the kernels.
 """
@@ -19,7 +20,7 @@ import numpy as np
 
 from .chain import GeneratorMatrix, transition_at
 from .conjugate import EmpiricalLaw
-from .simulate import MODES, PathRecord, _batch_step, gillespie
+from .simulate import MODES, PathRecord, _batch_step, _occupation_fractions, gillespie
 
 __all__ = [
     "DegenerateDenominator",
@@ -38,7 +39,7 @@ DEFAULT_MAX_ATTEMPTS = 1_000_000
 ROUND_SIZE = 8192
 # Changes whenever conditional_samples draws differently for the same
 # inputs; cached sample dumps are keyed on it.
-SAMPLER_VERSION = 2
+SAMPLER_VERSION = 3
 
 
 class DegenerateDenominator(ValueError):
@@ -151,9 +152,9 @@ def conditional_samples(spec: BridgeSpec, mode: str, n_samples: int, seed: int) 
     appended (d = n + n^2, diagonal entries always zero, kept for fixed
     shape). Rejection runs in lockstep rounds of ROUND_SIZE candidate paths
     from x; round r draws from the stream keyed by (seed, pair index, r)
-    and keeps, in order, the paths that end in y. The result depends only
-    on (seed, spec, n_samples), and its first k rows are the same for every
-    n_samples >= k.
+    and keeps, in order, the paths that end in y, drawing occupation
+    fractions for those alone. The result depends only on (seed, spec,
+    n_samples), and its first k rows are the same for every n_samples >= k.
 
     Raises
     ------
@@ -173,17 +174,18 @@ def conditional_samples(spec: BridgeSpec, mode: str, n_samples: int, seed: int) 
     round_index = 0
     while kept < n_samples:
         rng = np.random.default_rng(np.random.SeedSequence([seed, pair_index, round_index]))
-        occ, flux, ends = _batch_step(spec.Q, spec.t0, starts, rng, mode == "flux")
-        hits = np.flatnonzero(ends == spec.y)
+        window = _batch_step(spec.Q, spec.t0, starts, rng, mode == "flux")
+        hits = np.flatnonzero(window.ends == spec.y)
         first = hits[0] if hits.size else ROUND_SIZE
         if misses + first >= DEFAULT_MAX_ATTEMPTS:
             raise RejectionBudgetExceeded(
                 f"no acceptance in {DEFAULT_MAX_ATTEMPTS} attempts for pair ({spec.x}, {spec.y})"
             )
         misses = ROUND_SIZE - 1 - hits[-1] if hits.size else misses + ROUND_SIZE
-        block = occ[hits]
+        visits, flux = window.rows(hits)
+        block = _occupation_fractions(visits, rng)
         if mode == "flux":
-            block = np.concatenate([block, flux[hits].reshape(hits.size, n * n) / spec.t0], axis=1)
+            block = np.concatenate([block, flux.reshape(hits.size, n * n) / spec.t0], axis=1)
         parts.append(block)
         kept += hits.size
         round_index += 1

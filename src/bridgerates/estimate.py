@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,11 +108,15 @@ def build_oracle(
     dumps are reused across runs; the file name carries a hash of everything
     the samples depend on (sampler version, generator rates, mode, pair,
     window, seed and sample count), so stale caches cannot be picked up
-    silently.
+    silently. A dump that does not read back as (n_samples, d) samples, say
+    one cut short by a crashed writer, is resampled and rewritten; dumps are
+    written to a temporary file and renamed into place, so readers never see
+    a partial one.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     n = Q.n_states
+    shape = (n_samples, n if mode == "occupation" else n + n * n)
     rates = np.ascontiguousarray(Q.rates, dtype="<f8").tobytes()
     laws = {}
     for x in range(n):
@@ -121,16 +127,39 @@ def build_oracle(
                 key.update(repr((SAMPLER_VERSION, mode, x, y, float(t0), int(seed),
                                  int(n_samples))).encode())
                 path = Path(cache_dir) / f"{mode}_x{x}_y{y}_{key.hexdigest()[:16]}.f64"
-            if path is not None and path.exists():
-                laws[(x, y)] = EmpiricalLaw(load_samples(path))
-                continue
-            spec = BridgeSpec(Q, x, y, t0)
-            law = conditional_samples(spec, mode, n_samples, seed)
+                cached = _cached_samples(path, shape)
+                if cached is not None:
+                    laws[(x, y)] = EmpiricalLaw(cached)
+                    continue
+            law = conditional_samples(BridgeSpec(Q, x, y, t0), mode, n_samples, seed)
             if path is not None:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                save_samples(path, law.samples)
+                _write_dump(path, law.samples)
             laws[(x, y)] = law
     return ConjugateOracle(laws=laws, lam_box=lam_box, mode=mode, t0=t0)
+
+
+def _cached_samples(path: Path, shape: tuple[int, int]):
+    """The samples of a cached dump, or None when it is missing, cut short or of another shape."""
+    if not path.exists():
+        return None
+    try:
+        samples = load_samples(path)
+    except ValueError:
+        return None
+    return samples if samples.shape == shape else None
+
+
+def _write_dump(path: Path, samples: np.ndarray) -> None:
+    """Write a sample dump atomically: to a temporary file, then rename it over path."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    os.close(fd)
+    try:
+        save_samples(tmp, samples)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 # ---------------------------------------------------------------------------

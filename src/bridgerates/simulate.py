@@ -1,12 +1,17 @@
 """Exact simulation of CTMC paths and their empirical statistics.
 
 Single paths are simulated jump by jump (exponential holding times plus the
-embedded jump chain). Whole-path statistics (occupation fractions, jump
-counts) and the windowed block embedding (endpoint skeleton plus per-window
-additive statistics) are computed from the recorded jump sequence. Batch
-helpers advance many paths in lockstep with vectorized draws, one stream
-per batch; they drive tail-probability estimation and the rejection rounds
-of bridge sampling (``bridge.conditional_samples``).
+embedded jump chain); ``gillespie`` raises ``AbsorbingState`` when a path
+reaches a state it cannot leave. Whole-path statistics (occupation
+fractions, jump counts) and the windowed block embedding (endpoint skeleton
+plus per-window additive statistics) are computed from the recorded jump
+sequence. Batch helpers simulate many paths at once by uniformization, one
+stream per batch: a Poisson number of events per path, the skeleton chain
+P = I + Q / lam run in lockstep, and occupation fractions drawn from the
+Dirichlet law of the event spacings given the skeleton's visit counts.
+Absorbing states need no special case there. The batch helpers drive
+tail-probability estimation and the rejection rounds of bridge sampling
+(``bridge.conditional_samples``).
 """
 
 from __future__ import annotations
@@ -37,7 +42,11 @@ MODES = ("occupation", "flux")
 
 
 class AbsorbingState(RuntimeError):
-    """Simulation entered a state with zero total exit rate."""
+    """A gillespie path entered a state with zero total exit rate.
+
+    The batch helpers never raise it: uniformization keeps their paths in
+    such a state, which is the exact law.
+    """
 
 
 @dataclass(frozen=True)
@@ -139,6 +148,19 @@ class EmpiricalPair:
             raise ValueError("theta must sit on the 1/n lattice")
 
 
+def _next_state_table(probs: np.ndarray) -> np.ndarray:
+    """Cumulative row sums of a stochastic matrix, without the last column.
+
+    The next state from ``a`` with uniform draw u is the number of entries
+    of row ``a`` that u reaches (u >= entry), so no draw can index past the
+    last state, whatever rounding left in the row total. Entries that
+    already equal the row total are set above 1: the states after them
+    have zero probability and are never picked.
+    """
+    cum = np.cumsum(probs, axis=1)
+    return np.where(cum[:, :-1] >= cum[:, -1:], 2.0, cum[:, :-1])
+
+
 def gillespie(Q: GeneratorMatrix, x0: int, horizon: float, rng: np.random.Generator) -> PathRecord:
     """Simulate one exact path of the chain on [0, horizon] from x0.
 
@@ -155,7 +177,7 @@ def gillespie(Q: GeneratorMatrix, x0: int, horizon: float, rng: np.random.Genera
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     exit_rates = Q.exit_rates
-    cum_jump = np.cumsum(Q.jump_probs(), axis=1)
+    cum_jump = _next_state_table(Q.jump_probs())
     times: list[float] = []
     dests: list[int] = []
     state = x0
@@ -268,51 +290,100 @@ def accumulate(embedding: DiscreteEmbedding) -> EmpiricalPair:
 # vectorized batch simulation
 
 
-def _batch_step(Q: GeneratorMatrix, t0: float, states: np.ndarray, rng: np.random.Generator,
-                want_flux: bool):
-    """Advance a batch of paths through one window of length t0.
+@dataclass(frozen=True)
+class _WindowCounts:
+    """Skeleton counts of a batch of paths over one window.
 
-    Returns occupation fractions over the window, jump counts (or None),
-    and the end states. Paths advance in lockstep: one exponential and one
-    uniform draw per active path per jump round. Each round works on
-    compact arrays of the still-moving paths (batch index, state, time
-    left) and scatters their holding times into the batch once, through a
-    flat (path, state) index. Raises AbsorbingState when a path that is
-    still moving sits in a state with zero exit rate.
+    ``ends`` holds the end states in batch order. The count arrays keep the
+    order the paths were simulated in, one row per state (``visits``, n by
+    batch) or per move a -> b (``jumps``, n^2 by batch, None without flux);
+    ``slot[p]`` is the column of batch path p. ``rows`` gathers the counts
+    of the paths a caller keeps.
     """
-    exit_rates = Q.exit_rates
-    absorbing = bool((exit_rates <= 0.0).any())
-    cum_jump = np.cumsum(Q.jump_probs(), axis=1)
+
+    ends: np.ndarray
+    slot: np.ndarray
+    visits: np.ndarray
+    jumps: np.ndarray | None
+
+    def rows(self, paths: np.ndarray | None = None):
+        """Visit counts (k, n) and real-jump counts (k, n, n) or None of the given paths (default: all)."""
+        cols = self.slot if paths is None else self.slot[paths]
+        visits = self.visits.take(cols, axis=1).T
+        if self.jumps is None:
+            return visits, None
+        n = self.visits.shape[0]
+        jumps = self.jumps.take(cols, axis=1).T.reshape(cols.size, n, n)
+        jumps[:, np.arange(n), np.arange(n)] = 0  # skeleton self-loops are not jumps
+        return visits, jumps
+
+
+def _batch_step(Q: GeneratorMatrix, t0: float, states: np.ndarray, rng: np.random.Generator,
+                want_flux: bool) -> _WindowCounts:
+    """Advance a batch of paths through one window of length t0 by uniformization.
+
+    With lam the largest exit rate, each path sees N ~ Poisson(lam t0)
+    events, and its states at the events follow the skeleton chain with
+    kernel P = I + Q / lam. Returns each path's end state and, through
+    ``_WindowCounts.rows``, the skeleton's visit counts per state (each
+    row sums to N + 1) and its real-jump counts (moves a -> b with a != b;
+    None unless want_flux). Given the visit counts m, the occupation
+    fractions over the window are Dirichlet(m) (see
+    ``_occupation_fractions``), which callers draw only for the rows they
+    keep. Paths are sorted by N once, so step k runs on the contiguous tail
+    of paths with N >= k, and memory stays O(batch n) (O(batch n^2) with
+    flux) whatever N. A state with zero exit rate has the unit row in P and
+    keeps its paths, so chains with absorbing states sample exactly and
+    nothing raises ``AbsorbingState``. The cost is proportional to lam t0,
+    not to the number of real jumps.
+    """
     n = Q.n_states
     batch = states.size
-    occ = np.zeros(batch * n)
-    flux = np.zeros(batch * n * n, dtype=np.int64) if want_flux else None
-    current = states.copy()
-    active = np.arange(batch)
-    state = states.copy()
-    remaining = np.full(batch, t0)
-    while active.size:
-        rates = exit_rates[state]
-        if absorbing and rates.min() <= 0.0:
-            raise AbsorbingState(f"state {state[rates.argmin()]} has zero exit rate")
-        dwell = rng.standard_exponential(active.size) / rates
-        jumped = dwell < remaining
-        occ[active * n + state] += np.minimum(dwell, remaining)
-        movers = np.flatnonzero(jumped)
-        if movers.size < active.size:
-            held = ~jumped
-            current[active[held]] = state[held]
-            if not movers.size:
-                break
-            active, state = active[movers], state[movers]
-            remaining, dwell = remaining[movers], dwell[movers]
-        new = (rng.random(active.size)[:, None] >= cum_jump[state]).sum(axis=1)
+    lam = float(Q.exit_rates.max())
+    probs = np.eye(n) + Q.rates / lam if lam > 0.0 else np.eye(n)
+    columns = [np.ascontiguousarray(col) for col in _next_state_table(probs).T]
+    events = rng.poisson(lam * t0, batch)
+    top = int(events.max(initial=0))
+    # numpy radix-sorts 16-bit keys; the order only has to be deterministic
+    keys = events.astype(np.uint16) if top < 2**16 else events
+    order = np.argsort(keys, kind="stable")
+    events = events[order]
+    state = states[order]
+    # one row per state or move, so each step works on contiguous slices
+    visits = np.zeros((n, batch), dtype=np.int64)  # row 0 is filled in at the end
+    for z in range(1, n):
+        visits[z] += state == z
+    jumps = np.zeros(n * n * batch, dtype=np.int64) if want_flux else None
+    column = np.arange(batch)
+    for k in range(1, top + 1):
+        lo = int(np.searchsorted(events, k))
+        here = state[lo:]
+        u = rng.random(here.size)
+        new = np.zeros(here.size, dtype=np.int64)
+        for col in columns:
+            new += u >= col[here]
         if want_flux:
-            flux[(active * n + state) * n + new] += 1
-        state = new
-        remaining = remaining - dwell
-    flux = flux.reshape(batch, n, n) if want_flux else None
-    return occ.reshape(batch, n) / t0, flux, current
+            jumps[(here * n + new) * batch + column[lo:]] += 1
+        state[lo:] = new
+        for z in range(1, n):
+            visits[z, lo:] += new == z
+    visits[0] = events + 1 - visits[1:].sum(axis=0)
+    slot = np.empty_like(order)
+    slot[order] = column
+    return _WindowCounts(state[slot], slot, visits,
+                         jumps.reshape(n * n, batch) if want_flux else None)
+
+
+def _occupation_fractions(visits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Occupation fractions of a window given its skeleton visit counts.
+
+    The N + 1 spacings of N uniform event times are Dirichlet(1, ..., 1);
+    grouped by the state the skeleton holds in each spacing they are
+    Dirichlet(visits), drawn as normalized gamma variates. A zero count
+    gives an exact 0.
+    """
+    gamma = rng.standard_gamma(visits)
+    return gamma / gamma.sum(axis=1, keepdims=True)
 
 
 def batch_occupations(
@@ -325,15 +396,16 @@ def batch_occupations(
     """Occupation fractions over [0, horizon] for n_paths independent paths.
 
     ``init`` is either a fixed start state or a distribution to draw the
-    start states from. Statistically identical to repeated gillespie calls;
-    draws are interleaved across the batch.
+    start states from. Statistically identical to repeated gillespie calls
+    (and exact on chains with absorbing states, where gillespie raises);
+    the paths are simulated together by uniformization, see ``_batch_step``.
     """
     if isinstance(init, ProbVector):
         states = rng.choice(Q.n_states, size=n_paths, p=init.weights)
     else:
         states = np.full(n_paths, int(init))
-    occ, _, _ = _batch_step(Q, horizon, states, rng, want_flux=False)
-    return occ
+    visits, _ = _batch_step(Q, horizon, states, rng, want_flux=False).rows()
+    return _occupation_fractions(visits, rng)
 
 
 def batch_pair_statistics(
@@ -362,7 +434,10 @@ def batch_pair_statistics(
     theta = np.zeros((n_paths, n, n))
     rows = np.arange(n_paths)
     for _ in range(n_windows):
-        occ, flux, new_states = _batch_step(Q, t0, states, rng, want_flux=(mode == "flux"))
+        window = _batch_step(Q, t0, states, rng, want_flux=(mode == "flux"))
+        visits, flux = window.rows()
+        new_states = window.ends
+        occ = _occupation_fractions(visits, rng)
         if mode == "occupation":
             blocks = occ
         else:

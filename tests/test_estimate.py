@@ -73,6 +73,26 @@ def test_build_oracle_ignores_dumps_of_older_sampler(symmetric_two, tmp_path):
     assert len(list(tmp_path.iterdir())) == 8
 
 
+def test_build_oracle_resamples_damaged_dumps(symmetric_two, tmp_path):
+    # a dump cut short by a crashed writer, or holding the wrong number of
+    # samples, sits under the right cache name: it must be resampled and
+    # rewritten, not served or raised on
+    mode, t0, seed, count = "flux", 0.5, 6, 300
+    br.build_oracle(symmetric_two, t0, mode, count, seed, cache_dir=tmp_path)
+    dumps = sorted(tmp_path.iterdir())
+    assert len(dumps) == 4
+    dumps[0].write_bytes(dumps[0].read_bytes()[: 8 * 100])
+    br.save_samples(dumps[1], np.zeros((count // 2, 6)))
+    br.save_samples(dumps[2], np.zeros((count, 2)))
+    oracle = br.build_oracle(symmetric_two, t0, mode, count, seed, cache_dir=tmp_path)
+    fresh = br.build_oracle(symmetric_two, t0, mode, count, seed)
+    for pair, law in oracle.laws.items():
+        assert np.array_equal(law.samples, fresh.laws[pair].samples)
+    assert sorted(tmp_path.iterdir()) == dumps
+    for dump in dumps:
+        assert br.load_samples(dump).shape == (count, 6)
+
+
 def test_infconv_dvg_matches_closed_form(symmetric_two, occ_oracle):
     P = br.transition_at(symmetric_two, 0.5)
     res = br.infconv_dvg(np.array([0.7, 0.3]), occ_oracle, P)

@@ -146,3 +146,95 @@ def test_batch_pair_statistics_rejects_bad_mode(symmetric_two):
         br.batch_pair_statistics(
             symmetric_two, 1.0, 3, 10, np.random.default_rng(0), 0, mode="nope"
         )
+
+
+class _TopUniform:
+    """A generator whose uniforms are all the largest double below 1."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self, size=None):
+        top = np.nextafter(1.0, 0.0)
+        return top if size is None else np.full(size, top)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_largest_uniform_picks_a_valid_next_state(ring_three):
+    # the jump row of state 1 cumulates to exactly the largest uniform, which
+    # used to select the nonexistent state 3
+    assert np.cumsum(ring_three.jump_probs()[1])[-1] == np.nextafter(1.0, 0.0)
+    path = br.gillespie(ring_three, 1, 5.0, _TopUniform(0))
+    seq = path.states()
+    assert path.n_jumps > 0 and seq.max() < 3
+    assert np.all(seq[1:] != seq[:-1])
+    k, theta = br.batch_pair_statistics(ring_three, 5.0, 1, 200, _TopUniform(1), 1, mode="flux")
+    assert np.allclose(theta.sum(axis=(1, 2)), 1.0)
+    assert np.allclose(k[..., :3].sum(axis=3), theta)
+    # the moves out of state 2 here cumulate to the largest uniform too, which
+    # used to pick state 2 itself although it has probability 0
+    Q = br.validate_generator([[-0.2, 0.1, 0.1], [0.1, -0.2, 0.1], [0.1, 0.3, -0.4]])
+    seq = br.gillespie(Q, 2, 50.0, _TopUniform(2)).states()
+    assert seq.size > 1 and np.all(seq[1:] != seq[:-1])
+    occ = br.batch_occupations(Q, 20.0, 200, _TopUniform(3), 2)
+    assert occ[:, 1].max() > 0.0
+
+
+def _exact_window_means(Q, x, horizon, nodes=96):
+    """(1/T) int_0^T P_x.(s) ds and int_0^T P_xa(s) Q_ab ds by Gauss-Legendre."""
+    z, w = np.polynomial.legendre.leggauss(nodes)
+    s = 0.5 * horizon * (z + 1.0)
+    w = 0.5 * horizon * w
+    rows = np.array([br.transition_at(Q, si).probs[x] for si in s])
+    occ = w @ rows / horizon
+    jumps = (w @ rows)[:, None] * Q.rates * (1.0 - np.eye(Q.n_states))
+    return occ, jumps
+
+
+@pytest.fixture(scope="module")
+def spread_three():
+    """Exit rates 20 : 1 : 1, so the skeleton idles in the slow states."""
+    return br.validate_generator([[-20.0, 12.0, 8.0], [0.6, -1.0, 0.4], [0.5, 0.5, -1.0]])
+
+
+@pytest.mark.parametrize("chain, horizon", [
+    ("ring_three", 0.25), ("ring_three", 40.0), ("spread_three", 2.0),
+])
+def test_batch_window_is_exact(request, chain, horizon):
+    # end states, mean occupations and mean jump counts of the uniformized
+    # sampler against the kernel, each within 5 standard errors
+    Q = request.getfixturevalue(chain)
+    n, count, x = Q.n_states, 20_000, 0
+    k, theta = br.batch_pair_statistics(Q, horizon, 1, count, np.random.default_rng(17), x,
+                                        mode="flux")
+    ends = theta[:, x, :]
+    block = k[:, x, :, :].sum(axis=1)
+    occ, jumps = block[:, :n], block[:, n:].reshape(count, n, n) * horizon
+    want_end = br.transition_at(Q, horizon).probs[x]
+    se_end = np.sqrt(want_end * (1.0 - want_end) / count)
+    assert np.all(np.abs(ends.mean(axis=0) - want_end) <= 5.0 * se_end + 1e-12)
+    want_occ, want_jumps = _exact_window_means(Q, x, horizon)
+    se_occ = occ.std(axis=0, ddof=1) / np.sqrt(count)
+    assert np.all(np.abs(occ.mean(axis=0) - want_occ) <= 5.0 * se_occ + 1e-12)
+    se_jumps = np.maximum(jumps.std(axis=0, ddof=1), np.sqrt(want_jumps)) / np.sqrt(count)
+    assert np.all(np.abs(jumps.mean(axis=0) - want_jumps) <= 5.0 * se_jumps + 1e-12)
+    # the skeleton's self-loops (every state but the fastest) are not jumps
+    assert np.all(jumps[:, np.arange(n), np.arange(n)] == 0.0)
+
+
+def test_batch_absorbing_state_samples_exactly():
+    # state 1 cannot leave: occupation of state 0 is min(tau, T)/T with tau
+    # a unit exponential, whose mean is (1 - e^-T)/T
+    Q = br.GeneratorMatrix(np.array([[-1.0, 1.0], [0.0, 0.0]]))
+    horizon, count = 2.0, 20_000
+    occ = br.batch_occupations(Q, horizon, count, np.random.default_rng(6), 0)
+    want = (1.0 - np.exp(-horizon)) / horizon
+    se = occ[:, 0].std(ddof=1) / np.sqrt(count)
+    assert abs(occ[:, 0].mean() - want) <= 5.0 * se
+    assert np.array_equal(br.batch_occupations(Q, horizon, 10, np.random.default_rng(6), 1),
+                          np.tile([0.0, 1.0], (10, 1)))
+    frozen = br.GeneratorMatrix(np.zeros((2, 2)))
+    assert np.array_equal(br.batch_occupations(frozen, horizon, 10, np.random.default_rng(6), 0),
+                          np.tile([1.0, 0.0], (10, 1)))
