@@ -201,34 +201,43 @@ def transition_at(Q: GeneratorMatrix, t: float) -> TransitionKernel:
     return TransitionKernel(kernel)
 
 
-def _support_digraph(matrix: np.ndarray) -> np.ndarray:
-    adj = matrix > 0
-    np.fill_diagonal(adj, False)
-    return adj
+def _strong_components(edges: np.ndarray) -> list[np.ndarray]:
+    """Strongly connected components of a boolean adjacency matrix, in topological order.
 
-
-def _reaches_all(adj: np.ndarray, start: int) -> bool:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    frontier = [start]
-    while frontier:
-        nxt = adj[frontier].any(axis=0) & ~seen
-        frontier = np.flatnonzero(nxt).tolist()
-        seen |= nxt
-    return bool(seen.all())
+    Reachability is the closure of ``edges`` by repeated boolean squaring.
+    A component that reaches another reaches strictly more states, so
+    sorting by reach count puts every component before those it feeds.
+    """
+    reach = edges | np.eye(edges.shape[0], dtype=bool)
+    while True:
+        closed = reach @ reach
+        if np.array_equal(closed, reach):
+            break
+        reach = closed
+    leaders = np.unique((reach & reach.T).argmax(axis=1))
+    order = leaders[np.argsort(-reach[leaders].sum(axis=1), kind="stable")]
+    return [np.flatnonzero(reach[lead] & reach[:, lead]) for lead in order]
 
 
 def is_irreducible(model: GeneratorMatrix | TransitionKernel) -> bool:
-    """Whether the support digraph of the chain is strongly connected.
-
-    Strong connectivity is checked by forward reachability from state 0 in
-    the support graph and in its transpose, which together cover every
-    directed connection through state 0.
-    """
+    """Whether the support digraph of the chain is one strongly connected component."""
     matrix = model.rates if isinstance(model, GeneratorMatrix) else model.probs
-    adj = _support_digraph(matrix)
-    return _reaches_all(adj, 0) and _reaches_all(adj.T, 0)
+    return len(_strong_components(matrix > 0)) == 1
+
+
+def _stationary(A: np.ndarray, residual_tol: float) -> ProbVector:
+    """Solution x of x A = 0 with sum(x) = 1, by a dense solve with a residual check."""
+    n = A.shape[0]
+    system = A.T.copy()
+    system[-1, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    x = np.linalg.solve(system, rhs)
+    residual = float(np.abs(x @ A).max())
+    if residual > residual_tol:
+        raise ChainError(f"invariant measure residual {residual!r} exceeds tolerance")
+    x = np.clip(x, 0.0, None)
+    return ProbVector(x / x.sum())
 
 
 def invariant_measure(Q: GeneratorMatrix, residual_tol: float = 1e-10) -> ProbVector:
@@ -244,31 +253,11 @@ def invariant_measure(Q: GeneratorMatrix, residual_tol: float = 1e-10) -> ProbVe
     """
     if not is_irreducible(Q):
         raise Reducible("generator support graph is not strongly connected")
-    n = Q.n_states
-    system = Q.rates.T.copy()
-    system[-1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    pi = np.linalg.solve(system, rhs)
-    residual = float(np.abs(pi @ Q.rates).max())
-    if residual > residual_tol:
-        raise ChainError(f"invariant measure residual {residual!r} exceeds tolerance")
-    pi = np.clip(pi, 0.0, None)
-    return ProbVector(pi / pi.sum())
+    return _stationary(Q.rates, residual_tol)
 
 
 def dtmc_invariant(P: TransitionKernel, residual_tol: float = 1e-10) -> ProbVector:
     """Invariant measure mu of an irreducible transition kernel, mu P = mu."""
     if not is_irreducible(P):
         raise Reducible("kernel support graph is not strongly connected")
-    n = P.n_states
-    system = (P.probs.T - np.eye(n)).copy()
-    system[-1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    mu = np.linalg.solve(system, rhs)
-    residual = float(np.abs(mu @ P.probs - mu).max())
-    if residual > residual_tol:
-        raise ChainError(f"invariant measure residual {residual!r} exceeds tolerance")
-    mu = np.clip(mu, 0.0, None)
-    return ProbVector(mu / mu.sum())
+    return _stationary(P.probs - np.eye(P.n_states), residual_tol)

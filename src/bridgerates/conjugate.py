@@ -539,11 +539,12 @@ def load_samples(path) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConjugateOracle:
-    """Per-endpoint-pair log-MGF and conjugate evaluators.
+    """Per-endpoint-pair block laws and their conjugates.
 
     Maps every ordered state pair (x, y) to the law of its conditioned
-    block statistic. All evaluators are pure, so one oracle can serve any
-    number of read-only evaluations.
+    block statistic; each law answers its own ``mean`` and ``log_mgf``.
+    All evaluators are pure, so one oracle can serve any number of
+    read-only evaluations.
     """
 
     laws: dict
@@ -564,16 +565,6 @@ class ConjugateOracle:
         except KeyError:
             raise KeyError(f"oracle does not cover endpoint pair ({x}, {y})") from None
 
-    def log_mgf(self, x: int, y: int, lam) -> float:
-        return self.law(x, y).log_mgf(lam)
-
-    def mean(self, x: int, y: int) -> np.ndarray:
-        return np.asarray(self.law(x, y).mean(), dtype=float)
-
     def conjugate(self, x: int, y: int, a, lam0=None) -> ConjugateEstimate:
         """Conjugate with effective-infinity detection (box doubling)."""
         return conjugate_or_inf(self.law(x, y), a, self.lam_box, lam0=lam0)
-
-    def boxed_conjugate(self, x: int, y: int, a, lam0=None) -> ConjugateEstimate:
-        """Conjugate on the base box only; always finite."""
-        return conjugate_at(self.law(x, y), a, self.lam_box, lam0=lam0)

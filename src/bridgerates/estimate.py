@@ -8,7 +8,9 @@ hit the target. ``infconv_dvg`` / ``infconv_bfg`` compute that infimum
 numerically against a sampled per-pair oracle: an equality-constrained,
 gradient-regularized Newton method on (k, theta) whose Hessian comes from
 the curvature each conjugate solve already returns, run on the conjugate
-box and again on the doubled box to certify the optimum.
+box and again on the doubled box to certify the optimum. Its start, and
+the verdict on targets that cannot be decomposed at all, come from one
+least-squares solve for k at the stationary pair measure.
 ``contract_dvg_from_bfg`` checks the flux-to-occupation contraction by
 convex duality, and ``mc_decay_rate`` estimates the decay exponent of ball
 probabilities from direct simulation.
@@ -27,7 +29,14 @@ import numpy as np
 from scipy import linalg, optimize
 
 from .bridge import SAMPLER_VERSION, BridgeSpec, conditional_samples
-from .chain import GeneratorMatrix, ProbVector, TransitionKernel, dtmc_invariant, invariant_measure
+from .chain import (
+    GeneratorMatrix,
+    ProbVector,
+    TransitionKernel,
+    _strong_components,
+    dtmc_invariant,
+    invariant_measure,
+)
 from .conjugate import (
     DEFAULT_LAM_BOX,
     ConjugateOracle,
@@ -39,8 +48,8 @@ from .conjugate import (
 from .ratefun import (
     OFF_SUPPORT_GAP,
     FluxField,
+    NonConvergence,
     PairMeasure,
-    _strong_components,
     bfg_rate,
     divergence,
     dvg_rate,
@@ -193,26 +202,29 @@ class InfConvResult:
 
 
 class _JointProjector:
-    """Dykstra projection of (k, theta) onto the decomposition polytope.
+    """Affine constraints of a pair decomposition (k, theta), by least squares.
 
-    The affine part ties the decomposition together: pair totals hit the
+    The constraints tie the decomposition together: pair totals hit the
     target, each pair's block mass matches its theta weight (block
     occupation fractions sum to one), flux blocks carry the divergence and
     zero diagonal their endpoints force on them, and theta is a balanced
     measure supported on the allowed pairs. Keeping these exact is what
     keeps every conjugate evaluation on the affine hull of its law's
-    support, where the conjugate is smooth. The orthant part keeps theta
-    nonnegative. On an unreachable target the affine system itself is
-    inconsistent, which ``residual`` exposes. ``null_basis`` spans the
-    directions that keep every affine constraint, where the Newton steps
-    run; the projection itself gives the feasible start and the exact
-    clean-up at the end of a solve.
+    support, where the conjugate is smooth. ``null_basis`` spans the
+    directions that keep every constraint, where the Newton steps run.
+
+    At a theta that is balanced and positive on every allowed pair, the
+    constraints left on k have a solution exactly when the target can be
+    decomposed, so one least-squares solve for k (``start``) gives both the
+    feasible start and the infeasibility verdict. ``drop`` removes pairs
+    from a feasible point with one minimum-norm correction on the rest.
     """
 
     def __init__(self, mode: str, n: int, d: int, t0: float | None,
                  allowed: np.ndarray, target: np.ndarray):
         self.n = n
         self.d = d
+        self._target = target
         size = n * n * d + n * n
         theta_off = n * n * d
         rows = []
@@ -272,7 +284,6 @@ class _JointProjector:
                 rhs.append(0.0)
         self._C = np.array(rows)
         self._b = np.array(rhs)
-        self._gram_pinv = np.linalg.pinv(self._C @ self._C.T)
         self._theta_off = theta_off
         # orthonormal directions that keep every affine constraint, and the
         # flat positions of the allowed theta entries
@@ -284,32 +295,31 @@ class _JointProjector:
         off = self._theta_off
         return z[:off].reshape(self.n, self.n, self.d), z[off:].reshape(self.n, self.n)
 
-    def _affine(self, z: np.ndarray) -> np.ndarray:
-        return z - self._C.T @ (self._gram_pinv @ (self._C @ z - self._b))
+    def start(self, theta: np.ndarray):
+        """Flat z at this theta, and its largest constraint residual.
 
-    def residual(self, k: np.ndarray, theta: np.ndarray) -> float:
-        z = np.concatenate([k.ravel(), theta.ravel()])
-        return float(np.abs(self._C @ z - self._b).max())
-
-    def __call__(self, k: np.ndarray, theta: np.ndarray, tol: float = 1e-12,
-                 max_rounds: int = 500):
-        z = np.concatenate([k.ravel(), theta.ravel()])
-        p_inc = np.zeros_like(z)
-        q_inc = np.zeros_like(z)
+        k is the least-squares solution nearest to every pair sitting at the
+        target (k_p = theta_p * target); theta is kept as given. A residual
+        above roundoff means the target cannot be decomposed.
+        """
         off = self._theta_off
-        for _ in range(max_rounds):
-            y = self._affine(z + p_inc)
-            p_inc = z + p_inc - y
-            shifted = y + q_inc
-            z = shifted.copy()
-            z[off:] = np.maximum(z[off:], 0.0)
-            q_inc = shifted - z
-            if (
-                float(np.abs(self._C @ z - self._b).max()) < tol
-                and float(np.abs(z - y).max()) < tol
-            ):
-                break
-        return self.split(z)
+        z = np.concatenate([(theta[:, :, None] * self._target).ravel(), theta.ravel()])
+        z[:off] += np.linalg.lstsq(self._C[:, :off], self._b - self._C @ z, rcond=None)[0]
+        return z, float(np.abs(self._C @ z - self._b).max())
+
+    def drop(self, z: np.ndarray, small: np.ndarray) -> np.ndarray:
+        """z with the pairs ``small`` zeroed, then corrected back onto the constraints.
+
+        The correction is the minimum-norm least-squares one on the kept
+        pairs, so it moves a feasible z by about the mass it removes.
+        """
+        z = z.copy()
+        k, theta = self.split(z)
+        k[small] = 0.0
+        theta[small] = 0.0
+        keep = np.concatenate([np.repeat(~small.ravel(), self.d), ~small.ravel()])
+        z[keep] += np.linalg.lstsq(self._C[:, keep], self._b - self._C @ z, rcond=None)[0]
+        return z
 
 
 class _BoxedObjective:
@@ -376,15 +386,6 @@ class _BoxedObjective:
         return total, grad, hess
 
 
-def _pair_start(P: TransitionKernel, proj: _JointProjector, target: np.ndarray) -> np.ndarray:
-    """Stationary pair decomposition of the target, projected feasible, flat."""
-    pi = dtmc_invariant(P).weights
-    theta0 = pi[:, None] * P.probs
-    k0, theta0 = proj(theta0[:, :, None] * target[None, None, :], theta0,
-                      tol=1e-12, max_rounds=2000)
-    return np.concatenate([k0.ravel(), theta0.ravel()])
-
-
 def _newton(objective: _BoxedObjective, proj: _JointProjector, z: np.ndarray, *,
             max_iters: int, tol: float):
     """Equality-constrained, gradient-regularized Newton on z = (k, theta).
@@ -411,6 +412,15 @@ def _newton(objective: _BoxedObjective, proj: _JointProjector, z: np.ndarray, *,
             return value, z, steps, 0.0, True
         reduced = basis.T @ hess @ basis
         reduced[np.diag_indices_from(reduced)] += mu
+        spectrum = np.linalg.eigvalsh(reduced)
+        if not spectrum[0] > spectrum[-1] * np.finfo(float).eps:
+            # the step would carry no correct digit: the curvature 1/theta of
+            # a pair weight running to zero, or of a conjugate near its box,
+            # has swamped the rest (a target on the boundary of the
+            # decomposable set, such as zero flux, leads here)
+            raise NonConvergence(
+                f"decomposition Newton step {steps + 1}: reduced Hessian eigenvalues span "
+                f"[{spectrum[0]:.2e}, {spectrum[-1]:.2e}], beyond double precision")
         dz = basis @ np.linalg.solve(reduced, -g)
         slope = float(grad @ dz)
         decrement = -0.5 * slope
@@ -435,22 +445,18 @@ def _newton(objective: _BoxedObjective, proj: _JointProjector, z: np.ndarray, *,
         steps += 1
 
 
-def _solve_at_box(objective: _BoxedObjective, proj: _JointProjector, target: np.ndarray,
-                  start: np.ndarray, *, max_iters: int, tol: float):
+def _solve_at_box(objective: _BoxedObjective, proj: _JointProjector, start: np.ndarray, *,
+                  max_iters: int, tol: float):
     value, z, steps, decrement, converged = _newton(objective, proj, start,
                                                     max_iters=max_iters, tol=tol)
-    # the Newton iterate is on the affine set up to roundoff, so the exact
-    # projection leaves its value standing unless a pair is dropped
-    k, theta = proj(*proj.split(z), tol=1e-14, max_rounds=2000)
-    small = (theta < THETA_UNFLOOR) & objective.allowed
-    if small.any():
-        # drop residual mass exactly and reproject on the reduced support
-        sub = _JointProjector(objective.oracle.mode, proj.n, proj.d, objective.oracle.t0,
-                              objective.allowed & ~small, target)
-        k, theta = sub(np.where(small[:, :, None], 0.0, k),
-                       np.where(small, 0.0, theta), tol=1e-14, max_rounds=2000)
-        value = objective(k, theta)[0]
-    return value, z, k, theta, steps, decrement, converged
+    # the Newton iterate is on the affine set up to roundoff, so it stands as
+    # it is unless a pair is dropped
+    small = (proj.split(z)[1] < THETA_UNFLOOR) & objective.allowed
+    if not small.any():
+        return value, z, *proj.split(z), steps, decrement, converged
+    # drop residual mass exactly and correct on the remaining pairs
+    k, theta = proj.split(proj.drop(z, small))
+    return objective(k, theta)[0], z, k, theta, steps, decrement, converged
 
 
 def _infconv(oracle: ConjugateOracle, P: TransitionKernel, target: np.ndarray, *,
@@ -461,23 +467,24 @@ def _infconv(oracle: ConjugateOracle, P: TransitionKernel, target: np.ndarray, *
     allowed = P.probs > 0
     n = P.n_states
     proj = _JointProjector(oracle.mode, n, oracle.d, oracle.t0, allowed, target)
-    probe = proj(np.zeros((n, n, oracle.d)), np.where(allowed, 1.0, 0.0) / allowed.sum(),
-                 max_rounds=2000)
-    if proj.residual(*probe) > 1e-8:
-        # the affine system itself has no solution: the target cannot be
-        # decomposed (for instance a flux with nonzero divergence)
-        theta = PairMeasure(np.where(allowed, 1.0, 0.0) / allowed.sum())
+    # the stationary pair measure is balanced and positive on every allowed
+    # pair, so the constraints left on k are consistent exactly when the
+    # target can be decomposed (a flux with nonzero divergence cannot)
+    theta0 = dtmc_invariant(P).weights[:, None] * P.probs
+    theta0 /= theta0.sum()
+    start, residual = proj.start(theta0)
+    if residual > 1e-8:
         k = FluxField(np.zeros((n, n, oracle.d)))
-        return InfConvResult(math.inf, theta, k, math.inf, True, False, 0, 0, 0.0)
+        return InfConvResult(math.inf, PairMeasure(theta0), k, math.inf, True, False, 0, 0, 0.0)
     objective = _BoxedObjective(oracle, P, allowed, oracle.lam_box)
-    v1, z1, _, _, it1, _, conv1 = _solve_at_box(
-        objective, proj, target, _pair_start(P, proj, target), max_iters=max_iters, tol=tol)
+    v1, z1, _, _, it1, _, conv1 = _solve_at_box(objective, proj, start,
+                                                max_iters=max_iters, tol=tol)
     # the doubled-box pass refines the base-box Newton iterate (theta still
     # positive there) from the base-box multipliers; the objective stays
     # convex when the box grows
     objective.lam_box *= 2
-    v2, _, k2, t2, it2, dec2, conv2 = _solve_at_box(
-        objective, proj, target, z1, max_iters=max_iters, tol=tol)
+    v2, _, k2, t2, it2, dec2, conv2 = _solve_at_box(objective, proj, z1,
+                                                    max_iters=max_iters, tol=tol)
     growth = (v2 - v1) / max(1.0, abs(v1))
     feasible = growth <= SWEEP_GROWTH_RTOL
     certificate = abs(v2 - v1) / max(1.0, abs(v1))
@@ -495,7 +502,8 @@ def infconv_dvg(rho, oracle: ConjugateOracle, P: TransitionKernel, *,
     the underlying chain at ``rho``. Requires an occupation-mode oracle.
     Each of the two box passes stops once its Newton decrement falls below
     ``tol * max(1, |value|)``, or unconverged after ``max_iters`` Newton
-    steps.
+    steps. Raises ``NonConvergence`` when a Newton system becomes too
+    ill-conditioned for its step to carry a correct digit.
     """
     if oracle.mode != "occupation":
         raise ValueError("infconv_dvg needs an occupation-mode oracle")
@@ -510,7 +518,9 @@ def infconv_bfg(rho, j, oracle: ConjugateOracle, P: TransitionKernel, *,
     The flux part of the target is in jumps per unit time; unreachable
     targets (for instance a flux with nonzero divergence) come back flagged
     infeasible with an infinite value. Requires a flux-mode oracle.
-    ``tol`` and ``max_iters`` mean what they do for ``infconv_dvg``.
+    ``tol``, ``max_iters`` and ``NonConvergence`` mean what they do for
+    ``infconv_dvg``; a target on the edge of the decomposable set, such as
+    zero flux, can raise it.
     """
     if oracle.mode != "flux":
         raise ValueError("infconv_bfg needs a flux-mode oracle")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import rel_entr
 
-from .chain import GeneratorMatrix, ProbVector, TransitionKernel
+from .chain import GeneratorMatrix, ProbVector, TransitionKernel, _strong_components
 
 __all__ = [
     "NegativeInput",
@@ -161,24 +161,6 @@ def dvg_objective(rho: ProbVector, Q: GeneratorMatrix, v: np.ndarray) -> float:
     base = rho.weights[:, None] * Q.rates
     src, dst = np.nonzero(~np.eye(Q.n_states, dtype=bool) & (base > 0))
     return -float(np.sum(base[src, dst] * np.expm1(v[dst] - v[src])))
-
-
-def _strong_components(edges: np.ndarray) -> list[np.ndarray]:
-    """Strongly connected components of a boolean adjacency matrix, in topological order.
-
-    Reachability is the closure of ``edges`` by repeated boolean squaring.
-    A component that reaches another reaches strictly more states, so
-    sorting by reach count puts every component before those it feeds.
-    """
-    reach = edges | np.eye(edges.shape[0], dtype=bool)
-    while True:
-        closed = reach @ reach
-        if np.array_equal(closed, reach):
-            break
-        reach = closed
-    leaders = np.unique((reach & reach.T).argmax(axis=1))
-    order = leaders[np.argsort(-reach[leaders].sum(axis=1), kind="stable")]
-    return [np.flatnonzero(reach[lead] & reach[:, lead]) for lead in order]
 
 
 def _newton_ascent(w: np.ndarray, v: np.ndarray, grad_tol: float, max_iters: int):

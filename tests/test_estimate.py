@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import bridgerates as br
+from bridgerates.estimate import _JointProjector
 from conftest import random_generator
 
 DVG_73 = 0.08348486100883201
@@ -139,6 +140,85 @@ def test_infconv_bfg_flags_broken_divergence(symmetric_two):
     )
     assert not res.feasible
     assert res.value == math.inf
+
+
+def _ring_projector(ring_three, mode):
+    t0 = 0.5
+    P = br.transition_at(ring_three, t0)
+    rho = np.array([0.5, 0.3, 0.2])
+    if mode == "occupation":
+        target = rho
+    else:
+        # a divergence-free cycle flux 0 -> 1 -> 2 -> 0
+        j = np.zeros((3, 3))
+        j[0, 1] = j[1, 2] = j[2, 0] = 0.4
+        target = np.concatenate([rho, j.ravel()])
+    proj = _JointProjector(mode, 3, target.size, t0, P.probs > 0, target)
+    theta0 = br.dtmc_invariant(P).weights[:, None] * P.probs
+    return proj, theta0 / theta0.sum()
+
+
+@pytest.mark.parametrize("mode", ["occupation", "flux"])
+def test_projector_start_keeps_theta_and_meets_constraints(ring_three, mode):
+    proj, theta0 = _ring_projector(ring_three, mode)
+    z, residual = proj.start(theta0)
+    assert residual <= 1e-12
+    assert np.array_equal(proj.split(z)[1], theta0)
+
+
+def test_projector_drop_zeroes_pair_and_stays_feasible(ring_three):
+    proj, theta0 = _ring_projector(ring_three, "flux")
+    z, _ = proj.start(theta0)
+    # walk along a constraint-keeping direction until one pair weight is
+    # 5e-11 while every other weight stays clearly positive
+    moved = None
+    for v in proj.null_basis.T:
+        for slot in proj.theta_slots:
+            if abs(v[slot]) < 1e-3:
+                continue
+            trial = z - (z[slot] - 5e-11) / v[slot] * v
+            others = np.delete(trial[proj.theta_slots], np.flatnonzero(proj.theta_slots == slot))
+            if others.min() > 1e-3:
+                moved = trial
+                break
+        if moved is not None:
+            break
+    assert moved is not None
+    small = proj.split(moved)[1] < 1e-10
+    assert small.sum() == 1
+    out = proj.drop(moved, small)
+    k, theta = proj.split(out)
+    assert np.abs(proj._C @ out - proj._b).max() <= 1e-12
+    assert theta.min() >= 0.0
+    assert np.all(theta[small] == 0.0)
+    assert np.all(k[small] == 0.0)
+
+
+def test_infconv_dvg_flags_target_off_the_simplex(symmetric_two, occ_oracle):
+    P = br.transition_at(symmetric_two, 0.5)
+    res = br.infconv_dvg(np.array([0.71, 0.3]), occ_oracle, P)
+    assert not res.feasible
+    assert res.value == math.inf
+
+
+@pytest.mark.parametrize("t0, n_samples", [(0.5, 5000), (1.0, 5000), (0.5, 20_000)])
+@pytest.mark.parametrize("seed", [3, 7])
+def test_infconv_bfg_zero_flux_fails_typed_or_converges(symmetric_two, t0, n_samples, seed):
+    # zero flux is a valid target (the joint rate is the total exit rate,
+    # 1.0) whose optimal decomposition puts no weight on the jumping pairs;
+    # the Newton method must not crash untyped or call it unreachable
+    oracle = br.build_oracle(symmetric_two, t0, "flux", n_samples, seed)
+    P = br.transition_at(symmetric_two, t0)
+    rho, j = br.ProbVector([0.5, 0.5]), np.zeros((2, 2))
+    assert br.bfg_rate(rho, j, symmetric_two) == pytest.approx(1.0)
+    try:
+        res = br.infconv_bfg(rho, j, oracle, P)
+    except br.NonConvergence as exc:
+        assert "decomposition Newton step" in str(exc)
+        return
+    assert res.feasible
+    assert res.converged
+    assert res.value / t0 == pytest.approx(1.0, abs=0.02)
 
 
 def test_contract_matches_occupation_rate(symmetric_two):
