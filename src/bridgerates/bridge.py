@@ -8,8 +8,8 @@ candidates in lockstep batches on the uniformized window step of
 ``simulate``, draws occupation fractions for the kept candidates only, and
 returns their occupation (and optionally flux) blocks, the conditional
 laws feeding the per-pair conjugate oracle.
-``sample_bridge`` draws single paths with ``simulate.gillespie`` and stays
-as the independent reference for the kernels.
+``sample_bridge`` draws single paths with the Gillespie loop of
+``simulate`` and stays as the independent reference for the kernels.
 """
 
 from __future__ import annotations
@@ -20,7 +20,14 @@ import numpy as np
 
 from .chain import GeneratorMatrix, transition_at
 from .conjugate import EmpiricalLaw
-from .simulate import MODES, PathRecord, _batch_step, _occupation_fractions, gillespie
+from .simulate import (
+    MODES,
+    PathRecord,
+    _batch_step,
+    _gillespie_jumps,
+    _jump_tables,
+    _occupation_fractions,
+)
 
 __all__ = [
     "DegenerateDenominator",
@@ -126,7 +133,9 @@ def sample_bridge(
 ) -> PathRecord:
     """Draw one bridge path by rejection on the unconditioned chain.
 
-    Simulates from x over [0, t0] until a path ends at y. The acceptance
+    Simulates from x over [0, t0] with the draws of ``simulate.gillespie``
+    until a path ends at y; the chain's jump tables are built once per
+    call, and only the accepted path becomes a PathRecord. The acceptance
     probability is P_xy(t0), positive by BridgeSpec validation.
 
     Raises
@@ -134,11 +143,12 @@ def sample_bridge(
     RejectionBudgetExceeded
         If no path is accepted within max_attempts draws.
     """
+    tables = _jump_tables(spec.Q)
     for _ in range(max_attempts):
-        path = gillespie(spec.Q, spec.x, spec.t0, rng)
-        end = spec.x if path.n_jumps == 0 else int(path.destinations[-1])
-        if end == spec.y:
-            return path
+        times, dests = _gillespie_jumps(tables, spec.x, spec.t0, rng)
+        if (dests[-1] if dests else spec.x) == spec.y:
+            return PathRecord(spec.n_states, spec.x, spec.t0, np.array(times),
+                              np.array(dests, dtype=np.int64))
     raise RejectionBudgetExceeded(
         f"no acceptance in {max_attempts} attempts for pair ({spec.x}, {spec.y})"
     )

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import linalg, optimize
 
 from .bridge import SAMPLER_VERSION, BridgeSpec, conditional_samples
 from .chain import (
@@ -285,9 +284,16 @@ class _JointProjector:
         self._C = np.array(rows)
         self._b = np.array(rhs)
         self._theta_off = theta_off
-        # orthonormal directions that keep every affine constraint, and the
+        # orthonormal directions that keep every affine constraint: the right
+        # singular vectors past the numerical rank, by the rank rule of
+        # scipy.linalg.null_space. Stored row-major, as null_space returns
+        # it: BLAS rounds the reduced Newton products by layout, and an
+        # unconverged solve on a boundary target can end on either side of
+        # the feasibility test depending on those last bits.
+        _, sing, vh = np.linalg.svd(self._C)
+        rank = int(np.sum(sing > sing.max(initial=0.0) * np.finfo(float).eps * max(self._C.shape)))
+        self.null_basis = np.ascontiguousarray(vh[rank:].T)
         # flat positions of the allowed theta entries
-        self.null_basis = linalg.null_space(self._C)
         self.theta_slots = theta_off + np.flatnonzero(allowed.ravel())
 
     def split(self, z: np.ndarray):
@@ -571,6 +577,8 @@ def contract_dvg_from_bfg(rho, Q: GeneratorMatrix, *, gtol: float = 1e-11) -> Co
     state needs no optimizer. The returned ``potential`` is finite: states
     outside S sit ``OFF_SUPPORT_GAP`` below the lowest potential of S.
     """
+    from scipy import optimize  # imported here: no other command needs its load time
+
     rho = rho if isinstance(rho, ProbVector) else ProbVector(np.asarray(rho, dtype=float))
     n = Q.n_states
     base = rho.weights[:, None] * Q.rates
@@ -630,6 +638,8 @@ def ball_rate(Q: GeneratorMatrix, center, epsilon: float) -> tuple[float, np.nda
     keep every constraint linear. This is the exponent that ball-hitting
     probabilities decay with, the reference for ``mc_decay_rate``.
     """
+    from scipy import optimize  # imported here: no other command needs its load time
+
     center = np.asarray(center.weights if isinstance(center, ProbVector) else center, dtype=float)
     n = center.size
     if epsilon <= 0:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rel_entr
 
 from .chain import GeneratorMatrix, ProbVector, TransitionKernel, _strong_components
 
@@ -38,6 +37,7 @@ MARGINAL_TOL = 1e-12
 OFF_SUPPORT_GAP = 60.0  # potential drop to states whose inflow the rate counts in full
 ARMIJO = 1e-4  # sufficient-increase fraction of the Newton slope
 MIN_STEP = 2.0**-40  # smallest step fraction the Newton line search tries
+_TINY = np.finfo(float).tiny  # smallest normal double
 
 
 class NegativeInput(ValueError):
@@ -116,6 +116,30 @@ class VariationalResult:
     iterations: int
 
 
+def _rel_entr(a, b) -> np.ndarray:
+    """Elementwise a log(a/b) for a, b >= 0, with 0 at a = 0 and inf at a > 0 = b.
+
+    Three branches keep it accurate across magnitudes (the arithmetic of
+    ``scipy.special.rel_entr``). Near a = b (0.5 < a/b < 2) it is
+    a log1p((a - b)/b): a - b is exact there, so the value keeps full
+    relative accuracy as it shrinks to 0, where log(a/b) would turn the
+    ratio's rounding error (about 1e-16) into an error as large as the
+    value itself. Where a/b is a normal finite number it is a log(a/b).
+    Where the ratio is subnormal (fewer significant bits), underflows to 0
+    or overflows to inf, the logarithms are taken first: a (log a - log b).
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        ratio = a / b
+        out = np.where(
+            (ratio > 0.5) & (ratio < 2.0),
+            a * np.log1p((a - b) / b),
+            np.where((ratio > _TINY) & (ratio < math.inf),
+                     a * np.log(ratio), a * (np.log(a) - np.log(b))),
+        )
+    return np.where(a == 0, 0.0, out)
+
+
 def rel_entropy(a: float, b: float) -> float:
     """Relative-entropy kernel s(a | b) = a log(a/b) - a + b.
 
@@ -129,9 +153,7 @@ def rel_entropy(a: float, b: float) -> float:
         return float(b)
     if b == 0:
         return math.inf
-    # scipy's kernel stays exact at a = b and never rounds below zero,
-    # where a naive a*log(a/b) under/overflows at extreme magnitudes
-    return float(rel_entr(a, b) - a + b)
+    return float(_rel_entr(a, b) - a + b)
 
 
 def _rel_entropy_sum(a: np.ndarray, b: np.ndarray) -> float:
@@ -140,7 +162,7 @@ def _rel_entropy_sum(a: np.ndarray, b: np.ndarray) -> float:
         raise NegativeInput("rel_entropy needs nonnegative arguments")
     if np.any((a > 0) & (b == 0)):
         return math.inf
-    return float(np.sum(rel_entr(a, b) - a + b))
+    return float(np.sum(_rel_entr(a, b) - a + b))
 
 
 def divergence(j: np.ndarray) -> np.ndarray:
@@ -205,7 +227,7 @@ def _newton_ascent(w: np.ndarray, v: np.ndarray, grad_tol: float, max_iters: int
 
 
 def dvg_rate(
-    rho: ProbVector,
+    rho: ProbVector | np.ndarray,
     Q: GeneratorMatrix,
     *,
     grad_tol: float = 1e-10,
@@ -231,6 +253,8 @@ def dvg_rate(
     There is no multistart: each component's problem is strictly concave
     modulo the gauge, so Newton's answer is its unique maximum.
 
+    ``rho`` may be a plain array; it is validated as a ProbVector.
+
     Returns a VariationalResult whose ``value`` is the rate and whose
     ``maximizer`` is a finite log potential v attaining it up to a relative
     e^{-60}: each component sits ``OFF_SUPPORT_GAP`` below the lowest
@@ -247,6 +271,7 @@ def dvg_rate(
         If some component stops with gradient norm at or above tolerance;
         its ``best`` is the result assembled from that unconverged iterate.
     """
+    rho = rho if isinstance(rho, ProbVector) else ProbVector(rho)
     if rho.n_states != Q.n_states:
         raise ValueError("dimension mismatch between rho and Q")
     n = Q.n_states
@@ -283,14 +308,16 @@ def dvg_rate(
     return result
 
 
-def bfg_rate(rho: ProbVector, j: np.ndarray, Q: GeneratorMatrix) -> float:
+def bfg_rate(rho: ProbVector | np.ndarray, j: np.ndarray, Q: GeneratorMatrix) -> float:
     """Joint occupation-flux rate functional.
 
     Equals ``sum_{x != y} s(j_xy | rho_x Q_xy)`` when j is divergence free
     and vanishes wherever ``rho_x Q_xy`` does; otherwise ``inf``. Diagonal
     entries of j are ignored. The functional is jointly convex in (rho, j)
-    and vanishes exactly at rho = pi, j = pi_x Q_xy.
+    and vanishes exactly at rho = pi, j = pi_x Q_xy. ``rho`` may be a plain
+    array; it is validated as a ProbVector.
     """
+    rho = rho if isinstance(rho, ProbVector) else ProbVector(rho)
     j = np.asarray(j, dtype=float)
     if j.shape != (Q.n_states, Q.n_states):
         raise ValueError(f"flux matrix shape {j.shape} does not match chain")
@@ -303,12 +330,14 @@ def bfg_rate(rho: ProbVector, j: np.ndarray, Q: GeneratorMatrix) -> float:
     return _rel_entropy_sum(j[off], reference[off])
 
 
-def pair_empirical_rate(theta: PairMeasure, P: TransitionKernel) -> float:
+def pair_empirical_rate(theta: PairMeasure | np.ndarray, P: TransitionKernel) -> float:
     """Large-deviation rate of the empirical pair measure of a DTMC.
 
     Equals ``sum_{x,y} s(theta_xy | theta_x. P_xy)`` when the two marginals
-    of theta agree within tolerance, and ``inf`` otherwise.
+    of theta agree within tolerance, and ``inf`` otherwise. ``theta`` may be
+    a plain (n, n) array; it is validated as a PairMeasure.
     """
+    theta = theta if isinstance(theta, PairMeasure) else PairMeasure(theta)
     if theta.n_states != P.n_states:
         raise ValueError("dimension mismatch between theta and P")
     row = theta.first_marginal()

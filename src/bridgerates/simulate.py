@@ -17,6 +17,7 @@ tail-probability estimation and the rejection rounds of bridge sampling
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +162,39 @@ def _next_state_table(probs: np.ndarray) -> np.ndarray:
     return np.where(cum[:, :-1] >= cum[:, -1:], 2.0, cum[:, :-1])
 
 
+def _jump_tables(Q: GeneratorMatrix) -> tuple[list[float], list[list[float]]]:
+    """Exit rates and next-state table of Q, as the Python lists a path loop reads.
+
+    Built once per chain: ``_gillespie_jumps`` reads them for every path.
+    """
+    return Q.exit_rates.tolist(), _next_state_table(Q.jump_probs()).tolist()
+
+
+def _gillespie_jumps(tables, x0: int, horizon: float, rng: np.random.Generator):
+    """Jump times and destinations of one path on [0, horizon] from x0.
+
+    ``tables`` comes from ``_jump_tables``; the inputs are not validated.
+    Each step draws one exponential holding time and, unless the path has
+    run past the horizon, one uniform for the next state.
+    """
+    exit_rates, cum_jump = tables
+    times: list[float] = []
+    dests: list[int] = []
+    state = x0
+    t = 0.0
+    while True:
+        rate = exit_rates[state]
+        if rate <= 0.0:
+            raise AbsorbingState(f"state {state} has zero exit rate")
+        t += rng.exponential(1.0 / rate)
+        if t > horizon:
+            return times, dests
+        # table rows are nondecreasing, so this counts the entries the uniform reaches
+        state = bisect_right(cum_jump[state], rng.random())
+        times.append(t)
+        dests.append(state)
+
+
 def gillespie(Q: GeneratorMatrix, x0: int, horizon: float, rng: np.random.Generator) -> PathRecord:
     """Simulate one exact path of the chain on [0, horizon] from x0.
 
@@ -176,23 +210,7 @@ def gillespie(Q: GeneratorMatrix, x0: int, horizon: float, rng: np.random.Genera
         raise ValueError("start state out of range")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    exit_rates = Q.exit_rates
-    cum_jump = _next_state_table(Q.jump_probs())
-    times: list[float] = []
-    dests: list[int] = []
-    state = x0
-    t = 0.0
-    while True:
-        rate = exit_rates[state]
-        if rate <= 0.0:
-            raise AbsorbingState(f"state {state} has zero exit rate")
-        t += rng.exponential(1.0 / rate)
-        if t > horizon:
-            break
-        u = rng.random()
-        state = int(np.searchsorted(cum_jump[state], u, side="right"))
-        times.append(t)
-        dests.append(state)
+    times, dests = _gillespie_jumps(_jump_tables(Q), x0, horizon, rng)
     return PathRecord(Q.n_states, x0, horizon, np.array(times), np.array(dests, dtype=np.int64))
 
 

@@ -5,11 +5,17 @@ directory and inspects the files it writes.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bridgerates import cli, load_samples
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_config(path, **kwargs):
@@ -210,3 +216,29 @@ def test_mc_verify_needs_grid(tmp_path):
     assert code == 1
     error = json.loads((out / "error.json").read_text())
     assert "n_grid" in error["message"]
+
+
+# Runs in a fresh interpreter: which heavy scipy submodules are loaded after
+# importing the CLI, and after it has computed rates.
+NO_SCIPY_CHILD = r"""
+import json, sys
+heavy = ("scipy.special", "scipy.linalg", "scipy.optimize")
+import bridgerates.cli as cli
+after_import = [m for m in heavy if m in sys.modules]
+code = cli.main(["rates", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([after_import, code, [m for m in heavy if m in sys.modules]]))
+"""
+
+
+def test_cli_rates_loads_no_scipy_submodule(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_CHILD,
+         str(REPO / "scripts" / "configs" / "boundary_rates.json"), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    after_import, code, after_rates = json.loads(done.stdout.strip().splitlines()[-1])
+    assert code == 0
+    assert after_import == []
+    assert after_rates == []

@@ -142,20 +142,43 @@ def test_infconv_bfg_flags_broken_divergence(symmetric_two):
     assert res.value == math.inf
 
 
-def _ring_projector(ring_three, mode):
+def _projector(Q, mode, rho):
     t0 = 0.5
-    P = br.transition_at(ring_three, t0)
-    rho = np.array([0.5, 0.3, 0.2])
+    n = Q.n_states
+    P = br.transition_at(Q, t0)
     if mode == "occupation":
         target = rho
     else:
-        # a divergence-free cycle flux 0 -> 1 -> 2 -> 0
-        j = np.zeros((3, 3))
-        j[0, 1] = j[1, 2] = j[2, 0] = 0.4
+        # a divergence-free cycle flux 0 -> 1 -> ... -> n-1 -> 0
+        j = np.zeros((n, n))
+        j[np.arange(n), (np.arange(n) + 1) % n] = 0.4
         target = np.concatenate([rho, j.ravel()])
-    proj = _JointProjector(mode, 3, target.size, t0, P.probs > 0, target)
+    proj = _JointProjector(mode, n, target.size, t0, P.probs > 0, target)
     theta0 = br.dtmc_invariant(P).weights[:, None] * P.probs
     return proj, theta0 / theta0.sum()
+
+
+def _ring_projector(ring_three, mode):
+    return _projector(ring_three, mode, np.array([0.5, 0.3, 0.2]))
+
+
+@pytest.mark.parametrize("mode", ["occupation", "flux"])
+@pytest.mark.parametrize("chain", ["ring", "random4"])
+def test_null_basis_is_orthonormal_kernel_of_constraints(ring_three, chain, mode):
+    linalg = pytest.importorskip("scipy.linalg")
+    if chain == "ring":
+        proj, _ = _ring_projector(ring_three, mode)
+    else:
+        proj, _ = _projector(random_generator(np.random.default_rng(11), 4), mode,
+                             np.array([0.1, 0.2, 0.3, 0.4]))
+    basis = proj.null_basis
+    assert basis.shape[1] > 0
+    assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), rtol=0.0, atol=1e-12)
+    assert np.abs(proj._C @ basis).max() <= 1e-12
+    reference = linalg.null_space(proj._C)
+    assert basis.shape == reference.shape
+    # same subspace: equal orthogonal projectors
+    assert np.allclose(basis @ basis.T, reference @ reference.T, rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("mode", ["occupation", "flux"])

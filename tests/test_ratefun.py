@@ -40,6 +40,35 @@ def test_rel_entropy_nonnegative(a, b):
     assert br.rel_entropy(a, b) >= 0.0
 
 
+def test_rel_entr_kernel_matches_scipy_within_4_ulp():
+    special = pytest.importorskip("scipy.special")
+    from bridgerates.ratefun import _rel_entr
+
+    # a mantissa-exponent grid over the positive doubles (down to subnormal),
+    # plus ratios 1 + 2^-k approaching a = b from both sides
+    grid = np.array([m * 10.0**e for e in range(-320, 302, 7) for m in (1.0, 1.7, 3.1)])
+    a, b = (g.ravel() for g in np.meshgrid(grid, grid))
+    steps = 2.0 ** -np.arange(1, 53)
+    near = np.concatenate([1.0 + steps, 1.0 - steps])
+    a = np.concatenate([a, 0.37 * near, 4.1e-200 * near])
+    b = np.concatenate([b, np.full(near.size, 0.37), np.full(near.size, 4.1e-200)])
+    with np.errstate(over="ignore", under="ignore"):
+        ratio = a / b
+    log1p_branch = (ratio > 0.5) & (ratio < 2.0)
+    log_branch = ~log1p_branch & (ratio > np.finfo(float).tiny) & (ratio < math.inf)
+    assert log1p_branch.sum() > 500 and log_branch.sum() > 500
+    assert (~log1p_branch & ~log_branch).sum() > 500  # subnormal, zero or infinite ratio
+    want = special.rel_entr(a, b)
+    got = _rel_entr(a, b)
+    assert np.all(np.isfinite(want))
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+    # conventions at zero: (0, b) -> 0, (a, 0) -> inf, (0, 0) -> 0
+    a0 = np.array([0.0, 0.0, 2.5, 1e-320, 0.0])
+    b0 = np.array([0.7, 1e-320, 0.0, 0.0, 0.0])
+    assert np.array_equal(_rel_entr(a0, b0), [0.0, 0.0, math.inf, math.inf, 0.0])
+    assert np.array_equal(_rel_entr(a0, b0), special.rel_entr(a0, b0))
+
+
 # --- occupation rate ----------------------------------------------------------
 
 
@@ -232,6 +261,36 @@ def test_pair_rate_nonnegative_random(symmetric_two):
     for _ in range(20):
         theta = br.PairMeasure(rng.dirichlet(np.ones(4)).reshape(2, 2))
         assert br.pair_empirical_rate(theta, P) >= -1e-12
+
+
+# --- plain-array inputs ---------------------------------------------------------
+
+
+def test_rates_take_plain_arrays_like_wrapped_inputs(ring_three):
+    Q = ring_three
+    P = br.transition_at(Q, 0.5)
+    rho = np.array([0.5, 0.3, 0.2])
+    j = np.zeros((3, 3))
+    j[0, 1] = j[1, 2] = j[2, 0] = 0.4
+    a = np.random.default_rng(4).uniform(0.1, 1.0, (3, 3))
+    theta = (a + a.T) / (a + a.T).sum()  # symmetric, so both marginals agree
+    plain = br.dvg_rate(rho, Q)
+    wrapped = br.dvg_rate(br.ProbVector(rho), Q)
+    assert plain.value == wrapped.value and plain.iterations == wrapped.iterations
+    assert np.array_equal(plain.maximizer, wrapped.maximizer)
+    assert br.bfg_rate(rho, j, Q) == br.bfg_rate(br.ProbVector(rho), j, Q)
+    assert math.isfinite(br.bfg_rate(rho, j, Q))
+    assert br.pair_empirical_rate(theta, P) == br.pair_empirical_rate(br.PairMeasure(theta), P)
+    assert math.isfinite(br.pair_empirical_rate(theta, P))
+    # malformed arrays raise the wrappers' typed errors
+    with pytest.raises(br.ChainError):
+        br.dvg_rate(np.array([0.5, 0.3, 0.3]), Q)
+    with pytest.raises(br.ChainError):
+        br.bfg_rate(np.array([0.6, 0.6, -0.2]), j, Q)
+    with pytest.raises(br.NegativeInput):
+        br.pair_empirical_rate(theta - 2 * np.eye(3) * theta, P)
+    with pytest.raises(ValueError):
+        br.pair_empirical_rate(2 * theta, P)
 
 
 # --- composite block rate -------------------------------------------------------
