@@ -20,7 +20,6 @@ def main() -> None:
     ap.add_argument("--n-samples", type=int, default=20_000)
     ap.add_argument("--t0", type=float, nargs="+", default=[0.5, 1.0, 2.0])
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--cache", default=None, help="per-pair sample cache dir")
     args = ap.parse_args()
 
     Q = br.validate_generator([[-1.0, 1.0], [1.0, -1.0]])
@@ -30,9 +29,7 @@ def main() -> None:
     print(f"{'t0':>5} {'value/t0':>10} {'abs err':>9} {'cert':>9} {'secs':>6}")
     for t0 in args.t0:
         tic = time.perf_counter()
-        oracle = br.build_oracle(
-            Q, t0, "occupation", args.n_samples, args.seed, cache_dir=args.cache
-        )
+        oracle = br.build_oracle(Q, t0, "occupation", args.n_samples, args.seed)
         res = br.infconv_dvg(rho, oracle, br.transition_at(Q, t0))
         per_time = res.value / t0 if math.isfinite(res.value) else math.inf
         print(

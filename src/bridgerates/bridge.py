@@ -44,9 +44,6 @@ __all__ = [
 DEFAULT_MAX_ATTEMPTS = 1_000_000
 # Candidate paths per lockstep rejection round of conditional_samples.
 ROUND_SIZE = 8192
-# Changes whenever conditional_samples draws differently for the same
-# inputs; cached sample dumps are keyed on it.
-SAMPLER_VERSION = 3
 
 
 class DegenerateDenominator(ValueError):

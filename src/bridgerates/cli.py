@@ -50,7 +50,6 @@ class ExperimentConfig:
     mode: str = "occupation"
     n_samples: int = 20_000
     seed: int = 0
-    lam_box: float = 40.0
     rho: list | None = None
     flux: list | None = None
     theta: list | None = None
@@ -213,9 +212,11 @@ def cmd_rates(cfg: ExperimentConfig, args) -> dict:
 def cmd_bridge_sample(cfg: ExperimentConfig, args) -> dict:
     Q = cfg.chain()
     out_dir = Path(args.out)
+    if (cfg.x is None) != (cfg.y is None):
+        raise ValueError("set both 'x' and 'y', or neither")
     pairs = (
         [(cfg.x, cfg.y)]
-        if cfg.x is not None and cfg.y is not None
+        if cfg.x is not None
         else [(x, y) for x in range(Q.n_states) for y in range(Q.n_states)]
     )
     summary = []
@@ -238,10 +239,7 @@ def cmd_bridge_sample(cfg: ExperimentConfig, args) -> dict:
 def cmd_infconv(cfg: ExperimentConfig, args) -> dict:
     Q = cfg.chain()
     rho = cfg.rho_vector()
-    oracle = build_oracle(
-        Q, cfg.t0, cfg.mode, cfg.n_samples, cfg.seed,
-        cache_dir=args.cache, lam_box=cfg.lam_box,
-    )
+    oracle = build_oracle(Q, cfg.t0, cfg.mode, cfg.n_samples, cfg.seed)
     P = transition_at(Q, cfg.t0)
     if cfg.mode == "occupation":
         res = infconv_dvg(rho, oracle, P)
@@ -341,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default="out", help="output directory (default: out)")
         cmd.add_argument("--threads", type=int, default=None,
                          help="ignored; sampling is single-threaded (kept so old command lines run)")
-        cmd.add_argument("--cache", default=None,
-                         help="directory for reusable per-pair sample dumps")
         cmd.set_defaults(handler=handler)
     return parser
 

@@ -543,12 +543,12 @@ class ConjugateOracle:
 
     Maps every ordered state pair (x, y) to the law of its conditioned
     block statistic; each law answers its own ``mean`` and ``log_mgf``.
-    All evaluators are pure, so one oracle can serve any number of
-    read-only evaluations.
+    Conjugates start on the box of half-width ``DEFAULT_LAM_BOX`` and double
+    it to detect infinite values. All evaluators are pure, so one oracle
+    can serve any number of read-only evaluations.
     """
 
     laws: dict
-    lam_box: float = DEFAULT_LAM_BOX
     mode: str = "occupation"
     t0: float | None = None
 
@@ -567,4 +567,4 @@ class ConjugateOracle:
 
     def conjugate(self, x: int, y: int, a, lam0=None) -> ConjugateEstimate:
         """Conjugate with effective-infinity detection (box doubling)."""
-        return conjugate_or_inf(self.law(x, y), a, self.lam_box, lam0=lam0)
+        return conjugate_or_inf(self.law(x, y), a, DEFAULT_LAM_BOX, lam0=lam0)

@@ -4,8 +4,9 @@ This module closes the loop between the three rate representations. The
 block decomposition says that the continuous-time rate of a time-averaged
 statistic equals (after dividing by the window length) the infimum of the
 composite block rate over all pair decompositions (k, theta) whose totals
-hit the target. ``infconv_dvg`` / ``infconv_bfg`` compute that infimum
-numerically against a sampled per-pair oracle: an equality-constrained,
+hit the target. ``build_oracle`` samples the per-pair block laws afresh on
+every call, and ``infconv_dvg`` / ``infconv_bfg`` compute that infimum
+numerically against the sampled oracle: an equality-constrained,
 gradient-regularized Newton method on (k, theta) whose Hessian comes from
 the curvature each conjugate solve already returns, run on the conjugate
 box and again on the doubled box to certify the optimum. Its start, and
@@ -18,16 +19,12 @@ probabilities from direct simulation.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .bridge import SAMPLER_VERSION, BridgeSpec, conditional_samples
+from .bridge import BridgeSpec, conditional_samples
 from .chain import (
     GeneratorMatrix,
     ProbVector,
@@ -39,10 +36,7 @@ from .chain import (
 from .conjugate import (
     DEFAULT_LAM_BOX,
     ConjugateOracle,
-    EmpiricalLaw,
     conjugate_at,
-    load_samples,
-    save_samples,
 )
 from .ratefun import (
     OFF_SUPPORT_GAP,
@@ -99,75 +93,21 @@ class InsufficientHits(RuntimeError):
 # oracle construction
 
 
-def build_oracle(
-    Q: GeneratorMatrix,
-    t0: float,
-    mode: str,
-    n_samples: int,
-    seed: int,
-    *,
-    cache_dir=None,
-    lam_box: float = DEFAULT_LAM_BOX,
-) -> ConjugateOracle:
+def build_oracle(Q: GeneratorMatrix, t0: float, mode: str, n_samples: int,
+                 seed: int) -> ConjugateOracle:
     """Sample every endpoint pair's conditional block law and wrap it.
 
     One empirical law per ordered pair (x, y), diagonal included, each from
-    its own deterministic stream. With ``cache_dir`` set, per-pair sample
-    dumps are reused across runs; the file name carries a hash of everything
-    the samples depend on (sampler version, generator rates, mode, pair,
-    window, seed and sample count), so stale caches cannot be picked up
-    silently. A dump that does not read back as (n_samples, d) samples, say
-    one cut short by a crashed writer, is resampled and rewritten; dumps are
-    written to a temporary file and renamed into place, so readers never see
-    a partial one.
+    its own deterministic stream, so the same inputs always give the same
+    draws. Every call samples afresh: a whole oracle takes a fraction of a
+    second, well under the solves it feeds.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     n = Q.n_states
-    shape = (n_samples, n if mode == "occupation" else n + n * n)
-    rates = np.ascontiguousarray(Q.rates, dtype="<f8").tobytes()
-    laws = {}
-    for x in range(n):
-        for y in range(n):
-            path = None
-            if cache_dir is not None:
-                key = hashlib.sha256(rates)
-                key.update(repr((SAMPLER_VERSION, mode, x, y, float(t0), int(seed),
-                                 int(n_samples))).encode())
-                path = Path(cache_dir) / f"{mode}_x{x}_y{y}_{key.hexdigest()[:16]}.f64"
-                cached = _cached_samples(path, shape)
-                if cached is not None:
-                    laws[(x, y)] = EmpiricalLaw(cached)
-                    continue
-            law = conditional_samples(BridgeSpec(Q, x, y, t0), mode, n_samples, seed)
-            if path is not None:
-                _write_dump(path, law.samples)
-            laws[(x, y)] = law
-    return ConjugateOracle(laws=laws, lam_box=lam_box, mode=mode, t0=t0)
-
-
-def _cached_samples(path: Path, shape: tuple[int, int]):
-    """The samples of a cached dump, or None when it is missing, cut short or of another shape."""
-    if not path.exists():
-        return None
-    try:
-        samples = load_samples(path)
-    except ValueError:
-        return None
-    return samples if samples.shape == shape else None
-
-
-def _write_dump(path: Path, samples: np.ndarray) -> None:
-    """Write a sample dump atomically: to a temporary file, then rename it over path."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    os.close(fd)
-    try:
-        save_samples(tmp, samples)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    laws = {(x, y): conditional_samples(BridgeSpec(Q, x, y, t0), mode, n_samples, seed)
+            for x in range(n) for y in range(n)}
+    return ConjugateOracle(laws=laws, mode=mode, t0=t0)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +276,9 @@ class _BoxedObjective:
         F(k, theta) = sum_p theta_p phi*_p(k_p / theta_p)
                       + sum_p theta_p log(theta_p / (row_x(theta) P_xy)),
 
-    with each conjugate phi*_p solved on the box [-L, L]^d, which keeps F
-    finite everywhere. F is jointly convex. The conjugate terms
+    with each conjugate phi*_p solved on the box [-L, L]^d (L = ``lam_box``,
+    ``DEFAULT_LAM_BOX`` until the caller doubles it), which keeps F finite
+    everywhere. F is jointly convex. The conjugate terms
     differentiate by the envelope rule: the k slope is the maximizing
     multiplier and the theta slope is phi*_p(u) - lam . u at u = k_p /
     theta_p; their second derivatives form the perspective Hessian
@@ -350,12 +291,11 @@ class _BoxedObjective:
     and counts the solves in ``solves``.
     """
 
-    def __init__(self, oracle: ConjugateOracle, P: TransitionKernel, allowed: np.ndarray,
-                 lam_box: float):
+    def __init__(self, oracle: ConjugateOracle, P: TransitionKernel, allowed: np.ndarray):
         self.oracle = oracle
         self.P = P
         self.allowed = allowed
-        self.lam_box = lam_box
+        self.lam_box = DEFAULT_LAM_BOX
         n = allowed.shape[0]
         self._pairs = [(x, y) for x in range(n) for y in range(n) if allowed[x, y]]
         self._warm = {p: None for p in self._pairs}
@@ -482,7 +422,7 @@ def _infconv(oracle: ConjugateOracle, P: TransitionKernel, target: np.ndarray, *
     if residual > 1e-8:
         k = FluxField(np.zeros((n, n, oracle.d)))
         return InfConvResult(math.inf, PairMeasure(theta0), k, math.inf, True, False, 0, 0, 0.0)
-    objective = _BoxedObjective(oracle, P, allowed, oracle.lam_box)
+    objective = _BoxedObjective(oracle, P, allowed)
     v1, z1, _, _, it1, _, conv1 = _solve_at_box(objective, proj, start,
                                                 max_iters=max_iters, tol=tol)
     # the doubled-box pass refines the base-box Newton iterate (theta still
@@ -744,8 +684,9 @@ def mc_decay_rate(
     is the empirical pair measure of the window skeleton against an (n, n)
     target. Either way the decay exponent comes from a weighted linear fit
     of -log(hit fraction) on the grid. Grid points with fewer than MIN_HITS
-    hits are dropped; if fewer than two survive, InsufficientHits is raised
-    carrying the largest grid point that was still usable. Deterministic in
+    hits, or where every path hits, are dropped (their ``neg_log_prob`` is
+    inf); if fewer than two survive, InsufficientHits is raised carrying the
+    largest grid point that was still usable. Deterministic in
     (seed, n_grid, n_paths).
     """
     if kind not in ("occupation", "pair"):
@@ -764,12 +705,14 @@ def mc_decay_rate(
     for idx, horizon in enumerate(n_grid):
         hits[idx] = _count_hits(Q, float(horizon), target, epsilon,
                                 n_paths, seed, idx, init, kind, t0)
-    usable = hits >= MIN_HITS
+    # a point where every path hits carries no decay information (and an
+    # infinite binomial weight), so it is as unusable as a rare one
+    usable = (hits >= MIN_HITS) & (hits < n_paths)
     if usable.sum() < 2:
         largest = float(n_grid[usable].max()) if usable.any() else None
         raise InsufficientHits(
-            f"only {int(usable.sum())} horizons reached {MIN_HITS} hits "
-            f"(counts: {hits.tolist()}); enlarge n_paths or shrink the grid",
+            f"only {int(usable.sum())} horizons had at least {MIN_HITS} hits and a miss "
+            f"(counts: {hits.tolist()} of {n_paths}); enlarge n_paths or move the grid",
             largest_usable_n=largest,
         )
     ns = n_grid[usable]

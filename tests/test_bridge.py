@@ -104,6 +104,8 @@ def test_conditional_samples_deterministic(spec_one):
     a = br.conditional_samples(spec_one, "occupation", 64, seed=5)
     b = br.conditional_samples(spec_one, "occupation", 64, seed=5)
     assert np.array_equal(a.samples, b.samples)
+    c = br.conditional_samples(spec_one, "occupation", 64, seed=6)
+    assert not np.array_equal(a.samples, c.samples)
 
 
 def test_conditional_samples_prefix_stable(spec_one):

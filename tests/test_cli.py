@@ -48,24 +48,41 @@ def test_chain_info_outputs(tmp_path):
 
 
 def test_rerun_is_byte_identical(tmp_path):
-    cfg = write_config(tmp_path / "cfg.json", generator=SYM, t0=0.5, rho=[0.7, 0.3])
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    assert cli.main(["rates", "--config", cfg, "--out", str(out_a)]) == 0
-    assert cli.main(["rates", "--config", cfg, "--out", str(out_b)]) == 0
-    for name in ("rates.json", "rates.schema.json", "rates.csv"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    # every oracle and bridge sample is drawn afresh, so a rerun must redraw
+    # the same samples from the config's seed
+    cases = [
+        ("rates", dict(t0=0.5, rho=[0.7, 0.3])),
+        ("infconv", dict(t0=0.5, mode="occupation", n_samples=1000, seed=11, rho=[0.7, 0.3])),
+        ("infconv", dict(t0=0.5, mode="flux", n_samples=1000, seed=11, rho=[0.5, 0.5],
+                         flux=[[0.0, 1.0], [1.0, 0.0]])),
+        ("bridge-sample", dict(t0=0.5, mode="flux", n_samples=300, seed=5)),
+    ]
+    for idx, (command, keys) in enumerate(cases):
+        cfg = write_config(tmp_path / f"cfg{idx}.json", generator=SYM, **keys)
+        out_a = tmp_path / f"a{idx}"
+        out_b = tmp_path / f"b{idx}"
+        assert cli.main([command, "--config", cfg, "--out", str(out_a)]) == 0
+        assert cli.main([command, "--config", cfg, "--out", str(out_b)]) == 0
+        names = sorted(path.name for path in out_a.iterdir())
+        assert names == sorted(path.name for path in out_b.iterdir())
+        assert {f"{command}{suffix}" for suffix in (".json", ".schema.json", ".csv")} <= set(names)
+        if command == "bridge-sample":
+            assert sum(name.endswith(".f64") for name in names) == 4
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), (command, name)
 
 
 def test_unknown_config_key_fails(tmp_path):
-    cfg = write_config(tmp_path / "cfg.json", generator=SYM, typo_key=1)
-    code, out = run(tmp_path, "chain-info", cfg)
-    assert code == 1
-    error = json.loads((out / "error.json").read_text())
-    assert error["command"] == "chain-info"
-    assert error["error"] == "ValueError"
-    assert "typo_key" in error["message"]
-    assert not (out / "chain-info.json").exists()
+    # lam_box among them: the conjugate box is a constant, not a config key
+    for key in ("typo_key", "lam_box"):
+        cfg = write_config(tmp_path / f"{key}.json", generator=SYM, **{key: 1})
+        code, out = run(tmp_path / key, "chain-info", cfg)
+        assert code == 1
+        error = json.loads((out / "error.json").read_text())
+        assert error["command"] == "chain-info"
+        assert error["error"] == "ValueError"
+        assert key in error["message"]
+        assert not (out / "chain-info.json").exists()
 
 
 def test_missing_generator_fails(tmp_path):
@@ -137,6 +154,19 @@ def test_bridge_sample_single_pair(tmp_path):
     samples = load_samples(dump)
     assert samples.shape == (300, 2)
     np.testing.assert_allclose(samples.sum(axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("endpoint", ["x", "y"])
+def test_bridge_sample_needs_both_endpoints(tmp_path, endpoint):
+    cfg = write_config(tmp_path / "cfg.json", generator=SYM, t0=0.5, n_samples=100,
+                       **{endpoint: 0})
+    code, out = run(tmp_path, "bridge-sample", cfg)
+    assert code == 1
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "ValueError"
+    assert "both 'x' and 'y'" in error["message"]
+    assert not (out / "bridge-sample.json").exists()
+    assert not list(out.glob("*.f64"))
 
 
 def test_infconv_occupation_small(tmp_path):

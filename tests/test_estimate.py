@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import numpy as np
@@ -23,75 +22,6 @@ def test_build_oracle_covers_all_pairs(occ_oracle):
     assert occ_oracle.d == 2
     for law in occ_oracle.laws.values():
         assert law.n_samples == 4000
-
-
-def test_build_oracle_cache_roundtrip(symmetric_two, lopsided_two, tmp_path):
-    a = br.build_oracle(
-        symmetric_two, 0.5, "occupation", 300, seed=6, cache_dir=tmp_path
-    )
-    files = sorted(p.name for p in tmp_path.iterdir())
-    assert len(files) == 4
-    # second build must reuse the cached draws exactly
-    b = br.build_oracle(
-        symmetric_two, 0.5, "occupation", 300, seed=6, cache_dir=tmp_path
-    )
-    for pair in a.laws:
-        assert np.array_equal(a.laws[pair].samples, b.laws[pair].samples)
-    # and the cache is keyed on the seed
-    c = br.build_oracle(
-        symmetric_two, 0.5, "occupation", 300, seed=7, cache_dir=tmp_path
-    )
-    assert len(list(tmp_path.iterdir())) == 8
-    assert not np.array_equal(
-        a.laws[(0, 1)].samples, c.laws[(0, 1)].samples
-    )
-    # and on the generator: another chain with the same (mode, pair, t0,
-    # seed, n) must sample afresh, not reuse the first chain's dumps
-    other = br.build_oracle(
-        lopsided_two, 0.5, "occupation", 300, seed=6, cache_dir=tmp_path
-    )
-    assert len(list(tmp_path.iterdir())) == 12
-    fresh = br.build_oracle(lopsided_two, 0.5, "occupation", 300, seed=6)
-    for pair in a.laws:
-        assert np.array_equal(other.laws[pair].samples, fresh.laws[pair].samples)
-
-
-def test_build_oracle_ignores_dumps_of_older_sampler(symmetric_two, tmp_path):
-    # a dump under the name the per-sample sampler's key gave (no sampler
-    # version in the hash) holds other draws and must not be served
-    mode, t0, seed, count = "occupation", 0.5, 6, 300
-    rates = np.ascontiguousarray(symmetric_two.rates, dtype="<f8").tobytes()
-    for x in range(2):
-        for y in range(2):
-            key = hashlib.sha256(rates)
-            key.update(repr((mode, x, y, float(t0), int(seed), int(count))).encode())
-            br.save_samples(tmp_path / f"{mode}_x{x}_y{y}_{key.hexdigest()[:16]}.f64",
-                            np.full((count, 2), 0.5))
-    oracle = br.build_oracle(symmetric_two, t0, mode, count, seed, cache_dir=tmp_path)
-    fresh = br.build_oracle(symmetric_two, t0, mode, count, seed)
-    for pair, law in oracle.laws.items():
-        assert np.array_equal(law.samples, fresh.laws[pair].samples)
-    assert len(list(tmp_path.iterdir())) == 8
-
-
-def test_build_oracle_resamples_damaged_dumps(symmetric_two, tmp_path):
-    # a dump cut short by a crashed writer, or holding the wrong number of
-    # samples, sits under the right cache name: it must be resampled and
-    # rewritten, not served or raised on
-    mode, t0, seed, count = "flux", 0.5, 6, 300
-    br.build_oracle(symmetric_two, t0, mode, count, seed, cache_dir=tmp_path)
-    dumps = sorted(tmp_path.iterdir())
-    assert len(dumps) == 4
-    dumps[0].write_bytes(dumps[0].read_bytes()[: 8 * 100])
-    br.save_samples(dumps[1], np.zeros((count // 2, 6)))
-    br.save_samples(dumps[2], np.zeros((count, 2)))
-    oracle = br.build_oracle(symmetric_two, t0, mode, count, seed, cache_dir=tmp_path)
-    fresh = br.build_oracle(symmetric_two, t0, mode, count, seed)
-    for pair, law in oracle.laws.items():
-        assert np.array_equal(law.samples, fresh.laws[pair].samples)
-    assert sorted(tmp_path.iterdir()) == dumps
-    for dump in dumps:
-        assert br.load_samples(dump).shape == (count, 6)
 
 
 def test_infconv_dvg_matches_closed_form(symmetric_two, occ_oracle):
@@ -300,6 +230,14 @@ def test_mc_decay_insufficient_hits(symmetric_two):
             symmetric_two, np.array([0.99, 0.01]), 0.005, (60, 90), 2000, 0
         )
     assert hasattr(info.value, "largest_usable_n")
+
+
+def test_mc_decay_all_hits_is_insufficient(symmetric_two):
+    # a ball every path lands in carries no decay information: its grid
+    # points must be dropped, not given an infinite weight and a NaN fit
+    with pytest.raises(br.InsufficientHits) as info:
+        br.mc_decay_rate(symmetric_two, [0.7, 0.3], 2.5, [1, 2], 2000, 1)
+    assert info.value.largest_usable_n is None
 
 
 def test_mc_decay_occupation_slope(symmetric_two):
