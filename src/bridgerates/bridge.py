@@ -2,18 +2,21 @@
 
 A bridge pins the chain to start at x and end at y after a window of
 length t0. Its inhomogeneous transition law is a ratio of unconditioned
-kernels; sampling is by rejection: run the unconditioned chain from x over
-the window and keep paths that end in y. ``conditional_samples`` runs the
-candidates in lockstep batches on the uniformized window step of
-``simulate``, draws occupation fractions for the kept candidates only, and
-returns their occupation (and optionally flux) blocks, the conditional
-laws feeding the per-pair conjugate oracle.
-``sample_bridge`` draws single paths with the Gillespie loop of
-``simulate`` and stays as the independent reference for the kernels.
+kernels. ``conditional_samples`` samples it exactly by uniformization
+(Hobolth & Stone, Ann. Appl. Stat. 3(3):1204-1231, 2009): with lam the
+largest exit rate and P = I + Q / lam, it draws the number N of skeleton
+events given both endpoints, runs the skeleton conditioned to reach y in
+N steps on the lockstep loop of ``simulate``, and draws occupation
+fractions from the Dirichlet law of the event spacings. It returns the
+occupation (and optionally flux) blocks, the conditional laws feeding the
+per-pair conjugate oracle; no path is rejected, however small P_xy(t0).
+``sample_bridge`` draws single paths by rejection with the Gillespie loop
+of ``simulate`` and stays as the independent reference for the kernels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +26,12 @@ from .conjugate import EmpiricalLaw
 from .simulate import (
     MODES,
     PathRecord,
-    _batch_step,
     _gillespie_jumps,
     _jump_tables,
+    _next_state_table,
     _occupation_fractions,
+    _skeleton,
+    _uniformized,
 )
 
 __all__ = [
@@ -42,8 +47,9 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ATTEMPTS = 1_000_000
-# Candidate paths per lockstep rejection round of conditional_samples.
-ROUND_SIZE = 8192
+# The law of the skeleton's event count is truncated at the first k where
+# the Poisson tail beyond k is at most this fraction of the weight so far.
+TAIL_RTOL = 1e-16
 
 
 class DegenerateDenominator(ValueError):
@@ -151,22 +157,92 @@ def sample_bridge(
     )
 
 
+def _stream(seed: int, pair_index: int, key: int) -> np.random.Generator:
+    """Random stream keyed by (seed, pair index, key)."""
+    return np.random.default_rng(np.random.SeedSequence([seed, pair_index, key]))
+
+
+def _event_count_law(probs: np.ndarray, x: int, y: int, mean: float):
+    """Law of the skeleton's event count N given the endpoints x and y.
+
+    P(N = k | x -> y) is proportional to Pois(k; mean) (P^k)_xy. Returns
+    the cumulative weights over k = 0..K, with total 1 up to rounding, and
+    the columns P^k e_y for k = 0..K, each rescaled to maximum 1 so that
+    none underflows. The Poisson weights are taken in log space, so a mean
+    past 745 does not underflow exp(-mean). K is the first k at which a
+    bound on the Poisson tail beyond k, which also bounds the neglected
+    weight since (P^j)_xy <= 1, falls to TAIL_RTOL of the weight
+    accumulated so far: for k + 2 > mean the tail is at most
+    Pois(k + 1) / (1 - mean / (k + 2)), which goes to zero.
+
+    Raises
+    ------
+    DegenerateDenominator
+        If the skeleton cannot reach y from x at all.
+    """
+    n = probs.shape[0]
+    log_mean = math.log(mean) if mean > 0.0 else -math.inf
+    log_rtol = math.log(TAIL_RTOL)
+    column = np.zeros(n)
+    column[y] = 1.0
+    log_scale = 0.0  # log of the factor the stored column was divided by
+    columns, log_weights = [], []
+    log_total = -math.inf
+    k = 0
+    while True:
+        columns.append(column)
+        log_pois = -mean - math.lgamma(k + 1) + (k * log_mean if k else 0.0)
+        log_weights.append(log_pois + log_scale + math.log(column[x]) if column[x] > 0.0
+                           else -math.inf)
+        log_total = float(np.logaddexp(log_total, log_weights[-1]))
+        if log_total == -math.inf:
+            if k >= n:
+                raise DegenerateDenominator(f"the skeleton never reaches {y} from {x}")
+        elif k + 2 > mean:
+            log_tail = (-mean - math.lgamma(k + 2) + (k + 1) * log_mean
+                        - math.log1p(-mean / (k + 2)))
+            if log_tail <= log_total + log_rtol:
+                break
+        column = probs @ column
+        scale = float(column.max())
+        if scale > 0.0:
+            column = column / scale
+            log_scale += math.log(scale)
+        k += 1
+    cdf = np.cumsum(np.exp(np.array(log_weights) - log_total))
+    return cdf, np.array(columns)
+
+
+def _bridge_tables(probs: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Next-state tables of the skeleton bridge, one per number of steps to come.
+
+    Table j moves a to z with probability P_az (P^j)_zy / (P^(j+1))_ay,
+    from the rescaled columns P^j e_y of ``_event_count_law``. A state that
+    cannot reach y in j + 1 steps is never occupied with that many steps
+    left; its row keeps P's row.
+    """
+    step = probs * columns[:, None, :]
+    total = step.sum(axis=-1, keepdims=True)
+    rows = np.divide(step, total, out=np.broadcast_to(probs, step.shape).copy(), where=total > 0.0)
+    return _next_state_table(rows)
+
+
 def conditional_samples(spec: BridgeSpec, mode: str, n_samples: int, seed: int) -> EmpiricalLaw:
     """Sample the conditional law of a block statistic given its endpoints.
 
     In "occupation" mode each sample is the occupation-fraction vector of a
     bridge path (d = n); in "flux" mode the jump counts divided by t0 are
     appended (d = n + n^2, diagonal entries always zero, kept for fixed
-    shape). Rejection runs in lockstep rounds of ROUND_SIZE candidate paths
-    from x; round r draws from the stream keyed by (seed, pair index, r)
-    and keeps, in order, the paths that end in y, drawing occupation
-    fractions for those alone. The result depends only on (seed, spec,
-    n_samples), and its first k rows are the same for every n_samples >= k.
-
-    Raises
-    ------
-    RejectionBudgetExceeded
-        If DEFAULT_MAX_ATTEMPTS consecutive candidates bring no acceptance.
+    shape). Sampling is exact, by uniformization: each row draws its event
+    count N from ``_event_count_law`` by inverse CDF, runs the skeleton
+    P = I + Q / lam under the bridge kernel (with r steps left from a, it
+    moves to z with probability P_az (P^(r-1))_zy / (P^r)_ay), and draws
+    its occupation fractions from the Dirichlet law of the event spacings
+    given the skeleton's visit counts. The N uniforms, the spacings and the
+    uniforms of step k come from streams keyed by (seed, pair index, key)
+    with key 0, 1 and k + 1, one draw per row in row order, so the result
+    depends only on (seed, spec, n_samples) and its first k rows are the
+    same for every n_samples >= k.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -174,26 +250,18 @@ def conditional_samples(spec: BridgeSpec, mode: str, n_samples: int, seed: int) 
         raise ValueError("need at least one sample")
     n = spec.n_states
     pair_index = spec.x * n + spec.y
-    starts = np.full(ROUND_SIZE, spec.x)
-    parts = []
-    kept = 0
-    misses = 0  # candidates rejected since the last acceptance
-    round_index = 0
-    while kept < n_samples:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, pair_index, round_index]))
-        window = _batch_step(spec.Q, spec.t0, starts, rng, mode == "flux")
-        hits = np.flatnonzero(window.ends == spec.y)
-        first = hits[0] if hits.size else ROUND_SIZE
-        if misses + first >= DEFAULT_MAX_ATTEMPTS:
-            raise RejectionBudgetExceeded(
-                f"no acceptance in {DEFAULT_MAX_ATTEMPTS} attempts for pair ({spec.x}, {spec.y})"
-            )
-        misses = ROUND_SIZE - 1 - hits[-1] if hits.size else misses + ROUND_SIZE
-        visits, flux = window.rows(hits)
-        block = _occupation_fractions(visits, rng)
-        if mode == "flux":
-            block = np.concatenate([block, flux.reshape(hits.size, n * n) / spec.t0], axis=1)
-        parts.append(block)
-        kept += hits.size
-        round_index += 1
-    return EmpiricalLaw(np.concatenate(parts, axis=0)[:n_samples])
+    lam, probs = _uniformized(spec.Q)
+    cdf, columns = _event_count_law(probs, spec.x, spec.y, lam * spec.t0)
+    draws = _stream(seed, pair_index, 0).random(n_samples) * cdf[-1]
+    events = np.minimum(np.searchsorted(cdf, draws, side="right"), cdf.size - 1)
+    tables = _bridge_tables(probs, columns[: events.max()])
+    window = _skeleton(
+        events, np.full(n_samples, spec.x), tables,
+        lambda k, paths: _stream(seed, pair_index, k + 1).random(n_samples)[paths],
+        mode == "flux",
+    )
+    visits, flux = window.rows()
+    block = _occupation_fractions(visits, _stream(seed, pair_index, 1))
+    if mode == "flux":
+        block = np.concatenate([block, flux.reshape(n_samples, n * n) / spec.t0], axis=1)
+    return EmpiricalLaw(block)

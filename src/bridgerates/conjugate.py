@@ -116,8 +116,13 @@ class EmpiricalLaw:
         # one contiguous row per coordinate keeps the per-pass sweeps fast
         return np.ascontiguousarray(self.samples.T)
 
+    @cached_property
+    def _work(self):
+        # reused by every moment pass, so a pass allocates nothing of size N
+        return _work_buffers(self._columns)
+
     def _moments(self, lam: np.ndarray):
-        return _tilted_moments(self._columns, self._log_weights, lam)
+        return _tilted_moments(self._columns, self._log_weights, lam, self._work)
 
     def mean(self) -> np.ndarray:
         return self.samples.mean(axis=0)
@@ -159,7 +164,8 @@ class DiscreteLaw:
         return self.atoms.shape[1]
 
     def _moments(self, lam: np.ndarray):
-        return _tilted_moments(self.atoms.T, np.log(self.weights), lam)
+        columns = self.atoms.T
+        return _tilted_moments(columns, np.log(self.weights), lam, _work_buffers(columns))
 
     def mean(self) -> np.ndarray:
         return self.weights @ self.atoms
@@ -212,21 +218,33 @@ def _weighted_lse(points: np.ndarray, logw: np.ndarray, lam: np.ndarray) -> floa
     return m + math.log(float(np.exp(z - m).sum()))
 
 
-def _tilted_moments(columns: np.ndarray, logw: np.ndarray, lam: np.ndarray):
+def _work_buffers(columns: np.ndarray):
+    """Scratch arrays of ``_tilted_moments`` for (d, N) support points: (N,), (d, N), (d, N)."""
+    return np.empty(columns.shape[1]), np.empty_like(columns), np.empty_like(columns)
+
+
+def _tilted_moments(columns: np.ndarray, logw: np.ndarray, lam: np.ndarray, work):
     """log-MGF, tilted mean and tilted covariance at lam, in one pass.
 
     ``columns`` holds the support points as a (d, N) array. The covariance
     is taken about the tilted mean, so flat directions of the support come
     out with curvature at roundoff level rather than at cancellation level.
+    Every temporary of size N is written into ``work`` (from
+    ``_work_buffers``): fresh arrays of that size can cost a page fault per
+    page on each pass, once the allocator has handed their memory back.
     """
-    z = lam @ columns + logw
+    z, centered, scaled = work
+    np.matmul(lam, columns, out=z)
+    z += logw
     m = z.max()
-    e = np.exp(z - m)
+    np.subtract(z, m, out=z)
+    e = np.exp(z, out=z)
     total = e.sum()
-    w = e / total
+    w = np.divide(e, total, out=z)
     mean = columns @ w
-    centered = columns - mean[:, None]
-    return float(m + math.log(total)), mean, (centered * w) @ centered.T
+    np.subtract(columns, mean[:, None], out=centered)
+    np.multiply(centered, w, out=scaled)
+    return float(m + math.log(total)), mean, scaled @ centered.T
 
 
 def log_mgf(law, lam) -> float:
@@ -544,8 +562,10 @@ class ConjugateOracle:
     Maps every ordered state pair (x, y) to the law of its conditioned
     block statistic; each law answers its own ``mean`` and ``log_mgf``.
     Conjugates start on the box of half-width ``DEFAULT_LAM_BOX`` and double
-    it to detect infinite values. All evaluators are pure, so one oracle
-    can serve any number of read-only evaluations.
+    it to detect infinite values. Evaluations return the same values in
+    any order, but each law keeps scratch buffers for its moment passes,
+    so an oracle is not thread-safe: evaluate it from one thread at a time
+    (nothing in the package runs threads).
     """
 
     laws: dict

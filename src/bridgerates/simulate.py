@@ -10,8 +10,10 @@ stream per batch: a Poisson number of events per path, the skeleton chain
 P = I + Q / lam run in lockstep, and occupation fractions drawn from the
 Dirichlet law of the event spacings given the skeleton's visit counts.
 Absorbing states need no special case there. The batch helpers drive
-tail-probability estimation and the rejection rounds of bridge sampling
-(``bridge.conditional_samples``).
+tail-probability estimation; the lockstep skeleton loop (``_skeleton``)
+also runs the endpoint-conditioned skeletons of bridge sampling
+(``bridge.conditional_samples``), with next-state tables that depend on
+the number of steps left.
 """
 
 from __future__ import annotations
@@ -156,10 +158,11 @@ def _next_state_table(probs: np.ndarray) -> np.ndarray:
     of row ``a`` that u reaches (u >= entry), so no draw can index past the
     last state, whatever rounding left in the row total. Entries that
     already equal the row total are set above 1: the states after them
-    have zero probability and are never picked.
+    have zero probability and are never picked. A stack of matrices
+    (..., n, n) gives a stack of tables.
     """
-    cum = np.cumsum(probs, axis=1)
-    return np.where(cum[:, :-1] >= cum[:, -1:], 2.0, cum[:, :-1])
+    cum = np.cumsum(probs, axis=-1)
+    return np.where(cum[..., :-1] >= cum[..., -1:], 2.0, cum[..., :-1])
 
 
 def _jump_tables(Q: GeneratorMatrix) -> tuple[list[float], list[list[float]]]:
@@ -316,7 +319,7 @@ class _WindowCounts:
     order the paths were simulated in, one row per state (``visits``, n by
     batch) or per move a -> b (``jumps``, n^2 by batch, None without flux);
     ``slot[p]`` is the column of batch path p. ``rows`` gathers the counts
-    of the paths a caller keeps.
+    back into batch order.
     """
 
     ends: np.ndarray
@@ -324,43 +327,47 @@ class _WindowCounts:
     visits: np.ndarray
     jumps: np.ndarray | None
 
-    def rows(self, paths: np.ndarray | None = None):
-        """Visit counts (k, n) and real-jump counts (k, n, n) or None of the given paths (default: all)."""
-        cols = self.slot if paths is None else self.slot[paths]
-        visits = self.visits.take(cols, axis=1).T
+    def rows(self):
+        """Visit counts (batch, n) and real-jump counts (batch, n, n) or None, in batch order."""
+        visits = self.visits.take(self.slot, axis=1).T
         if self.jumps is None:
             return visits, None
         n = self.visits.shape[0]
-        jumps = self.jumps.take(cols, axis=1).T.reshape(cols.size, n, n)
+        jumps = self.jumps.take(self.slot, axis=1).T.reshape(self.slot.size, n, n)
         jumps[:, np.arange(n), np.arange(n)] = 0  # skeleton self-loops are not jumps
         return visits, jumps
 
 
-def _batch_step(Q: GeneratorMatrix, t0: float, states: np.ndarray, rng: np.random.Generator,
-                want_flux: bool) -> _WindowCounts:
-    """Advance a batch of paths through one window of length t0 by uniformization.
+def _uniformized(Q: GeneratorMatrix) -> tuple[float, np.ndarray]:
+    """Uniformization rate lam (the largest exit rate) and skeleton kernel P = I + Q / lam.
 
-    With lam the largest exit rate, each path sees N ~ Poisson(lam t0)
-    events, and its states at the events follow the skeleton chain with
-    kernel P = I + Q / lam. Returns each path's end state and, through
-    ``_WindowCounts.rows``, the skeleton's visit counts per state (each
-    row sums to N + 1) and its real-jump counts (moves a -> b with a != b;
-    None unless want_flux). Given the visit counts m, the occupation
-    fractions over the window are Dirichlet(m) (see
-    ``_occupation_fractions``), which callers draw only for the rows they
-    keep. Paths are sorted by N once, so step k runs on the contiguous tail
-    of paths with N >= k, and memory stays O(batch n) (O(batch n^2) with
-    flux) whatever N. A state with zero exit rate has the unit row in P and
-    keeps its paths, so chains with absorbing states sample exactly and
-    nothing raises ``AbsorbingState``. The cost is proportional to lam t0,
-    not to the number of real jumps.
+    A state with zero exit rate has the unit row in P; a chain with no
+    moves at all has lam = 0 and P = I.
     """
-    n = Q.n_states
-    batch = states.size
     lam = float(Q.exit_rates.max())
-    probs = np.eye(n) + Q.rates / lam if lam > 0.0 else np.eye(n)
-    columns = [np.ascontiguousarray(col) for col in _next_state_table(probs).T]
-    events = rng.poisson(lam * t0, batch)
+    eye = np.eye(Q.n_states)
+    return lam, (eye + Q.rates / lam if lam > 0.0 else eye)
+
+
+def _skeleton(events: np.ndarray, states: np.ndarray, tables: np.ndarray, uniforms,
+              want_flux: bool) -> _WindowCounts:
+    """Run a batch of skeleton chains in lockstep: path p takes events[p] steps from states[p].
+
+    ``tables`` stacks next-state tables (``_next_state_table``) as an
+    (R, n, n - 1) array. With R = 1 every step reads the one table, which
+    is the homogeneous skeleton; otherwise a step after which j steps are
+    still to come reads table j, which is how an endpoint-conditioned
+    skeleton moves. ``uniforms(k, paths)`` returns one uniform for each
+    path in ``paths`` (batch indices of the paths that take a k-th step,
+    in simulation order). Paths are sorted by their number of steps once,
+    so step k runs on the contiguous tail of paths with events >= k, and
+    memory stays O(batch n) (O(batch n^2) with flux) whatever the steps.
+    Returns the end states, the visit counts per state (each path's sum
+    to events + 1) and, if want_flux, the counts of moves a -> b.
+    """
+    n = tables.shape[1]
+    batch = states.size
+    columns = [np.ascontiguousarray(tables[..., c]).ravel() for c in range(n - 1)]
     top = int(events.max(initial=0))
     # numpy radix-sorts 16-bit keys; the order only has to be deterministic
     keys = events.astype(np.uint16) if top < 2**16 else events
@@ -376,10 +383,11 @@ def _batch_step(Q: GeneratorMatrix, t0: float, states: np.ndarray, rng: np.rando
     for k in range(1, top + 1):
         lo = int(np.searchsorted(events, k))
         here = state[lo:]
-        u = rng.random(here.size)
+        u = uniforms(k, order[lo:])
+        entry = here if tables.shape[0] == 1 else (events[lo:] - k) * n + here
         new = np.zeros(here.size, dtype=np.int64)
         for col in columns:
-            new += u >= col[here]
+            new += u >= col[entry]
         if want_flux:
             jumps[(here * n + new) * batch + column[lo:]] += 1
         state[lo:] = new
@@ -390,6 +398,29 @@ def _batch_step(Q: GeneratorMatrix, t0: float, states: np.ndarray, rng: np.rando
     slot[order] = column
     return _WindowCounts(state[slot], slot, visits,
                          jumps.reshape(n * n, batch) if want_flux else None)
+
+
+def _batch_step(Q: GeneratorMatrix, t0: float, states: np.ndarray, rng: np.random.Generator,
+                want_flux: bool) -> _WindowCounts:
+    """Advance a batch of paths through one window of length t0 by uniformization.
+
+    With lam the largest exit rate, each path sees N ~ Poisson(lam t0)
+    events, and its states at the events follow the skeleton chain with
+    kernel P = I + Q / lam, run by ``_skeleton`` with one uniform per step
+    from ``rng``. Returns each path's end state and, through
+    ``_WindowCounts.rows``, the skeleton's visit counts per state (each
+    row sums to N + 1) and its real-jump counts (moves a -> b with a != b;
+    None unless want_flux). Given the visit counts m, the occupation
+    fractions over the window are Dirichlet(m) (see
+    ``_occupation_fractions``). A state with zero exit rate has the unit
+    row in P and keeps its paths, so chains with absorbing states sample
+    exactly and nothing raises ``AbsorbingState``. The cost is
+    proportional to lam t0, not to the number of real jumps.
+    """
+    lam, probs = _uniformized(Q)
+    events = rng.poisson(lam * t0, states.size)
+    return _skeleton(events, states, _next_state_table(probs)[None],
+                     lambda k, paths: rng.random(paths.size), want_flux)
 
 
 def _occupation_fractions(visits: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -35,6 +35,12 @@ def ring_three():
     )
 
 
+@pytest.fixture(scope="session")
+def spread_three():
+    """Exit rates 20 : 1 : 1, so the uniformized skeleton idles in the slow states."""
+    return br.validate_generator([[-20.0, 12.0, 8.0], [0.6, -1.0, 0.4], [0.5, 0.5, -1.0]])
+
+
 def random_generator(rng: np.random.Generator, n: int) -> "br.GeneratorMatrix":
     """Random irreducible generator with all off-diagonal rates positive."""
     rates = rng.uniform(0.2, 2.0, (n, n))

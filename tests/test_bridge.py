@@ -116,11 +116,16 @@ def test_conditional_samples_prefix_stable(spec_one):
         assert np.array_equal(a.samples, b.samples[:64])
 
 
-def test_conditional_samples_rejection_budget(symmetric_two):
-    # P_01(1e-9) is about 1e-9: a million candidates almost surely all miss
-    spec = br.BridgeSpec(symmetric_two, 0, 1, 1e-9)
-    with pytest.raises(br.RejectionBudgetExceeded):
-        br.conditional_samples(spec, "occupation", 1, seed=0)
+def test_conditional_samples_rare_pair(symmetric_two):
+    # P_01(1e-9) is about 1e-9: each bridge makes exactly one jump, at a
+    # uniform time, so the occupation of state 0 is uniform on (0, 1)
+    t0, count = 1e-9, 4000
+    law = br.conditional_samples(br.BridgeSpec(symmetric_two, 0, 1, t0), "flux", count, seed=0)
+    counts = law.samples[:, 2:] * t0
+    assert np.array_equal(np.rint(counts), np.tile([0.0, 1.0, 0.0, 0.0], (count, 1)))
+    assert np.allclose(counts, np.rint(counts), rtol=0.0, atol=1e-12)
+    se = law.samples[:, 0].std(ddof=1) / np.sqrt(count)
+    assert abs(law.samples[:, 0].mean() - 0.5) < 5.0 * se
 
 
 def test_conditional_samples_beside_absorbing_state():
@@ -162,24 +167,25 @@ def test_conditional_mean_matches_kernel_quadrature(spec_one):
     assert np.abs(got - want).max() < 0.01
 
 
-def test_conditional_flux_means_match_quadrature(ring_three):
+@pytest.mark.parametrize("chain, t0", [("ring_three", 0.25), ("spread_three", 2.0)])
+def test_conditional_flux_means_match_quadrature(request, chain, t0):
     # occupation of z: (1/t0) int P_xz(s) P_zy(t0-s) ds / P_xy(t0); jumps
     # a -> b per unit time: (1/t0) int P_xa(s) Q_ab P_by(t0-s) ds / P_xy(t0)
-    t0, n, count = 0.25, 3, 20_000
+    Q = request.getfixturevalue(chain)
+    n, count = 3, 20_000
     nodes, weights = np.polynomial.legendre.leggauss(40)
     s = 0.5 * t0 * (nodes + 1.0)
     w = 0.5 * t0 * weights
-    head = np.array([br.transition_at(ring_three, si).probs for si in s])
-    tail = np.array([br.transition_at(ring_three, t0 - si).probs for si in s])
-    p_xy = br.transition_at(ring_three, t0).probs
-    off = ring_three.rates * (1.0 - np.eye(n))
+    head = np.array([br.transition_at(Q, si).probs for si in s])
+    tail = np.array([br.transition_at(Q, t0 - si).probs for si in s])
+    p_xy = br.transition_at(Q, t0).probs
+    off = Q.rates * (1.0 - np.eye(n))
     for x in range(n):
         for y in range(n):
             occ = np.einsum("k,kz,kz->z", w, head[:, x, :], tail[:, :, y])
             jumps = np.einsum("k,ka,ab,kb->ab", w, head[:, x, :], off, tail[:, :, y])
             want = np.concatenate([occ, jumps.ravel()]) / (t0 * p_xy[x, y])
-            law = br.conditional_samples(br.BridgeSpec(ring_three, x, y, t0), "flux", count,
-                                         seed=29)
+            law = br.conditional_samples(br.BridgeSpec(Q, x, y, t0), "flux", count, seed=29)
             got = law.samples.mean(axis=0)
             se = law.samples.std(axis=0, ddof=1) / np.sqrt(count)
             # rare jumps are Poisson-like: floor their standard error at the
@@ -188,3 +194,45 @@ def test_conditional_flux_means_match_quadrature(ring_three):
             assert np.allclose(got[n:].reshape(n, n).diagonal(), 0.0)
             live = se > 0
             assert np.all(np.abs(got - want)[live] < 5.0 * se[live])
+
+
+def test_conditional_samples_stiff_window(ring_three):
+    # rates x 1000 over t0 = 1: lam t0 is about 1400, so exp(-lam t0)
+    # underflows and the skeleton takes about 1400 steps
+    Q = br.GeneratorMatrix(ring_three.rates * 1000.0)
+    for x, y in ((0, 0), (0, 2)):
+        law = br.conditional_samples(br.BridgeSpec(Q, x, y, 1.0), "flux", 200, seed=3)
+        occ, flux = law.samples[:, :3], law.samples[:, 3:].reshape(-1, 3, 3)
+        assert np.all(np.isfinite(law.samples))
+        assert np.allclose(occ.sum(axis=1), 1.0, atol=1e-10)
+        expect = (np.eye(3)[x] - np.eye(3)[y]) / 1.0
+        assert np.allclose(flux.sum(axis=2) - flux.sum(axis=1), expect, atol=1e-9)
+        # a window this long forgets its endpoints: occupation near invariant
+        assert np.abs(occ.mean(axis=0) - br.invariant_measure(Q).weights).max() < 0.01
+
+
+def test_conditional_means_match_gillespie_bridges(ring_three):
+    # the uniformized sampler against per-path rejection on the Gillespie
+    # loop, occupation and jump counts, within 5 combined standard errors
+    t0, n, count = 0.5, 3, 3000
+    rng = np.random.default_rng(41)
+    for x, y in ((0, 2), (2, 2)):
+        spec = br.BridgeSpec(ring_three, x, y, t0)
+        paths = [br.sample_bridge(spec, rng) for _ in range(count)]
+        ref = np.array([np.concatenate([br.occupation(p).weights,
+                                        br.cumulative_flux(p).ravel() / t0]) for p in paths])
+        law = br.conditional_samples(spec, "flux", count, seed=43)
+        se = np.sqrt((ref.var(axis=0, ddof=1) + law.samples.var(axis=0, ddof=1)) / count)
+        gap = np.abs(law.samples.mean(axis=0) - ref.mean(axis=0))
+        live = se > 0
+        assert np.all(gap[~live] == 0.0)
+        assert np.all(gap[live] < 5.0 * se[live])
+
+
+def test_event_count_law_refuses_an_unreachable_endpoint():
+    # BridgeSpec already refuses such pairs; the law's truncation loop must
+    # still end if it is handed one
+    with pytest.raises(br.DegenerateDenominator):
+        br.bridge._event_count_law(np.eye(2), 0, 1, 3.0)
+    with pytest.raises(br.DegenerateDenominator):
+        br.bridge._event_count_law(np.eye(2), 0, 1, 0.0)

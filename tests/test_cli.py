@@ -72,6 +72,16 @@ def test_rerun_is_byte_identical(tmp_path):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), (command, name)
 
 
+def test_main_runs_different_commands_in_one_process(tmp_path):
+    # the parser is built once per process and shared by every call
+    cfg = write_config(tmp_path / "cfg.json", generator=SYM, t0=0.5, rho=[0.7, 0.3])
+    assert cli.main(["rates", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["chain-info", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    assert json.loads((tmp_path / "a" / "rates.json").read_text())["dvg"]["value"] > 0.0
+    assert json.loads((tmp_path / "b" / "chain-info.json").read_text())["n_states"] == 2
+    assert not (tmp_path / "a" / "chain-info.json").exists()
+
+
 def test_unknown_config_key_fails(tmp_path):
     # lam_box among them: the conjugate box is a constant, not a config key
     for key in ("typo_key", "lam_box"):

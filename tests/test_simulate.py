@@ -193,12 +193,6 @@ def _exact_window_means(Q, x, horizon, nodes=96):
     return occ, jumps
 
 
-@pytest.fixture(scope="module")
-def spread_three():
-    """Exit rates 20 : 1 : 1, so the skeleton idles in the slow states."""
-    return br.validate_generator([[-20.0, 12.0, 8.0], [0.6, -1.0, 0.4], [0.5, 0.5, -1.0]])
-
-
 @pytest.mark.parametrize("chain, horizon", [
     ("ring_three", 0.25), ("ring_three", 40.0), ("spread_three", 2.0),
 ])
