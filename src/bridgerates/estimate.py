@@ -13,8 +13,10 @@ box and again on the doubled box to certify the optimum. Its start, and
 the verdict on targets that cannot be decomposed at all, come from one
 least-squares solve for k at the stationary pair measure.
 ``contract_dvg_from_bfg`` checks the flux-to-occupation contraction by
-convex duality, and ``mc_decay_rate`` estimates the decay exponent of ball
-probabilities from direct simulation.
+convex duality: its dual is the ``dvg_rate`` problem, so it builds a
+divergence-free flux from that call's potentials and certifies it by
+``bfg_rate`` and the primal-dual gap. ``mc_decay_rate`` estimates the decay
+exponent of ball probabilities from direct simulation.
 """
 
 from __future__ import annotations
@@ -39,12 +41,11 @@ from .conjugate import (
     conjugate_at,
 )
 from .ratefun import (
-    OFF_SUPPORT_GAP,
     FluxField,
     NonConvergence,
     PairMeasure,
+    _laplacian_solve,
     bfg_rate,
-    divergence,
     dvg_rate,
 )
 from .simulate import MODES, batch_occupations, batch_pair_statistics
@@ -73,6 +74,11 @@ MIN_STEP = 1e-12
 # Relative growth of the optimum under box doubling that flags an
 # unreachable target (the box acts as a penalty weight on the constraints).
 SWEEP_GROWTH_RTOL = 1e-2
+# Contraction: flux-weighted Newton rounds that repair a component's
+# divergence, stopped early once it is at rounding level, EPS times the
+# largest flux.
+REPAIR_ROUNDS = 5
+EPS = float(np.finfo(float).eps)
 MC_BATCH = 50_000
 MIN_HITS = 30
 
@@ -499,75 +505,46 @@ class ContractionResult:
     potential: np.ndarray
 
 
-def contract_dvg_from_bfg(rho, Q: GeneratorMatrix, *, gtol: float = 1e-11) -> ContractionResult:
+def contract_dvg_from_bfg(rho, Q: GeneratorMatrix) -> ContractionResult:
     """Minimize the joint occupation-flux rate over divergence-free fluxes.
 
-    A flux must vanish wherever ``rho_x Q_xy`` does, so it lives on edges
-    inside S = supp(rho); each edge from S out of S costs its full weight
-    ``rho_x Q_xy``. On S the problem is solved through the concave dual over
-    the potentials v of S (gauge-fixed at the first state of S) with an
-    independent quasi-Newton method (BFGS on all of S, with no split into
-    strongly connected components, unlike ``dvg_rate``), then certified by
-    evaluating the primal functional at the recovered flux
-    ``j_xy = rho_x Q_xy exp(v_y - v_x)`` after a least-squares divergence
-    repair. Flux and repair are confined to the edges that lie on a cycle
-    inside S (within one strongly connected component); a divergence-free
-    flux is zero on every other edge, which therefore costs its full
-    weight. The exit flux is added to the dual value. A single support
-    state needs no optimizer. The returned ``potential`` is finite: states
-    outside S sit ``OFF_SUPPORT_GAP`` below the lowest potential of S.
+    The concave dual of this problem over potentials v is the occupation
+    rate problem, so the dual side is one ``dvg_rate`` call: its value is
+    ``dual_value`` and its maximizer the returned ``potential``. The primal
+    side is a flux built from v and evaluated by ``bfg_rate``. A flux must
+    vanish wherever ``rho_x Q_xy`` does, and a divergence-free one also
+    vanishes on every edge that lies on no cycle, so it lives on the edges
+    inside one strongly connected component of S = supp(rho); every other
+    edge costs its full weight ``rho_x Q_xy``. On a component the flux
+    starts at ``j_xy = rho_x Q_xy exp(v_y - v_x)``, and its divergence is
+    repaired by at most ``REPAIR_ROUNDS`` flux-weighted Newton steps, each
+    solving ``L phi = div(j)`` with the weighted Laplacian of j and setting
+    ``j_xy *= exp(phi_y - phi_x)``, so every flux stays positive. The gap
+    bounds the error whatever optimizer found v: ``bfg_rate`` at a feasible
+    flux bounds the contraction from above, the dual value at any v from
+    below.
     """
-    from scipy import optimize  # imported here: no other command needs its load time
-
     rho = rho if isinstance(rho, ProbVector) else ProbVector(np.asarray(rho, dtype=float))
-    n = Q.n_states
+    dual = dvg_rate(rho, Q)
+    v = dual.maximizer
     base = rho.weights[:, None] * Q.rates
     np.fill_diagonal(base, 0.0)
     support = np.flatnonzero(rho.weights > 0)
-    outside = np.flatnonzero(rho.weights == 0)
-    inner = base[np.ix_(support, support)]
-    exit_flux = float(base[np.ix_(support, outside)].sum())
-
-    src, dst = np.nonzero(inner > 0)
-    weights = inner[src, dst]
-
-    def dual_neg(v_free: np.ndarray):
-        v = np.concatenate(([0.0], v_free))
-        flow = weights * np.exp(v[dst] - v[src])
-        grad_full = np.bincount(dst, flow, support.size) - np.bincount(src, flow, support.size)
-        return float(np.sum(flow - weights)), grad_full[1:]
-
-    v_support = np.zeros(support.size)
-    dual_value = exit_flux
-    if support.size > 1:
-        res = optimize.minimize(dual_neg, v_support[1:], jac=True, method="BFGS",
-                                options={"gtol": gtol, "maxiter": 500})
-        v_support[1:] = res.x
-        dual_value -= float(res.fun)
-    # a divergence-free flux vanishes on every edge that lies on no cycle,
-    # that is, on edges between strongly connected components of S
-    label = np.zeros(support.size, dtype=np.int64)
-    for idx, comp in enumerate(_strong_components(inner > 0)):
-        label[comp] = idx
-    cyclic = label[src] == label[dst]
-    tail, head = src[cyclic], dst[cyclic]
-    local = np.zeros_like(inner)
-    local[tail, head] = weights[cyclic] * np.exp(v_support[head] - v_support[tail])
-    if tail.size:
-        cols = np.arange(tail.size)
-        div_op = np.zeros((support.size, tail.size))
-        div_op[tail, cols] = 1.0
-        div_op[head, cols] = -1.0
-        delta, *_ = np.linalg.lstsq(div_op, -divergence(local), rcond=None)
-        local[tail, head] += delta
-    j = np.zeros((n, n))
-    j[np.ix_(support, support)] = local
-    if j.min() < 0:
-        raise RuntimeError("divergence repair produced a negative flux entry")
-    v = np.full(n, v_support.min() - OFF_SUPPORT_GAP)
-    v[support] = v_support
+    j = np.zeros_like(base)
+    for comp in _strong_components(base[np.ix_(support, support)] > 0):
+        states = support[comp]
+        tail, head = np.nonzero(base[np.ix_(states, states)] > 0)
+        src, dst = states[tail], states[head]
+        flow = base[src, dst] * np.exp(v[dst] - v[src])
+        for _ in range(REPAIR_ROUNDS):
+            div = np.bincount(tail, flow, states.size) - np.bincount(head, flow, states.size)
+            if np.abs(div).max() <= EPS * flow.max(initial=0.0):
+                break
+            phi = _laplacian_solve(tail, head, flow, div)
+            flow *= np.exp(phi[head] - phi[tail])
+        j[src, dst] = flow
     value = bfg_rate(rho, j, Q)
-    return ContractionResult(value, dual_value, value - dual_value, j, v)
+    return ContractionResult(value, dual.value, value - dual.value, j, v)
 
 
 def ball_rate(Q: GeneratorMatrix, center, epsilon: float) -> tuple[float, np.ndarray]:

@@ -185,16 +185,35 @@ def dvg_objective(rho: ProbVector, Q: GeneratorMatrix, v: np.ndarray) -> float:
     return -float(np.sum(base[src, dst] * np.expm1(v[dst] - v[src])))
 
 
+def _laplacian_solve(src: np.ndarray, dst: np.ndarray, flow: np.ndarray, rhs: np.ndarray):
+    """Solve L x = rhs with x[0] = 0, L the weighted Laplacian of the symmetrized flow.
+
+    ``flow`` sits on the edges src -> dst of a strongly connected graph on
+    ``rhs.size`` states, and ``rhs`` sums to zero. The gauge-fixed system is
+    solved by least squares on the rank it has: where a flow underflows, the
+    Laplacian is singular to working precision, and the directions it
+    cannot resolve get no step instead of raising.
+    """
+    k = rhs.size
+    sym = np.zeros((k, k))
+    sym[src, dst] = flow
+    sym += sym.T
+    laplacian = np.diag(sym.sum(axis=1)) - sym
+    x = np.zeros(k)
+    x[1:] = np.linalg.lstsq(laplacian[1:, 1:], rhs[1:], rcond=None)[0]
+    return x
+
+
 def _newton_ascent(w: np.ndarray, v: np.ndarray, grad_tol: float, max_iters: int):
     """Maximize sum_xy w_xy (1 - exp(v_y - v_x)) over v with v[0] held fixed.
 
     ``w`` is the weight matrix of a strongly connected graph, so the
     maximum is attained. The Hessian is minus the weighted Laplacian of the
-    symmetrized flow w_xy exp(v_y - v_x); the Newton step is halved until
-    the Armijo rule holds, with the gain summed as -flow * expm1(step
-    difference) so that it stays exact near the optimum, where the value
-    itself moves by less than one ulp. Returns (v, value, gradient
-    max-norm, Newton steps).
+    symmetrized flow w_xy exp(v_y - v_x); the Newton step (from
+    ``_laplacian_solve``) is halved until the Armijo rule holds, with the
+    gain summed as -flow * expm1(step difference) so that it stays exact
+    near the optimum, where the value itself moves by less than one ulp.
+    Returns (v, value, gradient max-norm, Newton steps).
     """
     src, dst = np.nonzero(w > 0)
     weights = w[src, dst]
@@ -206,12 +225,7 @@ def _newton_ascent(w: np.ndarray, v: np.ndarray, grad_tol: float, max_iters: int
         gnorm = float(np.abs(grad).max(initial=0.0))
         if gnorm < grad_tol or steps >= max_iters:
             break
-        sym = np.zeros((k, k))
-        sym[src, dst] = flow
-        sym += sym.T
-        laplacian = np.diag(sym.sum(axis=1)) - sym
-        step = np.zeros(k)
-        step[1:] = np.linalg.solve(laplacian[1:, 1:], grad[1:])
+        step = _laplacian_solve(src, dst, flow, grad)
         slope = float(grad @ step)
         t = 1.0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -248,7 +262,9 @@ def dvg_rate(
     - What remains is one strongly connected problem per component, whose
       maximum is attained. Each is solved by gauge-fixed Newton with the
       weighted-Laplacian Hessian and Armijo halving, from v = log(rho) / 2
-      (exact for symmetric chains), to ``grad_tol`` on the gradient.
+      (exact for symmetric chains), to ``grad_tol`` on the gradient. A
+      Laplacian singular to working precision (a flow that underflows at
+      rho entries near 1e-37) is solved on the rank it has, not raised.
 
     There is no multistart: each component's problem is strictly concave
     modulo the gauge, so Newton's answer is its unique maximum.

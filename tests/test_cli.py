@@ -259,14 +259,16 @@ def test_mc_verify_needs_grid(tmp_path):
 
 
 # Runs in a fresh interpreter: which heavy scipy submodules are loaded after
-# importing the CLI, and after it has computed rates.
+# importing the CLI, after it has computed rates, and after the contraction.
 NO_SCIPY_CHILD = r"""
 import json, sys
 heavy = ("scipy.special", "scipy.linalg", "scipy.optimize")
 import bridgerates.cli as cli
 after_import = [m for m in heavy if m in sys.modules]
 code = cli.main(["rates", "--config", sys.argv[1], "--out", sys.argv[2]])
-print(json.dumps([after_import, code, [m for m in heavy if m in sys.modules]]))
+after_rates = [m for m in heavy if m in sys.modules]
+code_contract = cli.main(["contract", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([after_import, code, after_rates, code_contract, [m for m in heavy if m in sys.modules]]))
 """
 
 
@@ -278,7 +280,10 @@ def test_cli_rates_loads_no_scipy_submodule(tmp_path):
          str(REPO / "scripts" / "configs" / "boundary_rates.json"), str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    after_import, code, after_rates = json.loads(done.stdout.strip().splitlines()[-1])
+    after_import, code, after_rates, code_contract, after_contract = json.loads(
+        done.stdout.strip().splitlines()[-1])
     assert code == 0
     assert after_import == []
     assert after_rates == []
+    assert code_contract == 0
+    assert after_contract == []

@@ -195,6 +195,55 @@ def test_contract_random_chains():
         assert out.value == pytest.approx(want, abs=1e-6)
 
 
+def _stress_chains():
+    """The seeded stress set: 2000 irreducible 8-state chains with sparse, spiky rho.
+
+    Rates are log-normal with sigma 2 and 30% of edges cut; rho is
+    Dirichlet(0.05) with 15% of entries zeroed, so many support entries
+    are far below 1e-16.
+    """
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        while True:
+            rates = np.exp(2 * rng.standard_normal((8, 8)))
+            rates[rng.random((8, 8)) < 0.3] = 0.0
+            np.fill_diagonal(rates, 0.0)
+            rates[np.diag_indices(8)] = -rates.sum(axis=1)
+            try:
+                Q = br.validate_generator(rates)
+            except ValueError:
+                continue
+            if br.is_irreducible(Q):
+                break
+        rho = rng.dirichlet(np.full(8, 0.05))
+        rho[rng.random(8) < 0.15] = 0.0
+        if not rho.any():
+            rho[rng.integers(8)] = 1.0
+        yield Q, rho / rho.sum()
+
+
+def test_contract_stress_set_small_rho():
+    # every chain returns a certified contraction equal to dvg_rate; failures
+    # are counted per bucket of the smallest rho entry on the support
+    edges = (1e-8, 1e-16, 1e-30)
+    chains = [0, 0, 0, 0]
+    failures = [0, 0, 0, 0]
+    for Q, rho in _stress_chains():
+        bucket = sum(rho[rho > 0].min() < edge for edge in edges)
+        chains[bucket] += 1
+        try:
+            want = br.dvg_rate(rho, Q).value
+            out = br.contract_dvg_from_bfg(rho, Q)
+        except (ValueError, RuntimeError):  # np.linalg.LinAlgError is a ValueError
+            failures[bucket] += 1
+            continue
+        scale = max(1.0, want)
+        if not (abs(out.value - want) <= 1e-9 * scale and out.gap >= -1e-12 * scale):
+            failures[bucket] += 1
+    assert chains == [125, 665, 906, 304]
+    assert failures == [0, 0, 0, 0], f"failures per min-rho bucket (>=1e-8, 1e-16, 1e-30, below): {failures}"
+
+
 def test_ball_rate_zero_when_center_is_invariant(symmetric_two):
     value, rho = br.ball_rate(symmetric_two, np.array([0.5, 0.5]), 0.05)
     assert value == pytest.approx(0.0, abs=1e-10)

@@ -147,8 +147,8 @@ def _attained(rho: np.ndarray, Q, v: np.ndarray) -> tuple[float, float]:
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), zeros=st.integers(1, 2))
 def test_dvg_rate_boundary_occupation_random(symmetric_two, seed, n, zeros):
     # rho with one or two zero entries: the support split never raises, the
-    # value is attained at the returned maximizer, and the BFGS contraction
-    # on the support agrees with it
+    # value is attained at the returned maximizer, and the contraction built
+    # on it certifies the same value
     rng = np.random.default_rng(seed)
     Q = random_generator(rng, n)
     w = rng.dirichlet(np.ones(n))
@@ -201,6 +201,65 @@ def test_dvg_rate_support_not_strongly_connected(rates, weights, want, tol):
     assert out.value == pytest.approx(want, abs=1e-12)
     assert abs(out.gap) <= 1e-9
     assert np.all(np.isfinite(out.potential))
+
+
+# Two chains of the seeded stress set in tests/test_estimate.py (draws 54
+# and 1355 of default_rng(5)). On the first, rho_0 = 2.3e-37 makes the flow
+# underflow and the gauge-fixed Laplacian singular to working precision,
+# which np.linalg.solve rejected; on the second, an unweighted least-squares
+# divergence repair pushed a flux below zero.
+UNDERFLOW_54 = (
+    [[-12.592729719003849, 0.0, 0.0, 0.0, 1.4509846686547312, 0.0, 1.4306415314582408, 9.711103518890877],
+     [0.0, -144.23826208997008, 2.59166104842848, 25.62332987333185, 3.3143679918392137, 0.0,
+      0.33048639421450837, 112.37841678215604],
+     [0.0, 4.245867692361573, -5.4966985656814105, 0.0, 0.19815443775889127, 0.32209014275318765, 0.0,
+      0.7305862928077583],
+     [0.0, 0.0014367695079779315, 0.07469076662728144, -0.11633115899216337, 0.0, 0.040203622856903994,
+      0.0, 0.0],
+     [0.0, 0.0, 0.16421164379079506, 2.8345973943841, -21.559815284040592, 0.3240328816014735,
+      17.209212736455484, 1.0277606278087417],
+     [0.1983754024570672, 0.0, 2.14651761481102, 0.0, 0.0, -6.288249651028962, 1.353867557375033,
+      2.5894890763858416],
+     [101.49348634382837, 1.7173982065865803, 15.287689214041, 0.4275216667173097, 0.0, 0.1458066260433235,
+      -119.49961587648086, 0.42771381926429125],
+     [5.607509736709216, 4.263944935107899, 0.0, 0.6508717037500044, 0.09551663859899609, 0.9839176494092956,
+      2.7815096821653467, -14.383270345740758]],
+    [2.279503906836734e-37, 0.003332853899703314, 6.728251068679284e-07, 1.468465334442061e-14,
+     9.56377064199344e-13, 0.0, 9.529364298739172e-10, 0.9966664723212824],
+    12.2923015226680,
+)
+SMALL_RHO_1355 = (
+    [[-1424.3892515832674, 0.0, 2.9311293421352707, 5.920049168731233, 0.0, 1415.2892046333382,
+      0.24886843906279343, 0.0],
+     [1.6958242883231598, -50.74001835046983, 13.017709789648956, 16.28210872927726, 0.0,
+      0.04276861330115961, 8.28005334339859, 11.421553586520707],
+     [0.0, 0.0064395679476788896, -3.310086931617255, 0.0, 0.0, 0.0, 0.0, 3.303647363669576],
+     [0.0, 6.952046291688073, 0.5783870671664907, -7.6845813018778015, 0.0, 0.023725413712452032,
+      0.07065524677507641, 0.05976728253570969],
+     [9.937795364942604, 0.0, 0.23739664796158588, 0.0, -24.049398785619076, 13.48988004494032,
+      0.22023112822988528, 0.16409559954468483],
+     [0.9903507928150801, 12.400075651553806, 32.47292049504193, 0.0, 0.0, -46.019309790422014,
+      0.039986273492394815, 0.11597657751880344],
+     [0.05749939762724002, 1.2348614933225863, 0.0, 0.5250862574958652, 0.08250935289835741,
+      15.803800950910832, -17.858680422183387, 0.15492296992850693],
+     [3.519384234915722, 0.6431014767421402, 0.2956836914645757, 0.0, 5.1918189923243805,
+      0.08876025248160882, 0.1975757673960688, -9.936324415324496]],
+    [1.3775169169840442e-06, 3.556591446284353e-08, 2.3367486293635344e-06, 6.652372526568588e-07,
+     1.5449735763620163e-05, 0.9999800190841813, 1.1611134156598563e-07, 0.0],
+    45.93168598444082,
+)
+
+
+@pytest.mark.parametrize("rates, weights, want", [UNDERFLOW_54, SMALL_RHO_1355],
+                         ids=["underflow-54", "small-rho-1355"])
+def test_contract_on_tiny_rho_entries(rates, weights, want):
+    Q = br.validate_generator(rates)
+    res = br.dvg_rate(weights, Q)
+    assert res.value == pytest.approx(want, rel=1e-12)
+    out = br.contract_dvg_from_bfg(weights, Q)
+    assert out.value == pytest.approx(res.value, rel=1e-12)
+    assert abs(out.gap) <= 1e-12
+    assert out.flux.min() >= 0.0
 
 
 # --- flux rate ----------------------------------------------------------------
