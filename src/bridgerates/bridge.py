@@ -4,12 +4,14 @@ A bridge pins the chain to start at x and end at y after a window of
 length t0. Its inhomogeneous transition law is a ratio of unconditioned
 kernels. ``conditional_samples`` samples it exactly by uniformization
 (Hobolth & Stone, Ann. Appl. Stat. 3(3):1204-1231, 2009): with lam the
-largest exit rate and P = I + Q / lam, it draws the number N of skeleton
-events given both endpoints, runs the skeleton conditioned to reach y in
-N steps on the lockstep loop of ``simulate``, and draws occupation
-fractions from the Dirichlet law of the event spacings. It returns the
-occupation (and optionally flux) blocks, the conditional laws feeding the
-per-pair conjugate oracle; no path is rejected, however small P_xy(t0).
+largest exit rate and P = I + Q / lam (``chain._uniformized``), it draws
+the number N of skeleton events given both endpoints, runs the skeleton
+conditioned to reach y in N steps on the lockstep loop of ``simulate``,
+and hands its counts to ``simulate._blocks``, which draws the occupation
+fractions from the Dirichlet law of the event spacings and, in flux mode,
+appends the jump counts per unit time. The blocks are the conditional laws
+feeding the per-pair conjugate oracle; no path is rejected, however small
+P_xy(t0).
 ``sample_bridge`` draws single paths by rejection with the Gillespie loop
 of ``simulate`` and stays as the independent reference for the kernels.
 """
@@ -21,17 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import GeneratorMatrix, transition_at
+from .chain import GeneratorMatrix, _uniformized, transition_at
 from .conjugate import EmpiricalLaw
 from .simulate import (
     MODES,
     PathRecord,
+    _blocks,
     _gillespie_jumps,
     _jump_tables,
     _next_state_table,
-    _occupation_fractions,
     _skeleton,
-    _uniformized,
 )
 
 __all__ = [
@@ -236,9 +237,10 @@ def conditional_samples(spec: BridgeSpec, mode: str, n_samples: int, seed: int) 
     shape). Sampling is exact, by uniformization: each row draws its event
     count N from ``_event_count_law`` by inverse CDF, runs the skeleton
     P = I + Q / lam under the bridge kernel (with r steps left from a, it
-    moves to z with probability P_az (P^(r-1))_zy / (P^r)_ay), and draws
-    its occupation fractions from the Dirichlet law of the event spacings
-    given the skeleton's visit counts. The N uniforms, the spacings and the
+    moves to z with probability P_az (P^(r-1))_zy / (P^r)_ay), and builds
+    its block with ``simulate._blocks``: occupation fractions from the
+    Dirichlet law of the event spacings given the skeleton's visit counts,
+    then in flux mode the jump counts. The N uniforms, the spacings and the
     uniforms of step k come from streams keyed by (seed, pair index, key)
     with key 0, 1 and k + 1, one draw per row in row order, so the result
     depends only on (seed, spec, n_samples) and its first k rows are the
@@ -255,13 +257,9 @@ def conditional_samples(spec: BridgeSpec, mode: str, n_samples: int, seed: int) 
     draws = _stream(seed, pair_index, 0).random(n_samples) * cdf[-1]
     events = np.minimum(np.searchsorted(cdf, draws, side="right"), cdf.size - 1)
     tables = _bridge_tables(probs, columns[: events.max()])
-    window = _skeleton(
+    _, visits, jumps = _skeleton(
         events, np.full(n_samples, spec.x), tables,
         lambda k, paths: _stream(seed, pair_index, k + 1).random(n_samples)[paths],
         mode == "flux",
     )
-    visits, flux = window.rows()
-    block = _occupation_fractions(visits, _stream(seed, pair_index, 1))
-    if mode == "flux":
-        block = np.concatenate([block, flux.reshape(n_samples, n * n) / spec.t0], axis=1)
-    return EmpiricalLaw(block)
+    return EmpiricalLaw(_blocks(visits, jumps, _stream(seed, pair_index, 1), spec.t0))

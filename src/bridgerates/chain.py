@@ -30,6 +30,8 @@ __all__ = [
 ROW_SUM_TOL = 1e-12
 STOCHASTIC_TOL = 1e-10
 POISSON_TAIL = 1e-14
+# largest |x A| an invariant-measure solve may leave
+RESIDUAL_TOL = 1e-10
 # uniformization loses accuracy once lam*t gets large; switch to squaring
 _MAX_UNIFORMIZATION_MASS = 200.0
 
@@ -150,13 +152,22 @@ def validate_generator(raw) -> GeneratorMatrix:
     return GeneratorMatrix(np.asarray(raw, dtype=float))
 
 
-def _uniformized_kernel(Q: GeneratorMatrix, t: float) -> np.ndarray:
-    """exp(tQ) via Poisson-weighted powers of the uniformized kernel."""
-    n = Q.n_states
-    lam = float(np.max(np.abs(np.diag(Q.rates))))
+def _uniformized(Q: GeneratorMatrix) -> tuple[float, np.ndarray]:
+    """Uniformization rate lam (the largest exit rate) and skeleton kernel P = I + Q / lam.
+
+    A state with zero exit rate has the unit row in P; a chain with no
+    moves at all has lam = 0 and P = I.
+    """
+    lam = float(Q.exit_rates.max())
+    eye = np.eye(Q.n_states)
+    return lam, (eye + Q.rates / lam if lam > 0.0 else eye)
+
+
+def _uniformized_kernel(lam: float, base: np.ndarray, t: float) -> np.ndarray:
+    """exp(tQ) via Poisson(lam t)-weighted powers of the skeleton kernel ``base``."""
+    n = base.shape[0]
     if lam * t == 0.0:
         return np.eye(n)
-    base = np.eye(n) + Q.rates / lam
     mass = lam * t
     # p_k = Poisson(mass) pmf, accumulated until the tail is negligible
     result = np.zeros((n, n))
@@ -183,21 +194,24 @@ def transition_at(Q: GeneratorMatrix, t: float) -> TransitionKernel:
     """Transition kernel exp(tQ) of the chain at horizon t >= 0.
 
     Uses uniformization: with lam the largest exit rate, exp(tQ) is the
-    Poisson(lam*t) mixture of powers of I + Q/lam. All intermediate
-    matrices are nonnegative and row-stochastic, so the result is a valid
-    kernel by construction. Large lam*t is handled by repeated squaring of
-    a shorter-horizon kernel, which preserves stochasticity exactly.
+    Poisson(lam*t) mixture of powers of I + Q/lam (``_uniformized``). All
+    intermediate matrices are nonnegative and row-stochastic, so the
+    result is a valid kernel by construction. Large lam*t is handled by
+    repeated squaring of a shorter-horizon kernel. Each squaring roughly
+    doubles the rounding error in the row sums, so the rows are
+    renormalized after every squaring.
     """
     if t < 0:
         raise ChainError(f"time must be nonnegative, got {t!r}")
-    lam = float(np.max(np.abs(np.diag(Q.rates))))
+    lam, base = _uniformized(Q)
     mass = lam * t
     if mass <= _MAX_UNIFORMIZATION_MASS:
-        return TransitionKernel(_uniformized_kernel(Q, t))
+        return TransitionKernel(_uniformized_kernel(lam, base, t))
     n_halvings = int(math.ceil(math.log2(mass / _MAX_UNIFORMIZATION_MASS)))
-    kernel = _uniformized_kernel(Q, t / 2.0**n_halvings)
+    kernel = _uniformized_kernel(lam, base, t / 2.0**n_halvings)
     for _ in range(n_halvings):
         kernel = kernel @ kernel
+        kernel /= kernel.sum(axis=1, keepdims=True)
     return TransitionKernel(kernel)
 
 
@@ -225,7 +239,7 @@ def is_irreducible(model: GeneratorMatrix | TransitionKernel) -> bool:
     return len(_strong_components(matrix > 0)) == 1
 
 
-def _stationary(A: np.ndarray, residual_tol: float) -> ProbVector:
+def _stationary(A: np.ndarray) -> ProbVector:
     """Solution x of x A = 0 with sum(x) = 1, by a dense solve with a residual check."""
     n = A.shape[0]
     system = A.T.copy()
@@ -234,13 +248,13 @@ def _stationary(A: np.ndarray, residual_tol: float) -> ProbVector:
     rhs[-1] = 1.0
     x = np.linalg.solve(system, rhs)
     residual = float(np.abs(x @ A).max())
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise ChainError(f"invariant measure residual {residual!r} exceeds tolerance")
     x = np.clip(x, 0.0, None)
     return ProbVector(x / x.sum())
 
 
-def invariant_measure(Q: GeneratorMatrix, residual_tol: float = 1e-10) -> ProbVector:
+def invariant_measure(Q: GeneratorMatrix) -> ProbVector:
     """Unique invariant probability measure pi of an irreducible generator.
 
     Solves pi Q = 0 with the normalization sum(pi) = 1 by a dense linear
@@ -253,11 +267,11 @@ def invariant_measure(Q: GeneratorMatrix, residual_tol: float = 1e-10) -> ProbVe
     """
     if not is_irreducible(Q):
         raise Reducible("generator support graph is not strongly connected")
-    return _stationary(Q.rates, residual_tol)
+    return _stationary(Q.rates)
 
 
-def dtmc_invariant(P: TransitionKernel, residual_tol: float = 1e-10) -> ProbVector:
+def dtmc_invariant(P: TransitionKernel) -> ProbVector:
     """Invariant measure mu of an irreducible transition kernel, mu P = mu."""
     if not is_irreducible(P):
         raise Reducible("kernel support graph is not strongly connected")
-    return _stationary(P.probs - np.eye(P.n_states), residual_tol)
+    return _stationary(P.probs - np.eye(P.n_states))

@@ -55,6 +55,8 @@ RAY_ETA = 0.25
 # mass plateau across doublings, genuinely unreachable points keep growing
 # linearly in the box size
 GROWTH_RTOL = 1e-2
+# time points at which flux_mgf_bound scans the conditioned jump rates
+FLUX_GRID_POINTS = 2000
 
 
 class ZeroRate(ValueError):
@@ -309,7 +311,6 @@ def conjugate_at(
     lam_box: float = DEFAULT_LAM_BOX,
     *,
     lam0=None,
-    grad_tol: float = GRAD_TOL,
 ) -> ConjugateEstimate:
     """Conjugate sup_{lam in [-L, L]^d} (lam . a - phi(lam)) of a law's log-MGF.
 
@@ -320,7 +321,7 @@ def conjugate_at(
     the minimum-norm Newton step of the tilted covariance, and a safeguarded
     search along that ray accepts a point by the sign and size of the slope
     there, which stays reliable where value differences drown in roundoff.
-    It stops once the projected gradient drops below ``grad_tol``. The
+    It stops once the projected gradient drops below ``GRAD_TOL``. The
     returned ``curvature`` is built from the tilted covariance already held
     at the last iterate, so it costs no further pass over the law.
     ``boundary`` is set when the maximizer presses against the box, which
@@ -343,13 +344,13 @@ def conjugate_at(
     for _ in range(MAX_NEWTON):
         on_hi, on_lo = lam >= edge, lam <= -edge
         fixed = (on_hi & (grad > 0)) | (on_lo & (grad < 0))
-        if float(np.abs(np.where(fixed, 0.0, grad)).max(initial=0.0)) < grad_tol:
+        if float(np.abs(np.where(fixed, 0.0, grad)).max(initial=0.0)) < GRAD_TOL:
             converged = True
             break
         while True:
             # a coordinate on the box that the step would push outward is
             # held too, so the ray below never starts against a wall
-            p = _newton_direction(H, grad, fixed, lam_box, 0.5 * grad_tol)
+            p = _newton_direction(H, grad, fixed, lam_box, 0.5 * GRAD_TOL)
             pushed = (on_hi & (p > 0)) | (on_lo & (p < 0))
             if not pushed.any():
                 break
@@ -376,38 +377,30 @@ def conjugate_at(
             break
         lam, phi_val, mean, H = trial, trial_phi, trial_mean, trial_H
         grad = a - mean
-    at_hi = (lam >= lam_box * (1 - 1e-6)) & (grad > grad_tol)
-    at_lo = (lam <= -lam_box * (1 - 1e-6)) & (grad < -grad_tol)
+    at_hi = (lam >= lam_box * (1 - 1e-6)) & (grad > GRAD_TOL)
+    at_lo = (lam <= -lam_box * (1 - 1e-6)) & (grad < -GRAD_TOL)
     boundary = bool(np.any(at_hi | at_lo))
     value = float(lam @ a - phi_val)
     pinned = ((lam >= edge) & (grad > 0)) | ((lam <= -edge) & (grad < 0))
     return ConjugateEstimate(value, lam, converged, boundary, _pinned_pinv(H, pinned))
 
 
-def conjugate_or_inf(
-    phi,
-    a,
-    lam_box: float = DEFAULT_LAM_BOX,
-    *,
-    lam0=None,
-    grad_tol: float = GRAD_TOL,
-    growth_rtol: float = GROWTH_RTOL,
-) -> ConjugateEstimate:
+def conjugate_or_inf(phi, a) -> ConjugateEstimate:
     """Conjugate with effective-infinity detection by box doubling.
 
-    Solve on the box, and when the maximizer presses against it, re-solve
-    on the doubled box. Sustained boundary contact together with material
-    value growth marks the conjugate as effectively infinite at ``a``;
-    boundary contact with a plateauing value (a mass-carrying support
-    vertex) stays finite.
+    Solve on the box of half-width ``DEFAULT_LAM_BOX``, and when the
+    maximizer presses against it, re-solve on the doubled box. Sustained
+    boundary contact together with value growth above ``GROWTH_RTOL``
+    marks the conjugate as effectively infinite at ``a``; boundary contact
+    with a plateauing value (a mass-carrying support vertex) stays finite.
     """
-    est = conjugate_at(phi, a, lam_box, lam0=lam0, grad_tol=grad_tol)
+    est = conjugate_at(phi, a)
     if not est.boundary:
         return est
-    est2 = conjugate_at(phi, a, 2 * lam_box, lam0=est.maximizer, grad_tol=grad_tol)
+    est2 = conjugate_at(phi, a, 2 * DEFAULT_LAM_BOX, lam0=est.maximizer)
     if not est2.boundary:
         return est2
-    if est2.value - est.value > growth_rtol * max(1.0, abs(est.value)):
+    if est2.value - est.value > GROWTH_RTOL * max(1.0, abs(est.value)):
         return ConjugateEstimate(math.inf, est2.maximizer, est2.converged, True, est2.curvature)
     return est2
 
@@ -427,7 +420,7 @@ class SuperlinearityReport:
     boundary: np.ndarray
 
 
-def superlinearity_check(law, r_grid, lam_box: float = DEFAULT_LAM_BOX) -> SuperlinearityReport:
+def superlinearity_check(law, r_grid) -> SuperlinearityReport:
     """Tabulate phi*_{|.|}(r) / r along r_grid and check monotone growth.
 
     Superlinear growth of the conjugate (ratios increasing without bound)
@@ -442,7 +435,7 @@ def superlinearity_check(law, r_grid, lam_box: float = DEFAULT_LAM_BOX) -> Super
     values = np.empty(r_grid.size)
     boundary = np.zeros(r_grid.size, dtype=bool)
     for idx, r in enumerate(r_grid):
-        est = conjugate_or_inf(abs_law, [r], lam_box)
+        est = conjugate_or_inf(abs_law, [r])
         values[idx] = est.value
         boundary[idx] = est.boundary
     ratios = values / r_grid
@@ -451,7 +444,7 @@ def superlinearity_check(law, r_grid, lam_box: float = DEFAULT_LAM_BOX) -> Super
     return SuperlinearityReport(r_grid, values, ratios, increasing, boundary)
 
 
-def chernoff_bound(law, radius: float, lam_box: float = DEFAULT_LAM_BOX) -> float:
+def chernoff_bound(law, radius: float) -> float:
     """Exponential decay bound phi*_{|.|}(radius) for tail balls.
 
     The probability that an i.i.d. block average of the law leaves the
@@ -459,22 +452,15 @@ def chernoff_bound(law, radius: float, lam_box: float = DEFAULT_LAM_BOX) -> floa
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    return conjugate_or_inf(law.abs_law(), [radius], lam_box).value
+    return conjugate_or_inf(law.abs_law(), [radius]).value
 
 
-def flux_mgf_bound(
-    Q: GeneratorMatrix,
-    x: int,
-    y: int,
-    t0: float,
-    s: float,
-    grid_points: int = 2000,
-) -> float:
+def flux_mgf_bound(Q: GeneratorMatrix, x: int, y: int, t0: float, s: float) -> float:
     """Uniform upper bound on the |.|_1 log-MGF of a bridge block for pair (x, y).
 
     The endpoint-conditioned jump rates are bounded over the window by a
-    constant Qbar (a sup over a fine time grid together with closed-form
-    endpoint limits); a Poisson dominating process then gives
+    constant Qbar (a sup over a grid of ``FLUX_GRID_POINTS`` times, together
+    with closed-form endpoint limits); a Poisson dominating process then gives
 
         bound(s) = s + Qbar * t0 * (exp(2 s / t0) - 1),
 
@@ -498,11 +484,11 @@ def flux_mgf_bound(
     # conditioned jump rate at a -> b, time t: Q_ab P_by(T0 - t) / P_ay(T0 - t);
     # scan u = T0 - t over [delta, T0] and add the u -> 0 limits
     delta = 1e-4 * t0
-    spacing = (t0 - delta) / (grid_points - 1)
+    spacing = (t0 - delta) / (FLUX_GRID_POINTS - 1)
     kernel = transition_at(Q, delta).probs
     step = transition_at(Q, spacing).probs
     sup_ratio = np.zeros((n, n))
-    for _ in range(grid_points):
+    for _ in range(FLUX_GRID_POINTS):
         col = kernel[:, y]
         ratio = Q.rates * (col[None, :] / col[:, None])
         sup_ratio = np.maximum(sup_ratio, ratio)
@@ -585,6 +571,6 @@ class ConjugateOracle:
         except KeyError:
             raise KeyError(f"oracle does not cover endpoint pair ({x}, {y})") from None
 
-    def conjugate(self, x: int, y: int, a, lam0=None) -> ConjugateEstimate:
+    def conjugate(self, x: int, y: int, a) -> ConjugateEstimate:
         """Conjugate with effective-infinity detection (box doubling)."""
-        return conjugate_or_inf(self.law(x, y), a, DEFAULT_LAM_BOX, lam0=lam0)
+        return conjugate_or_inf(self.law(x, y), a)

@@ -65,9 +65,12 @@ __all__ = [
 
 # Pairs whose weight ends a solve below this are dropped exactly.
 THETA_UNFLOOR = 1e-10
-# Newton on (k, theta): share of the distance to theta = 0 a step may
-# cover, Armijo sufficient-decrease fraction, and the step length below
-# which backtracking gives up.
+# Newton on (k, theta): steps per box pass, the decrement (relative to
+# max(1, |value|)) that ends a pass, share of the distance to theta = 0 a
+# step may cover, Armijo sufficient-decrease fraction, and the step length
+# below which backtracking gives up.
+MAX_NEWTON = 100
+NEWTON_TOL = 1e-7
 FRACTION_TO_BOUNDARY = 0.99
 ARMIJO = 1e-4
 MIN_STEP = 1e-12
@@ -338,8 +341,7 @@ class _BoxedObjective:
         return total, grad, hess
 
 
-def _newton(objective: _BoxedObjective, proj: _JointProjector, z: np.ndarray, *,
-            max_iters: int, tol: float):
+def _newton(objective: _BoxedObjective, proj: _JointProjector, z: np.ndarray):
     """Equality-constrained, gradient-regularized Newton on z = (k, theta).
 
     Each step solves (H + mu I) dz = -g on the null space of the
@@ -349,7 +351,8 @@ def _newton(objective: _BoxedObjective, proj: _JointProjector, z: np.ndarray, *,
     flat hull directions) and fades as the gradient vanishes. The step is
     cut so theta stays positive (fraction to the boundary), then halved
     until the value drops by the Armijo rule. Stops once the Newton
-    decrement -g . dz / 2 falls below ``tol * max(1, |F|)``.
+    decrement -g . dz / 2 falls below ``NEWTON_TOL * max(1, |F|)``, or
+    unconverged after ``MAX_NEWTON`` steps.
 
     Returns (value, z, steps, decrement, converged).
     """
@@ -376,9 +379,9 @@ def _newton(objective: _BoxedObjective, proj: _JointProjector, z: np.ndarray, *,
         dz = basis @ np.linalg.solve(reduced, -g)
         slope = float(grad @ dz)
         decrement = -0.5 * slope
-        if decrement < tol * max(1.0, abs(value)):
+        if decrement < NEWTON_TOL * max(1.0, abs(value)):
             return value, z, steps, decrement, True
-        if steps == max_iters:
+        if steps == MAX_NEWTON:
             return value, z, steps, decrement, False
         shrink = dz[live] < 0
         alpha = 1.0
@@ -397,10 +400,8 @@ def _newton(objective: _BoxedObjective, proj: _JointProjector, z: np.ndarray, *,
         steps += 1
 
 
-def _solve_at_box(objective: _BoxedObjective, proj: _JointProjector, start: np.ndarray, *,
-                  max_iters: int, tol: float):
-    value, z, steps, decrement, converged = _newton(objective, proj, start,
-                                                    max_iters=max_iters, tol=tol)
+def _solve_at_box(objective: _BoxedObjective, proj: _JointProjector, start: np.ndarray):
+    value, z, steps, decrement, converged = _newton(objective, proj, start)
     # the Newton iterate is on the affine set up to roundoff, so it stands as
     # it is unless a pair is dropped
     small = (proj.split(z)[1] < THETA_UNFLOOR) & objective.allowed
@@ -411,8 +412,7 @@ def _solve_at_box(objective: _BoxedObjective, proj: _JointProjector, start: np.n
     return objective(k, theta)[0], z, k, theta, steps, decrement, converged
 
 
-def _infconv(oracle: ConjugateOracle, P: TransitionKernel, target: np.ndarray, *,
-             max_iters: int = 100, tol: float = 1e-7) -> InfConvResult:
+def _infconv(oracle: ConjugateOracle, P: TransitionKernel, target: np.ndarray) -> InfConvResult:
     target = np.asarray(target, dtype=float)
     if target.shape != (oracle.d,):
         raise ValueError(f"target has dimension {target.shape}, oracle expects ({oracle.d},)")
@@ -429,14 +429,12 @@ def _infconv(oracle: ConjugateOracle, P: TransitionKernel, target: np.ndarray, *
         k = FluxField(np.zeros((n, n, oracle.d)))
         return InfConvResult(math.inf, PairMeasure(theta0), k, math.inf, True, False, 0, 0, 0.0)
     objective = _BoxedObjective(oracle, P, allowed)
-    v1, z1, _, _, it1, _, conv1 = _solve_at_box(objective, proj, start,
-                                                max_iters=max_iters, tol=tol)
+    v1, z1, _, _, it1, _, conv1 = _solve_at_box(objective, proj, start)
     # the doubled-box pass refines the base-box Newton iterate (theta still
     # positive there) from the base-box multipliers; the objective stays
     # convex when the box grows
     objective.lam_box *= 2
-    v2, _, k2, t2, it2, dec2, conv2 = _solve_at_box(objective, proj, z1,
-                                                    max_iters=max_iters, tol=tol)
+    v2, _, k2, t2, it2, dec2, conv2 = _solve_at_box(objective, proj, z1)
     growth = (v2 - v1) / max(1.0, abs(v1))
     feasible = growth <= SWEEP_GROWTH_RTOL
     certificate = abs(v2 - v1) / max(1.0, abs(v1))
@@ -446,31 +444,29 @@ def _infconv(oracle: ConjugateOracle, P: TransitionKernel, target: np.ndarray, *
                          it1 + it2, objective.solves, dec2)
 
 
-def infconv_dvg(rho, oracle: ConjugateOracle, P: TransitionKernel, *,
-                max_iters: int = 100, tol: float = 1e-7) -> InfConvResult:
+def infconv_dvg(rho, oracle: ConjugateOracle, P: TransitionKernel) -> InfConvResult:
     """Infimum of the block rate over decompositions of an occupation target.
 
     Divided by the window length, the value matches the occupation rate of
     the underlying chain at ``rho``. Requires an occupation-mode oracle.
     Each of the two box passes stops once its Newton decrement falls below
-    ``tol * max(1, |value|)``, or unconverged after ``max_iters`` Newton
-    steps. Raises ``NonConvergence`` when a Newton system becomes too
+    ``NEWTON_TOL * max(1, |value|)``, or unconverged after ``MAX_NEWTON``
+    Newton steps. Raises ``NonConvergence`` when a Newton system becomes too
     ill-conditioned for its step to carry a correct digit.
     """
     if oracle.mode != "occupation":
         raise ValueError("infconv_dvg needs an occupation-mode oracle")
     rho = rho.weights if isinstance(rho, ProbVector) else np.asarray(rho, dtype=float)
-    return _infconv(oracle, P, rho, max_iters=max_iters, tol=tol)
+    return _infconv(oracle, P, rho)
 
 
-def infconv_bfg(rho, j, oracle: ConjugateOracle, P: TransitionKernel, *,
-                max_iters: int = 100, tol: float = 1e-7) -> InfConvResult:
+def infconv_bfg(rho, j, oracle: ConjugateOracle, P: TransitionKernel) -> InfConvResult:
     """Infimum of the block rate over decompositions of a joint (rho, j) target.
 
     The flux part of the target is in jumps per unit time; unreachable
     targets (for instance a flux with nonzero divergence) come back flagged
     infeasible with an infinite value. Requires a flux-mode oracle.
-    ``tol``, ``max_iters`` and ``NonConvergence`` mean what they do for
+    The stopping rule and ``NonConvergence`` mean what they do for
     ``infconv_dvg``; a target on the edge of the decomposable set, such as
     zero flux, can raise it.
     """
@@ -482,7 +478,7 @@ def infconv_bfg(rho, j, oracle: ConjugateOracle, P: TransitionKernel, *,
     if j.shape != (n, n):
         raise ValueError(f"flux target shape {j.shape} does not match {n} states")
     target = np.concatenate([rho, j.ravel()])
-    return _infconv(oracle, P, target, max_iters=max_iters, tol=tol)
+    return _infconv(oracle, P, target)
 
 
 # ---------------------------------------------------------------------------

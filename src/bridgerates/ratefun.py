@@ -37,6 +37,7 @@ MARGINAL_TOL = 1e-12
 OFF_SUPPORT_GAP = 60.0  # potential drop to states whose inflow the rate counts in full
 ARMIJO = 1e-4  # sufficient-increase fraction of the Newton slope
 MIN_STEP = 2.0**-40  # smallest step fraction the Newton line search tries
+GRAD_TOL = 1e-10  # gradient max-norm at which the Newton ascent stops
 _TINY = np.finfo(float).tiny  # smallest normal double
 
 
@@ -204,7 +205,7 @@ def _laplacian_solve(src: np.ndarray, dst: np.ndarray, flow: np.ndarray, rhs: np
     return x
 
 
-def _newton_ascent(w: np.ndarray, v: np.ndarray, grad_tol: float, max_iters: int):
+def _newton_ascent(w: np.ndarray, v: np.ndarray, max_iters: int):
     """Maximize sum_xy w_xy (1 - exp(v_y - v_x)) over v with v[0] held fixed.
 
     ``w`` is the weight matrix of a strongly connected graph, so the
@@ -223,7 +224,7 @@ def _newton_ascent(w: np.ndarray, v: np.ndarray, grad_tol: float, max_iters: int
         flow = weights * np.exp(v[dst] - v[src])
         grad = np.bincount(src, flow, k) - np.bincount(dst, flow, k)
         gnorm = float(np.abs(grad).max(initial=0.0))
-        if gnorm < grad_tol or steps >= max_iters:
+        if gnorm < GRAD_TOL or steps >= max_iters:
             break
         step = _laplacian_solve(src, dst, flow, grad)
         slope = float(grad @ step)
@@ -244,7 +245,6 @@ def dvg_rate(
     rho: ProbVector | np.ndarray,
     Q: GeneratorMatrix,
     *,
-    grad_tol: float = 1e-10,
     max_iters: int = 100,
 ) -> VariationalResult:
     """Occupation-measure rate functional sup_{u > 0} -sum_x rho_x (Qu)_x / u_x.
@@ -262,7 +262,7 @@ def dvg_rate(
     - What remains is one strongly connected problem per component, whose
       maximum is attained. Each is solved by gauge-fixed Newton with the
       weighted-Laplacian Hessian and Armijo halving, from v = log(rho) / 2
-      (exact for symmetric chains), to ``grad_tol`` on the gradient. A
+      (exact for symmetric chains), to ``GRAD_TOL`` on the gradient. A
       Laplacian singular to working precision (a flow that underflows at
       rho entries near 1e-37) is solved on the rank it has, not raised.
 
@@ -304,7 +304,7 @@ def dvg_rate(
         states = support[comp]
         labels[states] = states[0]
         local, value_c, gnorm_c, steps = _newton_ascent(
-            base[np.ix_(states, states)], 0.5 * np.log(rho.weights[states]), grad_tol, max_iters
+            base[np.ix_(states, states)], 0.5 * np.log(rho.weights[states]), max_iters
         )
         feeders = placed & (base[:, states] > 0).any(axis=1)
         ceiling = v[feeders].min() - OFF_SUPPORT_GAP if feeders.any() else 0.0
@@ -318,7 +318,7 @@ def dvg_rate(
     outside = rho.weights == 0
     v[outside] = v[support].min() - OFF_SUPPORT_GAP
     result = VariationalResult(value, v, gnorm, iterations)
-    if gnorm >= grad_tol:
+    if gnorm >= GRAD_TOL:
         raise NonConvergence("occupation-rate Newton ascent stopped above the gradient tolerance",
                              best=result)
     return result

@@ -6,14 +6,17 @@ reaches a state it cannot leave. Whole-path statistics (occupation
 fractions, jump counts) and the windowed block embedding (endpoint skeleton
 plus per-window additive statistics) are computed from the recorded jump
 sequence. Batch helpers simulate many paths at once by uniformization, one
-stream per batch: a Poisson number of events per path, the skeleton chain
-P = I + Q / lam run in lockstep, and occupation fractions drawn from the
-Dirichlet law of the event spacings given the skeleton's visit counts.
-Absorbing states need no special case there. The batch helpers drive
-tail-probability estimation; the lockstep skeleton loop (``_skeleton``)
+stream per batch: a Poisson number of events per path, and the skeleton
+chain P = I + Q / lam (``chain._uniformized``) run in lockstep by
+``_skeleton``, which returns each path's end state, visit counts and jump
+counts in batch order. ``_blocks`` is the one place that turns those
+counts into window blocks: occupation fractions drawn from the Dirichlet
+law of the event spacings given the visit counts, followed in flux mode by
+the jump counts per unit time. Absorbing states need no special case
+there. The batch helpers drive tail-probability estimation; ``_skeleton``
 also runs the endpoint-conditioned skeletons of bridge sampling
 (``bridge.conditional_samples``), with next-state tables that depend on
-the number of steps left.
+the number of steps left, and ``_blocks`` builds their blocks too.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import GeneratorMatrix, ProbVector
+from .chain import GeneratorMatrix, ProbVector, _uniformized
 from .ratefun import FluxField, PairMeasure
 
 __all__ = [
@@ -311,46 +314,8 @@ def accumulate(embedding: DiscreteEmbedding) -> EmpiricalPair:
 # vectorized batch simulation
 
 
-@dataclass(frozen=True)
-class _WindowCounts:
-    """Skeleton counts of a batch of paths over one window.
-
-    ``ends`` holds the end states in batch order. The count arrays keep the
-    order the paths were simulated in, one row per state (``visits``, n by
-    batch) or per move a -> b (``jumps``, n^2 by batch, None without flux);
-    ``slot[p]`` is the column of batch path p. ``rows`` gathers the counts
-    back into batch order.
-    """
-
-    ends: np.ndarray
-    slot: np.ndarray
-    visits: np.ndarray
-    jumps: np.ndarray | None
-
-    def rows(self):
-        """Visit counts (batch, n) and real-jump counts (batch, n, n) or None, in batch order."""
-        visits = self.visits.take(self.slot, axis=1).T
-        if self.jumps is None:
-            return visits, None
-        n = self.visits.shape[0]
-        jumps = self.jumps.take(self.slot, axis=1).T.reshape(self.slot.size, n, n)
-        jumps[:, np.arange(n), np.arange(n)] = 0  # skeleton self-loops are not jumps
-        return visits, jumps
-
-
-def _uniformized(Q: GeneratorMatrix) -> tuple[float, np.ndarray]:
-    """Uniformization rate lam (the largest exit rate) and skeleton kernel P = I + Q / lam.
-
-    A state with zero exit rate has the unit row in P; a chain with no
-    moves at all has lam = 0 and P = I.
-    """
-    lam = float(Q.exit_rates.max())
-    eye = np.eye(Q.n_states)
-    return lam, (eye + Q.rates / lam if lam > 0.0 else eye)
-
-
 def _skeleton(events: np.ndarray, states: np.ndarray, tables: np.ndarray, uniforms,
-              want_flux: bool) -> _WindowCounts:
+              want_flux: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Run a batch of skeleton chains in lockstep: path p takes events[p] steps from states[p].
 
     ``tables`` stacks next-state tables (``_next_state_table``) as an
@@ -361,61 +326,65 @@ def _skeleton(events: np.ndarray, states: np.ndarray, tables: np.ndarray, unifor
     path in ``paths`` (batch indices of the paths that take a k-th step,
     in simulation order). Paths are sorted by their number of steps once,
     so step k runs on the contiguous tail of paths with events >= k, and
-    memory stays O(batch n) (O(batch n^2) with flux) whatever the steps.
-    Returns the end states, the visit counts per state (each path's sum
-    to events + 1) and, if want_flux, the counts of moves a -> b.
+    memory stays O(batch n) (O(batch n^2) with flux) whatever the steps;
+    jumps are counted straight into their batch row, and the end states and
+    visit counts are scattered back to batch order at the end.
+    Returns (ends, visits, jumps) in batch order: the end states, the
+    (batch, n) visit counts per state (each row sums to events + 1) and,
+    if want_flux, the (batch, n^2) float counts of real jumps a -> b in
+    column a n + b, with the skeleton's self-loops (the diagonal columns)
+    zeroed; jumps is None otherwise.
     """
     n = tables.shape[1]
     batch = states.size
     columns = [np.ascontiguousarray(tables[..., c]).ravel() for c in range(n - 1)]
     top = int(events.max(initial=0))
     # numpy radix-sorts 16-bit keys; the order only has to be deterministic
-    keys = events.astype(np.uint16) if top < 2**16 else events
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(events.astype(np.uint16) if top < 2**16 else events, kind="stable")
     events = events[order]
     state = states[order]
-    # one row per state or move, so each step works on contiguous slices
+    # one row per state, so each step works on contiguous slices
     visits = np.zeros((n, batch), dtype=np.int64)  # row 0 is filled in at the end
     for z in range(1, n):
         visits[z] += state == z
-    jumps = np.zeros(n * n * batch, dtype=np.int64) if want_flux else None
-    column = np.arange(batch)
+    jumps = np.zeros((batch, n * n)) if want_flux else None
     for k in range(1, top + 1):
         lo = int(np.searchsorted(events, k))
         here = state[lo:]
-        u = uniforms(k, order[lo:])
+        paths = order[lo:]
+        u = uniforms(k, paths)
         entry = here if tables.shape[0] == 1 else (events[lo:] - k) * n + here
         new = np.zeros(here.size, dtype=np.int64)
         for col in columns:
             new += u >= col[entry]
         if want_flux:
-            jumps[(here * n + new) * batch + column[lo:]] += 1
+            jumps[paths, here * n + new] += 1.0
         state[lo:] = new
         for z in range(1, n):
             visits[z, lo:] += new == z
     visits[0] = events + 1 - visits[1:].sum(axis=0)
-    slot = np.empty_like(order)
-    slot[order] = column
-    return _WindowCounts(state[slot], slot, visits,
-                         jumps.reshape(n * n, batch) if want_flux else None)
+    if want_flux:
+        jumps[:, :: n + 1] = 0.0  # skeleton self-loops are not jumps
+    ends = np.empty_like(state)
+    ends[order] = state
+    counts = np.empty((batch, n), dtype=np.int64)
+    counts[order] = visits.T
+    return ends, counts, jumps
 
 
 def _batch_step(Q: GeneratorMatrix, t0: float, states: np.ndarray, rng: np.random.Generator,
-                want_flux: bool) -> _WindowCounts:
+                want_flux: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Advance a batch of paths through one window of length t0 by uniformization.
 
     With lam the largest exit rate, each path sees N ~ Poisson(lam t0)
     events, and its states at the events follow the skeleton chain with
-    kernel P = I + Q / lam, run by ``_skeleton`` with one uniform per step
-    from ``rng``. Returns each path's end state and, through
-    ``_WindowCounts.rows``, the skeleton's visit counts per state (each
-    row sums to N + 1) and its real-jump counts (moves a -> b with a != b;
-    None unless want_flux). Given the visit counts m, the occupation
-    fractions over the window are Dirichlet(m) (see
-    ``_occupation_fractions``). A state with zero exit rate has the unit
-    row in P and keeps its paths, so chains with absorbing states sample
-    exactly and nothing raises ``AbsorbingState``. The cost is
-    proportional to lam t0, not to the number of real jumps.
+    kernel P = I + Q / lam (``chain._uniformized``), run by ``_skeleton``
+    with one uniform per step from ``rng``; returns its (ends, visits,
+    jumps), which ``_blocks`` turns into the window's blocks. A state with
+    zero exit rate has the unit row in P and keeps its paths, so chains
+    with absorbing states sample exactly and nothing raises
+    ``AbsorbingState``. The cost is proportional to lam t0, not to the
+    number of real jumps.
     """
     lam, probs = _uniformized(Q)
     events = rng.poisson(lam * t0, states.size)
@@ -423,16 +392,24 @@ def _batch_step(Q: GeneratorMatrix, t0: float, states: np.ndarray, rng: np.rando
                      lambda k, paths: rng.random(paths.size), want_flux)
 
 
-def _occupation_fractions(visits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Occupation fractions of a window given its skeleton visit counts.
+def _blocks(visits: np.ndarray, jumps: np.ndarray | None, rng: np.random.Generator,
+            t0: float) -> np.ndarray:
+    """Window blocks (batch, d) from the skeleton counts of ``_skeleton``.
 
-    The N + 1 spacings of N uniform event times are Dirichlet(1, ..., 1);
-    grouped by the state the skeleton holds in each spacing they are
-    Dirichlet(visits), drawn as normalized gamma variates. A zero count
-    gives an exact 0.
+    The first n columns are the occupation fractions: the N + 1 spacings
+    of N uniform event times are Dirichlet(1, ..., 1), so grouped by the
+    state the skeleton holds in each spacing they are Dirichlet(visits),
+    drawn as normalized gamma variates (a zero count gives an exact 0).
+    With jumps (flux mode) the n^2 jump counts divided by t0 follow.
     """
+    batch, n = visits.shape
     gamma = rng.standard_gamma(visits)
-    return gamma / gamma.sum(axis=1, keepdims=True)
+    # allocated after the draw, which converts visits to a float temporary
+    block = np.empty((batch, n if jumps is None else n + jumps.shape[1]))
+    np.divide(gamma, gamma.sum(axis=1, keepdims=True), out=block[:, :n])
+    if jumps is not None:
+        np.divide(jumps, t0, out=block[:, n:])
+    return block
 
 
 def batch_occupations(
@@ -453,8 +430,8 @@ def batch_occupations(
         states = rng.choice(Q.n_states, size=n_paths, p=init.weights)
     else:
         states = np.full(n_paths, int(init))
-    visits, _ = _batch_step(Q, horizon, states, rng, want_flux=False).rows()
-    return _occupation_fractions(visits, rng)
+    _, visits, _ = _batch_step(Q, horizon, states, rng, want_flux=False)
+    return _blocks(visits, None, rng, horizon)
 
 
 def batch_pair_statistics(
@@ -483,15 +460,8 @@ def batch_pair_statistics(
     theta = np.zeros((n_paths, n, n))
     rows = np.arange(n_paths)
     for _ in range(n_windows):
-        window = _batch_step(Q, t0, states, rng, want_flux=(mode == "flux"))
-        visits, flux = window.rows()
-        new_states = window.ends
-        occ = _occupation_fractions(visits, rng)
-        if mode == "occupation":
-            blocks = occ
-        else:
-            blocks = np.concatenate([occ, flux.reshape(n_paths, n * n) / t0], axis=1)
-        k[rows, states, new_states] += blocks
+        new_states, visits, jumps = _batch_step(Q, t0, states, rng, want_flux=(mode == "flux"))
+        k[rows, states, new_states] += _blocks(visits, jumps, rng, t0)
         theta[rows, states, new_states] += 1.0
         states = new_states
     return k / n_windows, theta / n_windows

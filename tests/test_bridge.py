@@ -140,6 +140,23 @@ def test_conditional_samples_beside_absorbing_state():
     assert np.all(law.samples[:, 2] == 0.0)
 
 
+def test_conditional_block_layout_agrees_across_modes(ring_three):
+    # a flux block is the occupation block of the same draws followed by
+    # the n^2 jump counts per unit time, with zero self-loop columns
+    n, t0 = 3, 0.25
+    for x in range(n):
+        for y in range(n):
+            spec = br.BridgeSpec(ring_three, x, y, t0)
+            occ = br.conditional_samples(spec, "occupation", 500, seed=9).samples
+            flux = br.conditional_samples(spec, "flux", 500, seed=9).samples
+            assert flux.shape == (500, n + n * n)
+            assert np.array_equal(flux[:, :n], occ)
+            jumps = flux[:, n:].reshape(-1, n, n)
+            assert np.all(jumps[:, np.arange(n), np.arange(n)] == 0.0)
+            counts = jumps * t0
+            assert np.array_equal(counts, np.rint(counts))
+
+
 def test_conditional_occupation_rows_sum_to_one(spec_one):
     law = br.conditional_samples(spec_one, "occupation", 256, seed=2)
     assert law.samples.shape == (256, 2)

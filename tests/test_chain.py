@@ -75,6 +75,21 @@ def test_transition_semigroup(ring_three):
     assert np.allclose(Ps @ Pt, Pst, atol=1e-10)
 
 
+def test_transition_at_long_horizon_stays_stochastic():
+    # stiff 5-state chain (exit rates 0.7 to 1067): lam t = 3.2e6, so the
+    # kernel comes from 14 squarings, each of which doubles the row-sum error
+    Q = br.validate_generator([
+        [-0.7185251108372157, 0.0, 0.31394547417447305, 0.13326735207687695, 0.27131228458586565],
+        [4.359100360165022, -1066.8687766005987, 1057.5122300061523, 0.0, 4.997446234281306],
+        [0.0, 0.0, -17.22922507825118, 1.10161209686821, 16.12761298138297],
+        [0.022231475848172318, 1.291616930789757, 0.0, -8.978989542125905, 7.665141135487976],
+        [4.435280070998697, 0.3433538230918629, 0.0, 0.22959266808975362, -5.0082265621803135],
+    ])
+    P = br.transition_at(Q, 3000.0).probs
+    assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-14
+    assert np.abs(P - br.invariant_measure(Q).weights).max() <= 1e-12
+
+
 def test_invariant_measure_known_two_state():
     Q = br.validate_generator([[-2.0, 2.0], [1.0, -1.0]])
     pi = br.invariant_measure(Q)

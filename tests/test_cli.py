@@ -142,12 +142,13 @@ def test_rates_reports_all_requested_functionals(tmp_path):
     assert "dvg.value" in metrics and "bfg.value" in metrics
 
 
-def test_bridge_sample_single_pair(tmp_path):
+@pytest.mark.parametrize("mode, d", [("occupation", 2), ("flux", 6)], ids=["occupation", "flux"])
+def test_bridge_sample_single_pair(tmp_path, mode, d):
     cfg = write_config(
         tmp_path / "cfg.json",
         generator=SYM,
         t0=0.5,
-        mode="occupation",
+        mode=mode,
         n_samples=300,
         x=0,
         y=1,
@@ -155,15 +156,19 @@ def test_bridge_sample_single_pair(tmp_path):
     code, out = run(tmp_path, "bridge-sample", cfg)
     assert code == 0
     payload = json.loads((out / "bridge-sample.json").read_text())
+    assert payload["mode"] == mode
     assert len(payload["pairs"]) == 1
     entry = payload["pairs"][0]
     assert entry["x"] == 0 and entry["y"] == 1
-    assert entry["n_samples"] == 300 and entry["d"] == 2
-    assert sum(entry["mean"]) == pytest.approx(1.0)
+    assert entry["n_samples"] == 300 and entry["d"] == d
+    assert sum(entry["mean"][:2]) == pytest.approx(1.0)
     dump = out / entry["file"]
     samples = load_samples(dump)
-    assert samples.shape == (300, 2)
-    np.testing.assert_allclose(samples.sum(axis=1), 1.0, atol=1e-12)
+    assert samples.shape == (300, d)
+    np.testing.assert_allclose(samples[:, :2].sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(samples.mean(axis=0), entry["mean"], rtol=0.0, atol=1e-12)
+    if mode == "flux":
+        assert np.all(samples[:, [2, 5]] == 0.0)  # jumps 0 -> 0 and 1 -> 1
 
 
 @pytest.mark.parametrize("endpoint", ["x", "y"])

@@ -141,6 +141,25 @@ def test_batch_pair_statistics_shapes_and_mass(symmetric_two):
     assert np.allclose(counts, np.round(counts), atol=1e-9)
 
 
+@pytest.mark.parametrize("init", [0, "pi"])
+def test_batch_pair_statistics_block_layout_agrees_across_modes(ring_three, init):
+    # both modes take the same draws: the flux blocks extend the occupation
+    # blocks by the jump counts, whose self-loop columns stay zero
+    n = 3
+    start = br.invariant_measure(ring_three) if init == "pi" else init
+    k_occ, theta_occ = br.batch_pair_statistics(
+        ring_three, 0.25, 5, 300, np.random.default_rng(9), start, mode="occupation"
+    )
+    k_flux, theta_flux = br.batch_pair_statistics(
+        ring_three, 0.25, 5, 300, np.random.default_rng(9), start, mode="flux"
+    )
+    assert k_flux.shape == (300, n, n, n + n * n)
+    assert np.array_equal(k_occ, k_flux[..., :n])
+    assert np.array_equal(theta_occ, theta_flux)
+    jumps = k_flux[..., n:].reshape(300, n, n, n, n)
+    assert np.all(jumps[..., np.arange(n), np.arange(n)] == 0.0)
+
+
 def test_batch_pair_statistics_rejects_bad_mode(symmetric_two):
     with pytest.raises(ValueError):
         br.batch_pair_statistics(
