@@ -6,12 +6,11 @@ statistic equals (after dividing by the window length) the infimum of the
 composite block rate over all pair decompositions (k, theta) whose totals
 hit the target. ``build_oracle`` samples the per-pair block laws afresh on
 every call, and ``infconv_dvg`` / ``infconv_bfg`` compute that infimum
-numerically against the sampled oracle: an equality-constrained,
-gradient-regularized Newton method on (k, theta) whose Hessian comes from
-the curvature each conjugate solve already returns, run on the conjugate
-box and again on the doubled box to certify the optimum. Its start, and
-the verdict on targets that cannot be decomposed at all, come from one
-least-squares solve for k at the stationary pair measure.
+numerically against the sampled oracle through its dual: the conjugate, at
+the target, of the log Perron root of the window kernel tilted by each
+pair's block law. That is one d-dimensional ``conjugate_at`` solve, run on
+the conjugate box and again on the doubled box to certify the optimum, and
+the minimizing (k, theta) is read off the tilted chain at its maximizer.
 ``contract_dvg_from_bfg`` checks the flux-to-occupation contraction by
 convex duality: its dual is the ``dvg_rate`` problem, so it builds a
 divergence-free flux from that call's potentials and certifies it by
@@ -32,11 +31,11 @@ from .chain import (
     ProbVector,
     TransitionKernel,
     _strong_components,
-    dtmc_invariant,
     invariant_measure,
 )
 from .conjugate import (
     DEFAULT_LAM_BOX,
+    GROWTH_RTOL,
     ConjugateOracle,
     conjugate_at,
 )
@@ -63,25 +62,14 @@ __all__ = [
     "mc_decay_rate",
 ]
 
-# Pairs whose weight ends a solve below this are dropped exactly.
-THETA_UNFLOOR = 1e-10
-# Newton on (k, theta): steps per box pass, the decrement (relative to
-# max(1, |value|)) that ends a pass, share of the distance to theta = 0 a
-# step may cover, Armijo sufficient-decrease fraction, and the step length
-# below which backtracking gives up.
-MAX_NEWTON = 100
-NEWTON_TOL = 1e-7
-FRACTION_TO_BOUNDARY = 0.99
-ARMIJO = 1e-4
-MIN_STEP = 1e-12
-# Relative growth of the optimum under box doubling that flags an
-# unreachable target (the box acts as a penalty weight on the constraints).
-SWEEP_GROWTH_RTOL = 1e-2
 # Contraction: flux-weighted Newton rounds that repair a component's
 # divergence, stopped early once it is at rounding level, EPS times the
 # largest flux.
 REPAIR_ROUNDS = 5
 EPS = float(np.finfo(float).eps)
+# smallest normal double: a Perron vector entry at or below it, relative to
+# the largest, has left double precision
+TINY = float(np.finfo(float).tiny)
 MC_BATCH = 50_000
 MIN_HITS = 30
 
@@ -131,11 +119,13 @@ class InfConvResult:
     length for the continuous-time rate); infinite when the target was
     flagged unreachable. ``certificate`` is the relative change of the
     optimum under doubling of the conjugate box, small when the reported
-    optimum has stabilized. ``iterations`` counts the Newton steps of both
-    box passes, ``conjugate_solves`` the per-pair conjugate solves they
-    made, and ``decrement`` is the Newton decrement at the end of the
-    doubled-box pass; ``converged`` says both passes brought their
-    decrement under tolerance.
+    optimum has stabilized. ``theta`` and ``k`` are the pair measure and
+    pair block sums of the tilted chain at the doubled-box maximizer.
+    ``iterations`` counts the evaluations of that chain (its log Perron
+    root with gradient and Hessian, one moment pass per pair each),
+    ``conjugate_solves`` the conjugate solves (one per box), and
+    ``decrement`` is the Newton decrement of the doubled-box solve at its
+    maximizer; ``converged`` says both solves met their gradient tolerance.
     """
 
     value: float
@@ -149,299 +139,112 @@ class InfConvResult:
     decrement: float
 
 
-class _JointProjector:
-    """Affine constraints of a pair decomposition (k, theta), by least squares.
+class _PairChain:
+    """Window kernel tilted by the bridge laws, as a law for ``conjugate_at``.
 
-    The constraints tie the decomposition together: pair totals hit the
-    target, each pair's block mass matches its theta weight (block
-    occupation fractions sum to one), flux blocks carry the divergence and
-    zero diagonal their endpoints force on them, and theta is a balanced
-    measure supported on the allowed pairs. Keeping these exact is what
-    keeps every conjugate evaluation on the affine hull of its law's
-    support, where the conjugate is smooth. ``null_basis`` spans the
-    directions that keep every constraint, where the Newton steps run.
+    At a multiplier lam, each allowed pair p = (x, y) tilts its window
+    transition by the log-MGF Lambda_p of its block law,
 
-    At a theta that is balanced and positive on every allowed pair, the
-    constraints left on k have a solution exactly when the target can be
-    decomposed, so one least-squares solve for k (``start``) gives both the
-    feasible start and the infeasibility verdict. ``drop`` removes pairs
-    from a feasible point with one minimum-norm correction on the rest.
+        M(lam)_xy = P_xy exp(Lambda_xy(lam)),
+
+    and ``_moments`` returns log r(M(lam)), the log Perron root, with its
+    gradient and Hessian. log r is convex in lam (Kingman, Quart. J. Math.
+    12:283-284, 1961), and by the Donsker-Varadhan pair-measure formula
+    (Comm. Pure Appl. Math. 28:1-47, 1975) it is the Legendre dual of the
+    block decomposition: its conjugate at a target is the infimum over
+    (k, theta) of sum_p theta_p phi*_p(k_p / theta_p) plus the pair entropy
+    of theta under P, with k summing to the target. A box on lam is a box on
+    every pair's multiplier, so the boxed conjugate is the decomposition
+    with boxed per-pair conjugates.
+
+    The derivatives come from the Doob transform K_xy = M_xy h_y / (r h_x)
+    of M, with h and l its right and left Perron vectors: K has the
+    stationary law pi proportional to l h and the pair measure
+    theta = pi_x K_xy, which is the minimizing decomposition's theta. The
+    gradient is the tilted block mean sum_p theta_p m_p, and the Hessian is
+    the asymptotic variance of the block sum along K: each pair's tilted
+    covariance, plus the autocovariance series of the centered means
+    f_p = m_p - grad, summed in closed form by the fundamental matrix
+    (I - K + 1 pi)^-1. ``evaluations`` counts the passes.
     """
 
-    def __init__(self, mode: str, n: int, d: int, t0: float | None,
-                 allowed: np.ndarray, target: np.ndarray):
-        self.n = n
-        self.d = d
-        self._target = target
-        size = n * n * d + n * n
-        theta_off = n * n * d
-        rows = []
-        rhs = []
+    def __init__(self, oracle: ConjugateOracle, P: TransitionKernel):
+        self.d = oracle.d
+        self.n = P.n_states
+        self._pairs = list(zip(*np.nonzero(P.probs > 0)))
+        self._laws = [oracle.law(x, y) for x, y in self._pairs]
+        self._log_p = np.log(P.probs)
+        self.evaluations = 0
 
-        def k_col(p: int, i: int) -> int:
-            return p * d + i
+    def tilt(self, lam: np.ndarray):
+        """log r(M(lam)), the tilted chain K with its pair measure theta, and
+        the per-pair tilted means and covariances."""
+        self.evaluations += 1
+        n, d = self.n, self.d
+        log_m = np.full((n, n), -np.inf)
+        means = np.zeros((n, n, d))
+        covs = np.zeros((n, n, d, d))
+        for (x, y), law in zip(self._pairs, self._laws):
+            lmgf, means[x, y], covs[x, y] = law._moments(lam)
+            log_m[x, y] = self._log_p[x, y] + lmgf
+        shift = log_m.max()
+        M = np.exp(log_m - shift)
+        r, h = _perron(M, lam)
+        _, left = _perron(M.T, lam)
+        K = M * h[None, :] / (r * h[:, None])
+        pi = left * h / (left @ h)
+        theta = pi[:, None] * K
+        return shift + math.log(r), K, pi, theta / theta.sum(), means, covs
 
-        for i in range(d):
-            row = np.zeros(size)
-            row[[k_col(p, i) for p in range(n * n)]] = 1.0
-            rows.append(row)
-            rhs.append(target[i])
-        occ_dims = d if mode == "occupation" else n
-        for p in range(n * n):
-            row = np.zeros(size)
-            row[[k_col(p, i) for i in range(occ_dims)]] = 1.0
-            row[theta_off + p] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-        if mode == "flux":
-            for p in range(n * n):
-                x, y = divmod(p, n)
-                for z in range(n):
-                    row = np.zeros(size)
-                    for b in range(n):
-                        row[k_col(p, n + z * n + b)] += 1.0
-                        row[k_col(p, n + b * n + z)] -= 1.0
-                    row[theta_off + p] = -(float(z == x) - float(z == y)) / t0
-                    rows.append(row)
-                    rhs.append(0.0)
-                for z in range(n):
-                    row = np.zeros(size)
-                    row[k_col(p, n + z * n + z)] = 1.0
-                    rows.append(row)
-                    rhs.append(0.0)
-        row = np.zeros(size)
-        row[theta_off:] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-        for i in range(n - 1):
-            row = np.zeros(size)
-            for b in range(n):
-                row[theta_off + i * n + b] += 1.0
-                row[theta_off + b * n + i] -= 1.0
-            rows.append(row)
-            rhs.append(0.0)
-        for p in np.flatnonzero(~allowed.ravel()):
-            row = np.zeros(size)
-            row[theta_off + p] = 1.0
-            rows.append(row)
-            rhs.append(0.0)
-            for i in range(d):
-                row = np.zeros(size)
-                row[k_col(p, i)] = 1.0
-                rows.append(row)
-                rhs.append(0.0)
-        self._C = np.array(rows)
-        self._b = np.array(rhs)
-        self._theta_off = theta_off
-        # orthonormal directions that keep every affine constraint: the right
-        # singular vectors past the numerical rank, by the rank rule of
-        # scipy.linalg.null_space. Stored row-major, as null_space returns
-        # it: BLAS rounds the reduced Newton products by layout, and an
-        # unconverged solve on a boundary target can end on either side of
-        # the feasibility test depending on those last bits.
-        _, sing, vh = np.linalg.svd(self._C)
-        rank = int(np.sum(sing > sing.max(initial=0.0) * np.finfo(float).eps * max(self._C.shape)))
-        self.null_basis = np.ascontiguousarray(vh[rank:].T)
-        # flat positions of the allowed theta entries
-        self.theta_slots = theta_off + np.flatnonzero(allowed.ravel())
-
-    def split(self, z: np.ndarray):
-        """(k, theta) views of a flat (k.ravel(), theta.ravel()) vector."""
-        off = self._theta_off
-        return z[:off].reshape(self.n, self.n, self.d), z[off:].reshape(self.n, self.n)
-
-    def start(self, theta: np.ndarray):
-        """Flat z at this theta, and its largest constraint residual.
-
-        k is the least-squares solution nearest to every pair sitting at the
-        target (k_p = theta_p * target); theta is kept as given. A residual
-        above roundoff means the target cannot be decomposed.
-        """
-        off = self._theta_off
-        z = np.concatenate([(theta[:, :, None] * self._target).ravel(), theta.ravel()])
-        z[:off] += np.linalg.lstsq(self._C[:, :off], self._b - self._C @ z, rcond=None)[0]
-        return z, float(np.abs(self._C @ z - self._b).max())
-
-    def drop(self, z: np.ndarray, small: np.ndarray) -> np.ndarray:
-        """z with the pairs ``small`` zeroed, then corrected back onto the constraints.
-
-        The correction is the minimum-norm least-squares one on the kept
-        pairs, so it moves a feasible z by about the mass it removes.
-        """
-        z = z.copy()
-        k, theta = self.split(z)
-        k[small] = 0.0
-        theta[small] = 0.0
-        keep = np.concatenate([np.repeat(~small.ravel(), self.d), ~small.ravel()])
-        z[keep] += np.linalg.lstsq(self._C[:, keep], self._b - self._C @ z, rcond=None)[0]
-        return z
+    def _moments(self, lam: np.ndarray):
+        log_r, K, pi, theta, means, covs = self.tilt(lam)
+        grad = np.einsum("xy,xyi->i", theta, means)
+        f = means - grad
+        w = np.linalg.solve(np.eye(self.n) - K + pi[None, :], np.einsum("xy,xyi->xi", K, f))
+        cross = np.einsum("xy,xyi,yj->ij", theta, f, w)
+        hess = (np.einsum("xy,xyij->ij", theta, covs) + np.einsum("xy,xyi,xyj->ij", theta, f, f)
+                + cross + cross.T)
+        return log_r, grad, hess
 
 
-class _BoxedObjective:
-    """Composite block rate on a fixed box, with its gradient and Hessian.
+def _perron(M: np.ndarray, lam: np.ndarray):
+    """Perron root and vector of a nonnegative matrix, the vector scaled to max 1.
 
-    Over the allowed pairs p = (x, y),
-
-        F(k, theta) = sum_p theta_p phi*_p(k_p / theta_p)
-                      + sum_p theta_p log(theta_p / (row_x(theta) P_xy)),
-
-    with each conjugate phi*_p solved on the box [-L, L]^d (L = ``lam_box``,
-    ``DEFAULT_LAM_BOX`` until the caller doubles it), which keeps F finite
-    everywhere. F is jointly convex. The conjugate terms
-    differentiate by the envelope rule: the k slope is the maximizing
-    multiplier and the theta slope is phi*_p(u) - lam . u at u = k_p /
-    theta_p; their second derivatives form the perspective Hessian
-    (1/theta_p) [[A, -A u], [-u' A, u' A u]] of the conjugate's curvature A,
-    all read off the solved conjugate. The entropy part adds diag(1/theta)
-    minus 1/row_x within each row. Pairs of zero weight (dropped at the
-    end of a solve) contribute nothing: the perspective vanishes at (0, 0).
-    Gradient and Hessian are in the flat layout (k.ravel(), theta.ravel()).
-    Keeps one warm-start multiplier per pair to make repeated solves cheap,
-    and counts the solves in ``solves``.
+    Raises ``NonConvergence`` when the vector has an entry at or below
+    ``TINY`` of its largest: the tilted kernel has then split into classes
+    that double precision cannot couple, which is where the decomposition
+    of a target on the edge of the decomposable set (such as zero flux)
+    is driven.
     """
-
-    def __init__(self, oracle: ConjugateOracle, P: TransitionKernel, allowed: np.ndarray):
-        self.oracle = oracle
-        self.P = P
-        self.allowed = allowed
-        self.lam_box = DEFAULT_LAM_BOX
-        n = allowed.shape[0]
-        self._pairs = [(x, y) for x in range(n) for y in range(n) if allowed[x, y]]
-        self._warm = {p: None for p in self._pairs}
-        self.solves = 0
-
-    def __call__(self, k: np.ndarray, theta: np.ndarray):
-        n, _, d = k.shape
-        off = n * n * d
-        grad = np.zeros(off + n * n)
-        hess = np.zeros((grad.size, grad.size))
-        total = 0.0
-        live = [(x, y) for x, y in self._pairs if theta[x, y] > 0]
-        row = np.where(self.allowed, theta, 0.0).sum(axis=1)
-        for x, y in live:
-            w = theta[x, y]
-            u = k[x, y] / w
-            est = conjugate_at(self.oracle.law(x, y), u, self.lam_box, lam0=self._warm[(x, y)])
-            self.solves += 1
-            self._warm[(x, y)] = est.maximizer
-            ks = slice((x * n + y) * d, (x * n + y + 1) * d)
-            t = off + x * n + y
-            log_ratio = math.log(w / (row[x] * self.P.probs[x, y]))
-            total += w * (est.value + log_ratio)
-            grad[ks] = est.maximizer
-            grad[t] = est.value - float(est.maximizer @ u) + log_ratio
-            au = est.curvature @ u / w
-            hess[ks, ks] = est.curvature / w
-            hess[ks, t] = hess[t, ks] = -au
-            hess[t, t] = float(u @ au) + 1.0 / w
-        for x in range(n):
-            slots = [off + x * n + y for y in range(n) if (x, y) in live]
-            if slots:
-                hess[np.ix_(slots, slots)] -= 1.0 / row[x]
-        return total, grad, hess
-
-
-def _newton(objective: _BoxedObjective, proj: _JointProjector, z: np.ndarray):
-    """Equality-constrained, gradient-regularized Newton on z = (k, theta).
-
-    Each step solves (H + mu I) dz = -g on the null space of the
-    projector's constraints with mu = |projected gradient| (Polyak,
-    Math. Program. 120:125-145, 2009); the shift keeps steps bounded along
-    directions where the boxed conjugates are linear (pinned multipliers,
-    flat hull directions) and fades as the gradient vanishes. The step is
-    cut so theta stays positive (fraction to the boundary), then halved
-    until the value drops by the Armijo rule. Stops once the Newton
-    decrement -g . dz / 2 falls below ``NEWTON_TOL * max(1, |F|)``, or
-    unconverged after ``MAX_NEWTON`` steps.
-
-    Returns (value, z, steps, decrement, converged).
-    """
-    basis = proj.null_basis
-    live = proj.theta_slots
-    value, grad, hess = objective(*proj.split(z))
-    steps = 0
-    while True:
-        g = basis.T @ grad
-        mu = float(np.linalg.norm(g))
-        if mu == 0.0:
-            return value, z, steps, 0.0, True
-        reduced = basis.T @ hess @ basis
-        reduced[np.diag_indices_from(reduced)] += mu
-        spectrum = np.linalg.eigvalsh(reduced)
-        if not spectrum[0] > spectrum[-1] * np.finfo(float).eps:
-            # the step would carry no correct digit: the curvature 1/theta of
-            # a pair weight running to zero, or of a conjugate near its box,
-            # has swamped the rest (a target on the boundary of the
-            # decomposable set, such as zero flux, leads here)
-            raise NonConvergence(
-                f"decomposition Newton step {steps + 1}: reduced Hessian eigenvalues span "
-                f"[{spectrum[0]:.2e}, {spectrum[-1]:.2e}], beyond double precision")
-        dz = basis @ np.linalg.solve(reduced, -g)
-        slope = float(grad @ dz)
-        decrement = -0.5 * slope
-        if decrement < NEWTON_TOL * max(1.0, abs(value)):
-            return value, z, steps, decrement, True
-        if steps == MAX_NEWTON:
-            return value, z, steps, decrement, False
-        shrink = dz[live] < 0
-        alpha = 1.0
-        if shrink.any():
-            room = float(np.min(-z[live][shrink] / dz[live][shrink]))
-            alpha = min(1.0, FRACTION_TO_BOUNDARY * room)
-        while alpha >= MIN_STEP:
-            trial = z + alpha * dz
-            trial_value, trial_grad, trial_hess = objective(*proj.split(trial))
-            if trial_value <= value + ARMIJO * alpha * slope:
-                break
-            alpha *= 0.5
-        else:
-            return value, z, steps, decrement, False
-        z, value, grad, hess = trial, trial_value, trial_grad, trial_hess
-        steps += 1
-
-
-def _solve_at_box(objective: _BoxedObjective, proj: _JointProjector, start: np.ndarray):
-    value, z, steps, decrement, converged = _newton(objective, proj, start)
-    # the Newton iterate is on the affine set up to roundoff, so it stands as
-    # it is unless a pair is dropped
-    small = (proj.split(z)[1] < THETA_UNFLOOR) & objective.allowed
-    if not small.any():
-        return value, z, *proj.split(z), steps, decrement, converged
-    # drop residual mass exactly and correct on the remaining pairs
-    k, theta = proj.split(proj.drop(z, small))
-    return objective(k, theta)[0], z, k, theta, steps, decrement, converged
+    values, vectors = np.linalg.eig(M)
+    top = int(np.argmax(values.real))
+    h = vectors[:, top].real
+    h = h / h[np.argmax(np.abs(h))]
+    if not h.min() > TINY:
+        raise NonConvergence(
+            f"decomposition Newton step at |lambda|_max = {np.abs(lam).max():.3g}: the tilted "
+            f"window kernel splits into classes (Perron vector entry {h.min():.2e} of 1)")
+    return float(values[top].real), h
 
 
 def _infconv(oracle: ConjugateOracle, P: TransitionKernel, target: np.ndarray) -> InfConvResult:
     target = np.asarray(target, dtype=float)
     if target.shape != (oracle.d,):
         raise ValueError(f"target has dimension {target.shape}, oracle expects ({oracle.d},)")
-    allowed = P.probs > 0
-    n = P.n_states
-    proj = _JointProjector(oracle.mode, n, oracle.d, oracle.t0, allowed, target)
-    # the stationary pair measure is balanced and positive on every allowed
-    # pair, so the constraints left on k are consistent exactly when the
-    # target can be decomposed (a flux with nonzero divergence cannot)
-    theta0 = dtmc_invariant(P).weights[:, None] * P.probs
-    theta0 /= theta0.sum()
-    start, residual = proj.start(theta0)
-    if residual > 1e-8:
-        k = FluxField(np.zeros((n, n, oracle.d)))
-        return InfConvResult(math.inf, PairMeasure(theta0), k, math.inf, True, False, 0, 0, 0.0)
-    objective = _BoxedObjective(oracle, P, allowed)
-    v1, z1, _, _, it1, _, conv1 = _solve_at_box(objective, proj, start)
-    # the doubled-box pass refines the base-box Newton iterate (theta still
-    # positive there) from the base-box multipliers; the objective stays
-    # convex when the box grows
-    objective.lam_box *= 2
-    v2, _, k2, t2, it2, dec2, conv2 = _solve_at_box(objective, proj, z1)
-    growth = (v2 - v1) / max(1.0, abs(v1))
-    feasible = growth <= SWEEP_GROWTH_RTOL
-    certificate = abs(v2 - v1) / max(1.0, abs(v1))
-    theta = PairMeasure(np.maximum(t2, 0.0) / np.maximum(t2, 0.0).sum())
-    value = v2 if feasible else math.inf
-    return InfConvResult(value, theta, FluxField(k2), certificate, conv1 and conv2, feasible,
-                         it1 + it2, objective.solves, dec2)
+    chain = _PairChain(oracle, P)
+    est1 = conjugate_at(chain, target, DEFAULT_LAM_BOX)
+    # the doubled box starts from the base-box maximizer; off the decomposable
+    # set the maximizer stays on the box and the value grows with it
+    est2 = conjugate_at(chain, target, 2 * DEFAULT_LAM_BOX, lam0=est1.maximizer)
+    _, _, _, theta, means, _ = chain.tilt(est2.maximizer)
+    growth = (est2.value - est1.value) / max(1.0, abs(est1.value))
+    feasible = growth <= GROWTH_RTOL
+    residual = target - np.einsum("xy,xyi->i", theta, means)
+    decrement = 0.5 * float(residual @ est2.curvature @ residual)
+    return InfConvResult(est2.value if feasible else math.inf, PairMeasure(theta),
+                         FluxField(theta[:, :, None] * means), abs(growth),
+                         est1.converged and est2.converged, feasible, chain.evaluations, 2,
+                         decrement)
 
 
 def infconv_dvg(rho, oracle: ConjugateOracle, P: TransitionKernel) -> InfConvResult:
@@ -449,10 +252,10 @@ def infconv_dvg(rho, oracle: ConjugateOracle, P: TransitionKernel) -> InfConvRes
 
     Divided by the window length, the value matches the occupation rate of
     the underlying chain at ``rho``. Requires an occupation-mode oracle.
-    Each of the two box passes stops once its Newton decrement falls below
-    ``NEWTON_TOL * max(1, |value|)``, or unconverged after ``MAX_NEWTON``
-    Newton steps. Raises ``NonConvergence`` when a Newton system becomes too
-    ill-conditioned for its step to carry a correct digit.
+    The infimum is computed as its dual, the conjugate of the log Perron
+    root of the bridge-tilted window kernel, by ``conjugate_at`` on the
+    base box and on the doubled box. Raises ``NonConvergence`` when the
+    tilted kernel splits into classes that double precision cannot couple.
     """
     if oracle.mode != "occupation":
         raise ValueError("infconv_dvg needs an occupation-mode oracle")
@@ -466,9 +269,9 @@ def infconv_bfg(rho, j, oracle: ConjugateOracle, P: TransitionKernel) -> InfConv
     The flux part of the target is in jumps per unit time; unreachable
     targets (for instance a flux with nonzero divergence) come back flagged
     infeasible with an infinite value. Requires a flux-mode oracle.
-    The stopping rule and ``NonConvergence`` mean what they do for
-    ``infconv_dvg``; a target on the edge of the decomposable set, such as
-    zero flux, can raise it.
+    The solve and ``NonConvergence`` mean what they do for ``infconv_dvg``;
+    a target on the edge of the decomposable set, such as zero flux, can
+    raise it.
     """
     if oracle.mode != "flux":
         raise ValueError("infconv_bfg needs a flux-mode oracle")
