@@ -14,7 +14,7 @@ def main() -> None:
     ap.add_argument("--rho", type=float, default=0.7, help="mass on state 0")
     ap.add_argument("--epsilon", type=float, default=0.03)
     ap.add_argument("--grid", type=int, nargs="+", default=[40, 60, 80, 100])
-    ap.add_argument("--n-paths", type=int, default=200_000, help="paths per grid point")
+    ap.add_argument("--n-paths", type=int, default=200_000, help="paths shared by every grid point")
     ap.add_argument("--seed", type=int, default=3)
     args = ap.parse_args()
 

@@ -13,7 +13,9 @@ counts in batch order. ``_blocks`` is the one place that turns those
 counts into window blocks: occupation fractions drawn from the Dirichlet
 law of the event spacings given the visit counts, followed in flux mode by
 the jump counts per unit time. Absorbing states need no special case
-there. The batch helpers drive tail-probability estimation; ``_skeleton``
+there. The batch helpers drive tail-probability estimation, where
+``batch_occupations`` carries each path's end state from one horizon of a
+grid to the next, so a path is simulated once for the whole grid; ``_skeleton``
 also runs the endpoint-conditioned skeletons of bridge sampling
 (``bridge.conditional_samples``), with next-state tables that depend on
 the number of steps left, and ``_blocks`` builds their blocks too.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -393,7 +396,7 @@ def _batch_step(Q: GeneratorMatrix, t0: float, states: np.ndarray, rng: np.rando
 
 
 def _blocks(visits: np.ndarray, jumps: np.ndarray | None, rng: np.random.Generator,
-            t0: float) -> np.ndarray:
+            t0: float, out: np.ndarray | None = None) -> np.ndarray:
     """Window blocks (batch, d) from the skeleton counts of ``_skeleton``.
 
     The first n columns are the occupation fractions: the N + 1 spacings
@@ -401,37 +404,71 @@ def _blocks(visits: np.ndarray, jumps: np.ndarray | None, rng: np.random.Generat
     state the skeleton holds in each spacing they are Dirichlet(visits),
     drawn as normalized gamma variates (a zero count gives an exact 0).
     With jumps (flux mode) the n^2 jump counts divided by t0 follow.
+    The blocks are written to ``out`` when it is given.
     """
     batch, n = visits.shape
     gamma = rng.standard_gamma(visits)
     # allocated after the draw, which converts visits to a float temporary
-    block = np.empty((batch, n if jumps is None else n + jumps.shape[1]))
+    block = np.empty((batch, n if jumps is None else n + jumps.shape[1])) if out is None else out
     np.divide(gamma, gamma.sum(axis=1, keepdims=True), out=block[:, :n])
     if jumps is not None:
         np.divide(jumps, t0, out=block[:, n:])
     return block
 
 
+def _start_states(n: int, n_paths: int, rng: np.random.Generator,
+                  init: ProbVector | int) -> np.ndarray:
+    """Start states of a batch: all ``init`` if it is a state, else drawn from it."""
+    if isinstance(init, ProbVector):
+        if init.weights.size != n:
+            raise ValueError(f"start distribution has {init.weights.size} entries "
+                             f"for a chain of {n} states")
+        return rng.choice(n, size=n_paths, p=init.weights)
+    if not 0 <= init < n:
+        raise ValueError(f"start state {init!r} outside [0, {n})")
+    return np.full(n_paths, int(init))
+
+
 def batch_occupations(
     Q: GeneratorMatrix,
-    horizon: float,
+    horizon: float | Sequence[float],
     n_paths: int,
     rng: np.random.Generator,
     init: ProbVector | int,
 ) -> np.ndarray:
-    """Occupation fractions over [0, horizon] for n_paths independent paths.
+    """Occupation fractions over [0, T] for n_paths independent paths, at one T or a grid of them.
 
-    ``init`` is either a fixed start state or a distribution to draw the
-    start states from. Statistically identical to repeated gillespie calls
-    (and exact on chains with absorbing states, where gillespie raises);
-    the paths are simulated together by uniformization, see ``_batch_step``.
+    ``horizon`` is either one horizon T, giving an (n_paths, n) array, or
+    an increasing grid T_1 < ... < T_G, giving (n_paths, G, n) with the
+    fractions over [0, T_i] in column i. Each path is simulated once, to
+    T_G: the chain is Markov, so the batch advances one window
+    (T_{i-1}, T_i] at a time from the previous window's end states, and
+    the occupation over [0, T_i] is that over [0, T_{i-1}] plus the
+    window's. The grid points of one path are thus dependent, and the
+    draws up to T_i do not depend on the later grid points. A single T is
+    the grid of one. ``init`` is either a fixed start state or a
+    distribution to draw the start states from. Statistically identical
+    to repeated gillespie calls (and exact on chains with absorbing
+    states, where gillespie raises); the paths are simulated together by
+    uniformization, see ``_batch_step``.
     """
-    if isinstance(init, ProbVector):
-        states = rng.choice(Q.n_states, size=n_paths, p=init.weights)
-    else:
-        states = np.full(n_paths, int(init))
-    _, visits, _ = _batch_step(Q, horizon, states, rng, want_flux=False)
-    return _blocks(visits, None, rng, horizon)
+    grid = np.asarray(horizon, dtype=float)
+    times = np.atleast_1d(grid)
+    if times.ndim != 1 or times.size == 0 or not np.all(times > 0) or np.any(np.diff(times) <= 0):
+        raise ValueError("horizon must be a positive time or an increasing grid of them")
+    states = _start_states(Q.n_states, n_paths, rng, init)
+    out = np.empty((n_paths, times.size, Q.n_states))
+    before = 0.0
+    for i, t in enumerate(times.tolist()):
+        states, visits, _ = _batch_step(Q, t - before, states, rng, want_flux=False)
+        frac = _blocks(visits, None, rng, t - before, out=out[:, i])
+        if i:
+            # (window * frac + before * previous) / t, in place
+            frac *= (t - before) / before
+            frac += out[:, i - 1]
+            frac *= before / t
+        before = t
+    return out if grid.ndim else out[:, 0]
 
 
 def batch_pair_statistics(
@@ -452,10 +489,7 @@ def batch_pair_statistics(
         raise ValueError(f"mode must be one of {MODES}")
     n = Q.n_states
     d = n if mode == "occupation" else n + n * n
-    if isinstance(init, ProbVector):
-        states = rng.choice(n, size=n_paths, p=init.weights)
-    else:
-        states = np.full(n_paths, int(init))
+    states = _start_states(n, n_paths, rng, init)
     k = np.zeros((n_paths, n, n, d))
     theta = np.zeros((n_paths, n, n))
     rows = np.arange(n_paths)

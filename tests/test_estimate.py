@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bridgerates as br
-from bridgerates.estimate import _PairChain
+from bridgerates.estimate import _ball_distances, _count_hits, _PairChain
 from conftest import random_generator
 
 REPO = Path(__file__).resolve().parents[1]
@@ -282,6 +282,82 @@ def test_mc_decay_validations(symmetric_two):
         br.mc_decay_rate(symmetric_two, target, 0.1, (10, 20), 1000, 0, kind="nope")
     with pytest.raises(ValueError):
         br.mc_decay_rate(symmetric_two, target, 0.1, (10, 20), 1000, 0, kind="pair")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_grid": (-5, 10)}, "positive"),
+    ({"n_grid": (0, 10)}, "positive"),
+    ({"n_grid": (6.2, 6.4), "kind": "pair"}, "whole window counts"),
+    ({"n_grid": (0, 3), "kind": "pair"}, "positive"),
+    ({"init": -1}, "start state"),
+    ({"init": 5}, "start state"),
+    ({"target": [[0.4, 0.1], [0.1, 0.4]]}, "shape"),
+    ({"target": [0.7, 0.3], "kind": "pair"}, "shape"),
+], ids=["negative-T", "zero-T", "fractional-m", "zero-m", "init-below", "init-above",
+        "occupation-target-2d", "pair-target-1d"])
+def test_mc_decay_rejects_bad_input_before_simulating(symmetric_two, monkeypatch, kwargs, message):
+    def no_simulation(*args, **kw):
+        raise AssertionError("simulated before validating")
+
+    monkeypatch.setattr(br.simulate, "_batch_step", no_simulation)
+    monkeypatch.setattr(br.estimate, "_batch_step", no_simulation)
+    kind = kwargs.get("kind", "occupation")
+    call = {"target": [0.7, 0.3] if kind == "occupation" else [[0.4, 0.1], [0.1, 0.4]],
+            "n_grid": (4, 6), "t0": 1.0 if kind == "pair" else None, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        br.mc_decay_rate(symmetric_two, call.pop("target"), 0.1, call.pop("n_grid"), 1000, 0,
+                         **call)
+
+
+@pytest.mark.parametrize("kind", ["occupation", "pair"])
+def test_mc_hits_on_a_grid_prefix_do_not_see_later_points(symmetric_two, monkeypatch, kind):
+    # each path is simulated once across the grid, so shortening the grid
+    # leaves the hits at the points it keeps unchanged; a small batch size
+    # runs several batch streams
+    monkeypatch.setattr(br.estimate, "MC_BATCH", 1500)
+    if kind == "occupation":
+        target, epsilon, t0 = np.array([0.6, 0.4]), 0.1, None
+    else:
+        target, epsilon, t0 = np.full((2, 2), 0.25), 0.2, 1.0
+    init = br.invariant_measure(symmetric_two)
+    full = _count_hits(symmetric_two, np.array([40.0, 60.0, 80.0, 100.0]), target, epsilon,
+                       4000, 5, init, kind, t0)
+    prefix = _count_hits(symmetric_two, np.array([40.0, 60.0]), target, epsilon,
+                         4000, 5, init, kind, t0)
+    assert np.array_equal(full[:2], prefix)
+    assert np.all(full > 0)
+
+
+def test_mc_pair_statistic_agrees_in_law_with_batch_pair_statistics(ring_three):
+    # against the unit target at (x, y) the l1 distance is 2 (1 - theta_xy),
+    # so these distances give each entry of theta after m windows; their
+    # means, and the hit fraction of a ball around the stationary pair
+    # measure, must match batch_pair_statistics run for m windows, each
+    # within 5 standard errors of the difference
+    n, count, t0, grid = 3, 6000, 0.5, np.array([4.0, 6.0, 8.0])
+    init = br.invariant_measure(ring_three)
+    theta = np.empty((count, grid.size, n, n))
+    for x in range(n):
+        for y in range(n):
+            unit = np.zeros((n, n))
+            unit[x, y] = 1.0
+            dist = _ball_distances(ring_three, grid, count, np.random.default_rng(31), init,
+                                   unit, "pair", t0)
+            theta[:, :, x, y] = 1.0 - dist / 2.0
+    assert np.allclose(theta.sum(axis=(2, 3)), 1.0, atol=1e-12)
+    P = br.transition_at(ring_three, t0).probs
+    stationary = init.weights[:, None] * P
+    ours = _ball_distances(ring_three, grid, count, np.random.default_rng(32), init,
+                           stationary, "pair", t0) <= 1.1
+    for col, m in enumerate(grid.astype(int)):
+        _, ref = br.batch_pair_statistics(ring_three, t0, m, count, np.random.default_rng(33 + m),
+                                          init, mode="occupation")
+        se = np.sqrt((theta[:, col].var(axis=0) + ref.var(axis=0)) / count)
+        assert np.all(np.abs(theta[:, col].mean(axis=0) - ref.mean(axis=0)) <= 5.0 * se + 1e-12)
+        hit_ref = np.abs(ref - stationary).sum(axis=(1, 2)) <= 1.1
+        p, q = ours[:, col].mean(), hit_ref.mean()
+        assert 0.05 < q < 0.95
+        assert abs(p - q) <= 5.0 * np.sqrt((p * (1 - p) + q * (1 - q)) / count)
 
 
 def test_mc_decay_insufficient_hits(symmetric_two):

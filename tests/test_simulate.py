@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,58 @@ def test_batch_occupations_init_distribution(ring_three):
     occ = br.batch_occupations(ring_three, 2.0, 400, np.random.default_rng(4), init)
     assert occ.shape == (400, 3)
     assert np.all(occ >= 0)
+
+
+@pytest.mark.parametrize("init, digest", [
+    (0, "bf0aa707bf775f4ddbfb26e10be35e5cc68a7d4a650e02e75420c826773652e9"),
+    ("pi", "011f10205b6c2082aa9d3134a1f29d06a2ec424b1696a171fef910671ab6562f"),
+], ids=["state", "pi"])
+def test_batch_occupations_scalar_horizon_is_pinned(ring_three, init, digest):
+    # a single horizon is the grid of one and draws exactly the stream it
+    # drew before grids were accepted (digest of numpy 2.4's generator output)
+    start = br.invariant_measure(ring_three) if init == "pi" else init
+    occ = br.batch_occupations(ring_three, 2.5, 1000, np.random.default_rng(11), start)
+    assert occ.shape == (1000, 3)
+    assert hashlib.sha256(occ.tobytes()).hexdigest() == digest
+    grid = br.batch_occupations(ring_three, [2.5], 1000, np.random.default_rng(11), start)
+    assert grid.shape == (1000, 1, 3) and np.array_equal(grid[:, 0], occ)
+
+
+def test_batch_occupations_grid_matches_independent_horizons(ring_three):
+    # one path across the grid has, at each T, the law of a fresh path run
+    # to T: means within 5 standard errors of independent scalar calls
+    grid, count = (0.5, 2.0, 5.0), 20_000
+    occ = br.batch_occupations(ring_three, grid, count, np.random.default_rng(21), 0)
+    assert occ.shape == (count, 3, 3)
+    assert np.allclose(occ.sum(axis=2), 1.0, atol=1e-12)
+    assert occ.min() >= 0.0
+    for col, horizon in enumerate(grid):
+        ref = br.batch_occupations(ring_three, horizon, count, np.random.default_rng(22 + col), 0)
+        se = np.sqrt((occ[:, col].var(axis=0) + ref.var(axis=0)) / count)
+        assert np.all(np.abs(occ[:, col].mean(axis=0) - ref.mean(axis=0)) <= 5.0 * se)
+
+
+def test_batch_occupations_grid_prefix_is_stable(ring_three):
+    # the draws up to T_i do not depend on the grid points after it
+    full = br.batch_occupations(ring_three, (1.0, 3.0, 4.0), 300, np.random.default_rng(2), 1)
+    prefix = br.batch_occupations(ring_three, (1.0, 3.0), 300, np.random.default_rng(2), 1)
+    assert np.array_equal(full[:, :2], prefix)
+
+
+@pytest.mark.parametrize(
+    "horizon", [0.0, -1.0, (1.0, 1.0), (2.0, 1.0), (0.0, 1.0), [], [[1.0]]],
+    ids=["zero", "negative", "repeated", "decreasing", "zero-first", "empty", "2d"])
+def test_batch_occupations_rejects_bad_horizons(symmetric_two, horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        br.batch_occupations(symmetric_two, horizon, 10, np.random.default_rng(0), 0)
+
+
+@pytest.mark.parametrize("init", [-1, 2])
+def test_batch_samplers_reject_start_states_outside_the_chain(symmetric_two, init):
+    with pytest.raises(ValueError, match="start state"):
+        br.batch_occupations(symmetric_two, 1.0, 10, np.random.default_rng(0), init)
+    with pytest.raises(ValueError, match="start state"):
+        br.batch_pair_statistics(symmetric_two, 1.0, 2, 10, np.random.default_rng(0), init)
 
 
 def test_batch_pair_statistics_shapes_and_mass(symmetric_two):
