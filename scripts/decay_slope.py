@@ -20,9 +20,10 @@ def main() -> None:
 
     Q = br.validate_generator([[-1.0, 1.0], [1.0, -1.0]])
     target = np.array([args.rho, 1.0 - args.rho])
-    ref, minimizer = br.ball_rate(Q, target, args.epsilon)
+    ball = br.ball_rate(Q, target, args.epsilon)
+    ref = ball.value
     print(f"ball center ({args.rho:g}, {1.0 - args.rho:g}), eps {args.epsilon}")
-    print(f"variational reference {ref:.6f} at {np.round(minimizer, 4)}")
+    print(f"variational reference {ref:.6f} at {np.round(ball.minimizer, 4)}")
 
     try:
         fit = br.mc_decay_rate(

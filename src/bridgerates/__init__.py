@@ -78,6 +78,7 @@ from .bridge import (
     sample_bridge,
 )
 from .estimate import (
+    BallResult,
     ContractionResult,
     DecayFit,
     InfConvResult,

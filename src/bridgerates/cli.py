@@ -298,10 +298,14 @@ def cmd_mc_verify(cfg: ExperimentConfig, args) -> dict:
     rho = cfg.rho_vector()
     if cfg.n_grid is None:
         raise ValueError("config needs 'n_grid' for mc-verify")
+    reference, gap, iterations = cfg.reference, None, None
+    if reference is not None and (isinstance(reference, bool) or not isinstance(reference, (int, float))
+                                  or not (math.isfinite(reference) and reference > 0)):
+        raise ValueError(f"config 'reference' must be a finite positive rate, got {reference!r}")
     fit = mc_decay_rate(Q, rho, cfg.epsilon, cfg.n_grid, cfg.n_paths, cfg.seed)
-    reference = cfg.reference
     if reference is None:
-        reference, _ = ball_rate(Q, rho, cfg.epsilon)
+        ball = ball_rate(Q, rho, cfg.epsilon)
+        reference, gap, iterations = ball.value, ball.gap, ball.iterations
     rel_error = abs(fit.slope - reference) / reference if reference > 0 else math.inf
     return {
         "target": rho.weights,
@@ -314,6 +318,8 @@ def cmd_mc_verify(cfg: ExperimentConfig, args) -> dict:
         "slope_se": fit.slope_se,
         "intercept": fit.intercept,
         "reference": reference,
+        "reference_gap": gap,
+        "reference_iterations": iterations,
         "rel_error": rel_error,
     }
 

@@ -16,7 +16,9 @@ convex duality: its dual is the ``dvg_rate`` problem, so it builds a
 divergence-free flux from that call's potentials and certifies it by
 ``bfg_rate`` and the primal-dual gap. ``mc_decay_rate`` estimates the decay
 exponent of ball probabilities from direct simulation, each path simulated
-once across the horizon grid and tested at every grid point.
+once across the horizon grid and tested at every grid point, and
+``ball_rate`` gives its reference: the occupation rate's minimum over the
+l1 ball, certified by a Frank-Wolfe duality gap.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from .conjugate import (
     conjugate_at,
 )
 from .ratefun import (
+    ARMIJO,
+    MIN_STEP,
     FluxField,
     NonConvergence,
     PairMeasure,
@@ -54,6 +58,7 @@ __all__ = [
     "InsufficientHits",
     "InfConvResult",
     "ContractionResult",
+    "BallResult",
     "DecayFit",
     "build_oracle",
     "infconv_dvg",
@@ -71,6 +76,16 @@ EPS = float(np.finfo(float).eps)
 # smallest normal double: a Perron vector entry at or below it, relative to
 # the largest, has left double precision
 TINY = float(np.finfo(float).tiny)
+# l1-ball minimum: Frank-Wolfe gap, relative to max(1, value), that
+# certifies it, the cap on rate evaluations, and the smallest radius (the
+# l1 distance of two probability vectors carries rounding near 1e-16)
+BALL_GAP_RTOL = 1e-12
+BALL_MAX_EVALS = 300
+BALL_MIN_EPSILON = 1e-12
+# Newton steps that polish dvg_rate's potential before the gradient is read
+# off it, and the net flow relative to outflow at which they stop
+POLISH_STEPS = 16
+POLISH_RTOL = 16 * EPS
 MC_BATCH = 50_000
 MIN_HITS = 30
 
@@ -347,49 +362,231 @@ def contract_dvg_from_bfg(rho, Q: GeneratorMatrix) -> ContractionResult:
     return ContractionResult(value, dual.value, value - dual.value, j, v)
 
 
-def ball_rate(Q: GeneratorMatrix, center, epsilon: float) -> tuple[float, np.ndarray]:
-    """Minimize the occupation rate over the l1 ball around ``center``.
+@dataclass(frozen=True)
+class BallResult:
+    """Minimum of the occupation rate over an l1 ball, with its certificate.
 
-    The minimization runs over probability vectors within l1 distance
-    ``epsilon`` of the center, parametrized by nonnegative up/down moves to
-    keep every constraint linear. This is the exponent that ball-hitting
-    probabilities decay with, the reference for ``mc_decay_rate``.
+    ``value`` is the rate at ``minimizer``. ``gap`` is the Frank-Wolfe
+    duality gap there: ``value - gap`` bounds the true minimum from below,
+    so the value is certified to within ``gap``. ``iterations`` counts the
+    ``dvg_rate`` evaluations (0 when the ball holds the invariant measure).
     """
-    from scipy import optimize  # imported here: no other command needs its load time
 
-    center = np.asarray(center.weights if isinstance(center, ProbVector) else center, dtype=float)
-    n = center.size
-    if epsilon <= 0:
+    value: float
+    minimizer: np.ndarray
+    gap: float
+    iterations: int
+
+
+def _ball_vertex(g: np.ndarray, center: np.ndarray, epsilon: float) -> np.ndarray:
+    """argmin of <g, s> over the probability vectors s with |s - center|_1 <= epsilon.
+
+    Mass epsilon / 2 (or all the mass outside) moves to argmin g, taken from
+    the highest-g states first, each giving up at most its own mass.
+    """
+    s = center.copy()
+    low = int(np.argmin(g))
+    left = min(0.5 * epsilon, 1.0 - center[low])
+    s[low] += left
+    for x in np.argsort(g)[::-1]:
+        if left <= 0.0:
+            break
+        if x != low:
+            take = min(center[x], left)
+            s[x] -= take
+            left -= take
+    return s
+
+
+def _rate_derivatives(rho: np.ndarray, Q: GeneratorMatrix, v: np.ndarray):
+    """Gradient and Hessian of the occupation rate at a positive rho, from its maximizer v.
+
+    With E_xy = Q_xy exp(v_y - v_x) off the diagonal, the gradient is
+    g_x = sum_y Q_xy - sum_y E_xy (envelope theorem) and the Hessian is
+    J L^-1 J^T, with J = diag(E 1) - E and L the weighted Laplacian of the
+    symmetrized flow rho_x E_xy, gauge-fixed at the heaviest state.
+
+    ``dvg_rate`` stops on an absolute gradient tolerance, which leaves the
+    potential of a state with mass near 1e-12 far from its optimum and its
+    entry of g wrong by orders of magnitude. So v is first polished by at
+    most ``POLISH_STEPS`` Newton steps (the same Laplacian), stopped once
+    every state's net flow is at rounding level relative to its outflow.
+    """
+    rates = Q.rates.copy()
+    np.fill_diagonal(rates, 0.0)
+    # fixing the potential of a state with tiny mass would leave the rest of
+    # the Laplacian pinned only by its tiny flows, singular to working precision
+    free = np.arange(rho.size) != np.argmax(rho)
+    for polish in range(POLISH_STEPS + 1):
+        E = rates * np.exp(v[None, :] - v[:, None])
+        flow = rho[:, None] * E
+        sym = flow + flow.T
+        laplacian = np.diag(sym.sum(axis=1)) - sym
+        div = flow.sum(axis=1) - flow.sum(axis=0)
+        if polish == POLISH_STEPS or np.all(np.abs(div) <= POLISH_RTOL * flow.sum(axis=1)):
+            break
+        v = v.copy()
+        v[free] += np.linalg.solve(laplacian[np.ix_(free, free)], div[free])
+    J = np.diag(E.sum(axis=1)) - E
+    hessian = J[:, free] @ np.linalg.solve(laplacian[np.ix_(free, free)], J[:, free].T)
+    return rates.sum(axis=1) - E.sum(axis=1), hessian
+
+
+def _face_newton(g: np.ndarray, H: np.ndarray, gain: np.ndarray, loss: np.ndarray):
+    """Newton step on the face that keeps the sums of d over gainers and losers.
+
+    Minimizes g.D + D.H.D / 2 over D supported on gain | loss with zero
+    sum on each, in the basis e_x - e_p of each set, p its member of least
+    curvature. Pivoting on a state of tiny mass, whose curvature is many
+    orders above the rest, or solving the KKT system with multipliers
+    instead loses the step to rounding. Returns D and the gradient
+    g + H D that the step predicts, level on each set.
+    """
+    curvature = np.diag(H)
+    basis = []
+    for members in (np.flatnonzero(gain), np.flatnonzero(loss)):
+        pivot = members[np.argmin(curvature[members])]
+        for x in members[members != pivot]:
+            z = np.zeros_like(g)
+            z[pivot], z[x] = -1.0, 1.0
+            basis.append(z)
+    step = np.zeros_like(g)
+    if basis:
+        Z = np.array(basis).T
+        step = Z @ np.linalg.solve(Z.T @ H @ Z, -(Z.T @ g))
+    return step, g + H @ step
+
+
+def _face_step(g: np.ndarray, H: np.ndarray, gain: np.ndarray, loss: np.ndarray,
+               can_lose: np.ndarray):
+    """Newton step on the face, grown by the neutral states that break its levels.
+
+    The neutral state whose predicted gradient lies furthest below the
+    gainers' level, or above the losers' (if it has mass to lose), joins
+    the face, as long as the grown face's step moves it the right way;
+    this repeats until no neutral state breaks the levels. Returns the
+    face and its step.
+    """
+    step, predicted = _face_newton(g, H, gain, loss)
+    while True:
+        neutral = ~(gain | loss)
+        below = np.where(neutral, predicted[gain].mean() - predicted, 0.0)
+        above = np.where(neutral & can_lose, predicted - predicted[loss].mean(), 0.0)
+        x = int(np.argmax(np.maximum(below, above)))
+        if max(below[x], above[x]) <= 0.0:
+            return gain, loss, step
+        joins = np.arange(g.size) == x
+        to_gain = below[x] >= above[x]
+        face = (gain | joins, loss) if to_gain else (gain, loss | joins)
+        face_step, face_predicted = _face_newton(g, H, *face)
+        if not (face_step[x] > 0 if to_gain else face_step[x] < 0):
+            return gain, loss, step
+        (gain, loss), step, predicted = face, face_step, face_predicted
+
+
+def ball_rate(Q: GeneratorMatrix, center, epsilon: float) -> BallResult:
+    """Minimize the occupation rate I(rho) = ``dvg_rate(rho, Q)`` over the l1 ball.
+
+    The ball is B = {rho in the simplex : |rho - center|_1 <= epsilon}; its
+    minimum is the exponent that ball-hitting probabilities decay with, the
+    reference for ``mc_decay_rate``. I is convex and vanishes only at the
+    invariant measure pi, so the minimum is 0 at pi when pi lies in B, and
+    otherwise lies on the sphere |rho - center|_1 = epsilon.
+
+    On the sphere the method is an active-set Newton method on d = rho - center.
+    Gainers (d_x > 0) carry epsilon / 2 and losers (d_x < 0) give it up;
+    at the minimum the gradient g is level on each set (alpha, beta) and
+    lies in [alpha, beta] elsewhere. Each step is a Newton step on the face
+    that fixes both sums, with the Hessian from ``dvg_rate``'s maximizer
+    (see ``_rate_derivatives``); a state whose predicted gradient breaks
+    the levels joins the face. A ratio test keeps the signs of d (a state
+    whose d reaches 0 leaves the face) and every entry of rho positive,
+    Armijo backtracking on I follows, and d is rescaled on each set so the
+    sums stay exact. The start is the point of the segment from the
+    center to pi at distance epsilon, strictly inside the simplex.
+
+    The stop is a certificate: for any potential v, I(s) >= <g, s> with
+    g the gradient built from v, so I's minimum over B is at least
+    <g, s(g)>, s(g) the vertex of B that minimizes <g, s>. The Frank-Wolfe
+    gap <g, rho - s(g)> (Jaggi, ICML 2013) therefore bounds the error of
+    the value, and the iteration stops once it is at most
+    ``BALL_GAP_RTOL * max(1, value)``.
+
+    Raises ``ValueError`` for a center that is not a probability vector on
+    Q's states or an epsilon below ``BALL_MIN_EPSILON``, and
+    ``NonConvergence`` (``best`` holds the last ``BallResult`` with its
+    gap) when ``BALL_MAX_EVALS`` rate evaluations do not reach the
+    tolerance.
+    """
+    center = np.array(center.weights if isinstance(center, ProbVector) else center, dtype=float)
+    n = Q.n_states
+    if center.shape != (n,):
+        raise ValueError(f"center must have shape ({n},), got {center.shape}")
+    if not np.all(np.isfinite(center)) or center.min() < 0:
+        raise ValueError("center must be finite and nonnegative")
+    if abs(float(center.sum()) - 1.0) > 1e-12:
+        raise ValueError(f"center sums to {center.sum()!r}, not 1")
+    if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be positive")
+    if epsilon < BALL_MIN_EPSILON:
+        raise ValueError(f"epsilon {epsilon!r} is below {BALL_MIN_EPSILON:g}, where l1 distances "
+                         "between probability vectors are not resolved")
+    pi = invariant_measure(Q).weights
+    outward = pi - center
+    distance = float(np.abs(outward).sum())
+    if distance <= epsilon:
+        return BallResult(0.0, pi, 0.0, 0)
 
-    def rho_of(z: np.ndarray) -> np.ndarray:
-        rho = center + z[:n] - z[n:]
-        rho = np.clip(rho, 1e-15, None)
-        return rho / rho.sum()
+    half = 0.5 * epsilon
 
-    def objective(z: np.ndarray):
-        rho = rho_of(z)
-        res = dvg_rate(ProbVector(rho), Q)
-        v = res.maximizer
-        expdiff = np.exp(v[None, :] - v[:, None])
-        slope = -np.sum(np.where(np.eye(n, dtype=bool), 0.0, Q.rates * (expdiff - 1.0)), axis=1)
-        return res.value, np.concatenate([slope, -slope])
+    def on_sphere(d: np.ndarray) -> np.ndarray:
+        gain, loss = d > 0, d < 0
+        d[gain] *= half / d[gain].sum()
+        d[loss] *= half / -d[loss].sum()
+        return d
 
-    constraints = [
-        {"type": "eq", "fun": lambda z: z[:n].sum() - z[n:].sum(),
-         "jac": lambda z: np.concatenate([np.ones(n), -np.ones(n)])},
-        {"type": "ineq", "fun": lambda z: epsilon - z.sum(),
-         "jac": lambda z: -np.ones(2 * n)},
-        {"type": "ineq", "fun": lambda z: center + z[:n] - z[n:],
-         "jac": lambda z: np.hstack([np.eye(n), -np.eye(n)])},
-    ]
-    res = optimize.minimize(
-        objective, np.zeros(2 * n), jac=True, method="SLSQP",
-        bounds=[(0.0, epsilon)] * (2 * n), constraints=constraints,
-        options={"maxiter": 200, "ftol": 1e-12},
-    )
-    rho = rho_of(res.x)
-    return dvg_rate(ProbVector(rho), Q).value, rho
+    def evaluate(d: np.ndarray):
+        rho = center + d
+        return rho, dvg_rate(rho, Q)
+
+    d = on_sphere(outward * (epsilon / distance))
+    rho, res = evaluate(d)
+    evals = 1
+    while True:
+        g, H = _rate_derivatives(rho, Q, res.maximizer)
+        gap = max(res.value - float(g @ _ball_vertex(g, center, epsilon)), 0.0)
+        best = BallResult(res.value, rho, gap, evals)
+        if gap <= BALL_GAP_RTOL * max(1.0, res.value):
+            return best
+        if evals >= BALL_MAX_EVALS:
+            raise NonConvergence(f"ball_rate stopped at gap {gap:.3g} after {evals} rate "
+                                 "evaluations", best=best)
+        gain, loss, step = _face_step(g, H, d > 0, d < 0, center > 0)
+        slope = float(g @ step)
+        if not slope < 0.0:
+            raise NonConvergence(f"ball_rate stalled at gap {gap:.3g}: the face step is not "
+                                 "a descent direction", best=best)
+        # ratio test: no entry of d changes sign (the first to reach 0 leaves
+        # the face), and no entry of rho falls below half its value
+        to_zero = np.full(n, math.inf)
+        crossing = (gain & (step < 0)) | (loss & (step > 0))
+        to_zero[crossing] = -d[crossing] / step[crossing]
+        falling = step < 0
+        to_half = float(np.min(0.5 * rho[falling] / -step[falling], initial=math.inf))
+        hit = int(np.argmin(to_zero))
+        t = t_max = min(1.0, to_zero[hit], to_half)
+        while True:
+            trial = d + t * step
+            if t == to_zero[hit]:
+                trial[hit] = 0.0
+            trial_rho, trial_res = evaluate(on_sphere(trial))
+            evals += 1
+            if trial_res.value <= res.value + ARMIJO * t * slope + 4 * EPS * max(1.0, res.value):
+                break
+            t *= 0.5
+            if t < MIN_STEP * t_max:
+                raise NonConvergence(f"ball_rate line search failed at gap {gap:.3g}", best=best)
+        d, rho, res = trial, trial_rho, trial_res
 
 
 # ---------------------------------------------------------------------------

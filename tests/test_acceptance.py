@@ -219,7 +219,7 @@ def test_08_monte_carlo_decay_slope():
     Q = br.validate_generator(SYM)
     target = np.array([0.7, 0.3])
     eps = 0.03
-    ref, _ = br.ball_rate(Q, target, eps)
+    ref = br.ball_rate(Q, target, eps).value
     assert ref == pytest.approx(BALL_73_003, abs=1e-6)
     fit = br.mc_decay_rate(Q, target, eps, (40, 60, 80, 100), 1_000_000, 3)
     rel = abs(fit.slope - ref) / ref

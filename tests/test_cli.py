@@ -255,6 +255,41 @@ def test_mc_verify_uses_config_reference(tmp_path):
     assert payload["rel_error"] == pytest.approx(abs(payload["slope"] - 0.01) / 0.01)
 
 
+def test_mc_verify_reports_certified_reference(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", generator=SYM, rho=[0.7, 0.3], epsilon=0.05,
+                       n_grid=[10, 20, 30], n_paths=20_000, seed=1)
+    code, out = run(tmp_path, "mc-verify", cfg)
+    assert code == 0
+    payload = json.loads((out / "mc-verify.json").read_text())
+    # closed form (sqrt(0.675) - sqrt(0.325))^2 at the ball point nearest pi
+    assert payload["reference"] == pytest.approx((0.675**0.5 - 0.325**0.5) ** 2, rel=1e-12)
+    assert payload["reference_gap"] <= 1e-10
+    assert payload["reference_iterations"] >= 1
+
+
+def test_mc_verify_config_reference_has_no_certificate(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", generator=SYM, rho=[0.7, 0.3], epsilon=0.25,
+                       n_grid=[6, 10], n_paths=4000, reference=0.01, seed=5)
+    code, out = run(tmp_path, "mc-verify", cfg)
+    assert code == 0
+    payload = json.loads((out / "mc-verify.json").read_text())
+    assert payload["reference_gap"] is None
+    assert payload["reference_iterations"] is None
+
+
+@pytest.mark.parametrize("reference", [0.0, -0.5, "inf", "nan", "0.07", True])
+def test_mc_verify_rejects_bad_config_reference(tmp_path, reference):
+    value = float(reference) if reference in ("inf", "nan") else reference
+    (tmp_path / "cfg.json").write_text(
+        json.dumps({"generator": SYM, "rho": [0.7, 0.3], "n_grid": [6, 10], "n_paths": 4000,
+                    "reference": value}), encoding="utf-8")
+    code, out = run(tmp_path, "mc-verify", str(tmp_path / "cfg.json"))
+    assert code == 1
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "ValueError"
+    assert "reference" in error["message"]
+
+
 def test_mc_verify_needs_grid(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", generator=SYM, rho=[0.7, 0.3])
     code, out = run(tmp_path, "mc-verify", cfg)
@@ -292,3 +327,33 @@ def test_cli_rates_loads_no_scipy_submodule(tmp_path):
     assert after_rates == []
     assert code_contract == 0
     assert after_contract == []
+
+
+# Runs in a fresh interpreter in which scipy cannot be imported: every
+# command the CLI runs here must finish without it and load none of it.
+SCIPY_BLOCKED_CHILD = r"""
+import json, sys
+sys.modules["scipy"] = None
+import bridgerates.cli as cli
+codes = [cli.main([command, "--config", config, "--out", sys.argv[3]])
+         for command, config in (("mc-verify", sys.argv[1]), ("rates", sys.argv[2]),
+                                 ("contract", sys.argv[2]))]
+loaded = [name for name, module in sys.modules.items()
+          if module is not None and (name == "scipy" or name.startswith("scipy."))]
+print(json.dumps([codes, loaded]))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    mc_config = write_config(tmp_path / "mc.json", generator=SYM, rho=[0.7, 0.3], epsilon=0.05,
+                             n_grid=[10, 20, 30], n_paths=20_000, seed=1)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_BLOCKED_CHILD, mc_config,
+         str(REPO / "scripts" / "configs" / "boundary_rates.json"), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    codes, loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert loaded == []

@@ -4,15 +4,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import bridgerates as br
-from bridgerates.estimate import _ball_distances, _count_hits, _PairChain
+from bridgerates.estimate import BALL_MIN_EPSILON, _ball_distances, _count_hits, _PairChain
 from conftest import random_generator
 
 REPO = Path(__file__).resolve().parents[1]
 
 DVG_73 = 0.08348486100883201
 BALL_73_003 = 0.07096824596787867
+RING3 = [[-1.2, 1.0, 0.2], [0.3, -1.3, 1.0], [1.0, 0.4, -1.4]]
+EPS = float(np.finfo(float).eps)
 
 
 @pytest.fixture(scope="module")
@@ -257,17 +261,165 @@ def test_contract_stress_set_small_rho():
 
 
 def test_ball_rate_zero_when_center_is_invariant(symmetric_two):
-    value, rho = br.ball_rate(symmetric_two, np.array([0.5, 0.5]), 0.05)
-    assert value == pytest.approx(0.0, abs=1e-10)
+    ball = br.ball_rate(symmetric_two, np.array([0.5, 0.5]), 0.05)
+    assert ball.value == pytest.approx(0.0, abs=1e-10)
 
 
 def test_ball_rate_frozen_reference(symmetric_two):
-    value, rho = br.ball_rate(symmetric_two, np.array([0.7, 0.3]), 0.03)
-    assert value == pytest.approx(BALL_73_003, abs=1e-6)
+    ball = br.ball_rate(symmetric_two, np.array([0.7, 0.3]), 0.03)
+    rho = ball.minimizer
+    assert ball.value == pytest.approx(BALL_73_003, abs=1e-6)
     # minimizer sits inside the ball, on the invariant-measure side
     assert np.abs(rho - np.array([0.7, 0.3])).sum() <= 0.03 + 1e-8
     assert rho.sum() == pytest.approx(1.0, abs=1e-10)
     assert rho[0] < 0.7
+
+
+def _lattice_min(Q, center, epsilon, k):
+    """Least rate over the 3-state simplex lattice of spacing 1 / k inside the ball."""
+    points = (np.array([i, j, k - i - j]) / k for i in range(k + 1) for j in range(k + 1 - i))
+    return min(br.dvg_rate(rho, Q).value for rho in points if np.abs(rho - center).sum() <= epsilon)
+
+
+@pytest.mark.parametrize("center, epsilon, k, certified", [
+    ((0.6, 0.4, 0.0), 0.5, 40, 0.0077244),
+    ((1.0, 0.0, 0.0), 0.1, 200, 0.825688),
+])
+def test_ball_rate_boundary_center_on_ring(center, epsilon, k, certified):
+    # centers with zero entries, where SLSQP returned 0.70334 (the rate at
+    # the center itself) and 1.01235
+    Q = br.validate_generator(RING3)
+    center = np.array(center)
+    ball = br.ball_rate(Q, center, epsilon)
+    assert ball.gap <= 1e-10
+    assert ball.value <= _lattice_min(Q, center, epsilon, k)
+    assert ball.value == pytest.approx(certified, abs=1e-6)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), zeros=st.booleans(),
+       epsilon=st.floats(0.0, 0.3, exclude_min=True))
+def test_ball_rate_certified_properties(seed, n, zeros, epsilon):
+    rng = np.random.default_rng(seed)
+    Q = random_generator(rng, n)
+    center = rng.dirichlet(np.ones(n))
+    if zeros:
+        center[rng.choice(n, int(rng.integers(1, n)), replace=False)] = 0.0
+        center /= center.sum()
+    if epsilon < BALL_MIN_EPSILON:
+        with pytest.raises(ValueError):
+            br.ball_rate(Q, center, epsilon)
+        return
+    ball = br.ball_rate(Q, center, epsilon)
+    rho = ball.minimizer
+    assert abs(rho.sum() - 1.0) <= 1e-12
+    assert rho.min() >= 0.0
+    # 2 EPS: the rounding of center + d, which no radius can go below
+    assert np.abs(rho - center).sum() <= epsilon * (1.0 + 1e-12) + 2 * EPS
+    assert ball.gap <= 1e-10 * max(1.0, ball.value)
+    assert ball.value <= br.dvg_rate(center, Q).value + 4 * EPS * max(1.0, ball.value)
+    if n == 2:
+        # closed form at the center moved epsilon / 2 towards pi, or at pi
+        a, b = Q.rates[0, 1], Q.rates[1, 0]
+        shift = np.clip(b / (a + b) - center[0], -epsilon / 2, epsilon / 2)
+        rho0, rho1 = center[0] + shift, center[1] - shift
+        want = (a * rho0 - b * rho1) ** 2 / (math.sqrt(a * rho0) + math.sqrt(b * rho1)) ** 2
+        # abs: a * rho0 - b * rho1 carries a rounding error near 1e-16, so
+        # below a value of 1e-8 the closed form itself is off by more than
+        # 1e-12 relative (by far less than 1e-18 absolute); and pi is known
+        # to rounding, so on the ball's edge the value may read 0
+        assert ball.value == pytest.approx(want, rel=1e-12, abs=1e-18)
+
+
+def test_ball_rate_certifies_random_chains():
+    rng = np.random.default_rng(2026)
+    evaluations = []
+    for case in range(200):
+        n = 2 + case % 7
+        Q = random_generator(rng, n)
+        center = rng.dirichlet(np.ones(n))
+        if case % 2 and n > 2:
+            center[rng.integers(n)] = 0.0
+            center /= center.sum()
+        epsilon = float(rng.uniform(0.01, 0.3))
+        ball = br.ball_rate(Q, center, epsilon)
+        assert ball.gap <= 1e-12 * max(1.0, ball.value), (case, ball)
+        assert np.abs(ball.minimizer - center).sum() <= epsilon * (1.0 + 1e-12) + 2 * EPS
+        assert ball.value <= br.dvg_rate(center, Q).value
+        evaluations.append(ball.iterations)
+    # a few Newton steps each: 10 rate evaluations at most on this set
+    assert max(evaluations) <= 20, evaluations
+
+
+# Sparse chains with rates over four decades (off-diagonal rates; center
+# e_vertex), whose minimizers put masses from 1e-19 to 1e-12 on some
+# states. There dvg_rate's potential misses the optimum by orders of
+# magnitude in those states' flows, and the gradient is right only after
+# the potential is polished; the second chain also needs the gauge fixed
+# at the heaviest state.
+STIFF_SPARSE = [
+    ([[0.0, 0.0831, 1.0, 71.1, 90.5, 0.0],
+      [0.0, 0.0, 21.8, 0.0, 0.0, 0.254],
+      [0.0, 0.308, 0.0, 0.0, 0.0, 0.0],
+      [35.3, 0.0631, 0.0, 0.0, 0.285, 0.0],
+      [46.3, 0.0, 0.47, 0.0, 0.0, 0.0],
+      [0.111, 29.6, 39.5, 0.0219, 0.119, 0.0]], 3, 0.0159),
+    ([[0.0, 0.287, 0.0, 0.0, 0.0, 0.0],
+      [0.0499, 0.0, 0.525, 5.67, 0.0126, 1.58],
+      [0.0, 0.0, 0.0, 0.0, 67.7, 0.0],
+      [0.0453, 0.0, 0.0129, 0.0, 3.08, 84.6],
+      [0.0, 0.0, 9.55, 0.0175, 0.0, 0.0],
+      [0.0, 0.0378, 0.0, 0.259, 0.0, 0.0]], 2, 3.63e-4),
+    ([[0.0, 6.24, 0.0, 0.0, 21.7, 0.0],
+      [8.93, 0.0, 0.0, 0.0103, 0.0, 0.0],
+      [0.214, 0.0, 0.0, 0.0, 0.0, 0.0],
+      [0.0776, 0.0897, 0.0, 0.0, 3.06, 0.0],
+      [5.88, 0.0663, 0.0, 0.092, 0.0, 0.607],
+      [0.0, 0.0, 0.0589, 12.7, 0.0, 0.0]], 1, 1.08e-3),
+    ([[0.0, 0.0, 0.0, 89.1, 0.0, 0.0],
+      [0.0, 0.0, 0.0, 0.0, 0.0131, 0.0],
+      [2.39, 0.0115, 0.0, 0.284, 0.262, 5.73],
+      [0.0, 7.47, 0.0, 0.0, 0.0, 8.89],
+      [0.0, 1.19, 0.04, 0.0, 0.0, 0.0],
+      [0.0742, 0.1, 95.1, 28.6, 0.0152, 0.0]], 2, 2.57e-3),
+]
+
+
+@pytest.mark.parametrize("rates, vertex, epsilon", STIFF_SPARSE)
+def test_ball_rate_certifies_stiff_sparse_chains(rates, vertex, epsilon):
+    rates = np.array(rates)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    center = np.eye(rates.shape[0])[vertex]
+    ball = br.ball_rate(br.validate_generator(rates), center, epsilon)
+    assert ball.gap <= 1e-12 * max(1.0, ball.value)
+    assert np.abs(ball.minimizer - center).sum() <= epsilon * (1.0 + 1e-12) + 2 * EPS
+    assert ball.minimizer.min() < 1e-11
+
+
+def test_ball_rate_at_the_smallest_radius():
+    # epsilon at the floor with two empty states: their masses of order
+    # 1e-12 have curvature 1e9 times the others', and a face basis pivoted
+    # on one of them leaves the Newton system singular to working precision
+    rates = np.array([[0.0, 0.318, 0.376, 1.88, 1.5],
+                      [0.737, 0.0, 1.78, 1.56, 1.65],
+                      [1.54, 1.6, 0.0, 1.1, 1.45],
+                      [0.239, 0.84, 0.86, 0.0, 0.6],
+                      [1.61, 1.7, 1.13, 0.97, 0.0]])
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    Q = br.validate_generator(rates)
+    center = np.array([0.776, 0.0, 0.0, 0.136, 0.088])
+    for epsilon in (BALL_MIN_EPSILON, 2e-12, 5e-12):
+        ball = br.ball_rate(Q, center, epsilon)
+        assert ball.gap <= 1e-12 * max(1.0, ball.value)
+        assert ball.value < br.dvg_rate(center, Q).value
+
+
+def test_ball_rate_validates_inputs(symmetric_two):
+    for center in ([0.5, 0.3, 0.2], [1.2, -0.2], [0.5, 0.4], [math.nan, 1.0]):
+        with pytest.raises(ValueError):
+            br.ball_rate(symmetric_two, np.array(center), 0.1)
+    for epsilon in (0.0, -0.1, math.inf, math.nan, 1e-13):
+        with pytest.raises(ValueError):
+            br.ball_rate(symmetric_two, np.array([0.7, 0.3]), epsilon)
 
 
 def test_mc_decay_validations(symmetric_two):
@@ -381,7 +533,7 @@ def test_mc_decay_occupation_slope(symmetric_two):
     fit = br.mc_decay_rate(
         symmetric_two, np.array([0.7, 0.3]), 0.05, (20, 30, 40), 60_000, seed=2
     )
-    ref, _ = br.ball_rate(symmetric_two, np.array([0.7, 0.3]), 0.05)
+    ref = br.ball_rate(symmetric_two, np.array([0.7, 0.3]), 0.05).value
     assert fit.slope > 0
     assert 0.5 * ref < fit.slope < 2.0 * ref
     probs = fit.probabilities()
