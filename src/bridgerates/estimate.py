@@ -68,10 +68,6 @@ __all__ = [
     "mc_decay_rate",
 ]
 
-# Contraction: flux-weighted Newton rounds that repair a component's
-# divergence, stopped early once it is at rounding level, EPS times the
-# largest flux.
-REPAIR_ROUNDS = 5
 EPS = float(np.finfo(float).eps)
 # smallest normal double: a Perron vector entry at or below it, relative to
 # the largest, has left double precision
@@ -82,10 +78,6 @@ TINY = float(np.finfo(float).tiny)
 BALL_GAP_RTOL = 1e-12
 BALL_MAX_EVALS = 300
 BALL_MIN_EPSILON = 1e-12
-# Newton steps that polish dvg_rate's potential before the gradient is read
-# off it, and the net flow relative to outflow at which they stop
-POLISH_STEPS = 16
-POLISH_RTOL = 16 * EPS
 MC_BATCH = 50_000
 MIN_HITS = 30
 
@@ -331,13 +323,11 @@ def contract_dvg_from_bfg(rho, Q: GeneratorMatrix) -> ContractionResult:
     vanishes on every edge that lies on no cycle, so it lives on the edges
     inside one strongly connected component of S = supp(rho); every other
     edge costs its full weight ``rho_x Q_xy``. On a component the flux
-    starts at ``j_xy = rho_x Q_xy exp(v_y - v_x)``, and its divergence is
-    repaired by at most ``REPAIR_ROUNDS`` flux-weighted Newton steps, each
-    solving ``L phi = div(j)`` with the weighted Laplacian of j and setting
-    ``j_xy *= exp(phi_y - phi_x)``, so every flux stays positive. The gap
-    bounds the error whatever optimizer found v: ``bfg_rate`` at a feasible
-    flux bounds the contraction from above, the dual value at any v from
-    below.
+    is ``j_xy = rho_x Q_xy exp(v_y - v_x)``, divergence free to rounding
+    because ``dvg_rate`` stops only once every state's net flow is at
+    rounding level relative to its flows. The gap bounds the error whatever
+    optimizer found v: ``bfg_rate`` at a feasible flux bounds the
+    contraction from above, the dual value at any v from below.
     """
     rho = rho if isinstance(rho, ProbVector) else ProbVector(np.asarray(rho, dtype=float))
     dual = dvg_rate(rho, Q)
@@ -350,14 +340,7 @@ def contract_dvg_from_bfg(rho, Q: GeneratorMatrix) -> ContractionResult:
         states = support[comp]
         tail, head = np.nonzero(base[np.ix_(states, states)] > 0)
         src, dst = states[tail], states[head]
-        flow = base[src, dst] * np.exp(v[dst] - v[src])
-        for _ in range(REPAIR_ROUNDS):
-            div = np.bincount(tail, flow, states.size) - np.bincount(head, flow, states.size)
-            if np.abs(div).max() <= EPS * flow.max(initial=0.0):
-                break
-            phi = _laplacian_solve(tail, head, flow, div)
-            flow *= np.exp(phi[head] - phi[tail])
-        j[src, dst] = flow
+        j[src, dst] = base[src, dst] * np.exp(v[dst] - v[src])
     value = bfg_rate(rho, j, Q)
     return ContractionResult(value, dual.value, value - dual.value, j, v)
 
@@ -404,31 +387,16 @@ def _rate_derivatives(rho: np.ndarray, Q: GeneratorMatrix, v: np.ndarray):
     With E_xy = Q_xy exp(v_y - v_x) off the diagonal, the gradient is
     g_x = sum_y Q_xy - sum_y E_xy (envelope theorem) and the Hessian is
     J L^-1 J^T, with J = diag(E 1) - E and L the weighted Laplacian of the
-    symmetrized flow rho_x E_xy, gauge-fixed at the heaviest state.
-
-    ``dvg_rate`` stops on an absolute gradient tolerance, which leaves the
-    potential of a state with mass near 1e-12 far from its optimum and its
-    entry of g wrong by orders of magnitude. So v is first polished by at
-    most ``POLISH_STEPS`` Newton steps (the same Laplacian), stopped once
-    every state's net flow is at rounding level relative to its outflow.
+    symmetrized flow rho_x E_xy, solved by ``_laplacian_solve``. Both are
+    read off each state's potential, which ``dvg_rate`` converges state by
+    state, so they hold for states of tiny mass too.
     """
     rates = Q.rates.copy()
     np.fill_diagonal(rates, 0.0)
-    # fixing the potential of a state with tiny mass would leave the rest of
-    # the Laplacian pinned only by its tiny flows, singular to working precision
-    free = np.arange(rho.size) != np.argmax(rho)
-    for polish in range(POLISH_STEPS + 1):
-        E = rates * np.exp(v[None, :] - v[:, None])
-        flow = rho[:, None] * E
-        sym = flow + flow.T
-        laplacian = np.diag(sym.sum(axis=1)) - sym
-        div = flow.sum(axis=1) - flow.sum(axis=0)
-        if polish == POLISH_STEPS or np.all(np.abs(div) <= POLISH_RTOL * flow.sum(axis=1)):
-            break
-        v = v.copy()
-        v[free] += np.linalg.solve(laplacian[np.ix_(free, free)], div[free])
+    E = rates * np.exp(v[None, :] - v[:, None])
+    src, dst = np.nonzero(rates > 0)
     J = np.diag(E.sum(axis=1)) - E
-    hessian = J[:, free] @ np.linalg.solve(laplacian[np.ix_(free, free)], J[:, free].T)
+    hessian = J @ _laplacian_solve(src, dst, rho[src] * E[src, dst], J.T)
     return rates.sum(axis=1) - E.sum(axis=1), hessian
 
 
@@ -720,8 +688,10 @@ def mc_decay_rate(
         raise ValueError(f"n_grid must be positive, got {n_grid.tolist()}")
     if kind == "pair" and np.any(n_grid != np.round(n_grid)):
         raise ValueError(f"pair kind needs whole window counts in n_grid, got {n_grid.tolist()}")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
+        raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
     if init is None:
         init = invariant_measure(Q)
     hits = _count_hits(Q, n_grid, target, epsilon, n_paths, seed, init, kind, t0)

@@ -37,7 +37,9 @@ MARGINAL_TOL = 1e-12
 OFF_SUPPORT_GAP = 60.0  # potential drop to states whose inflow the rate counts in full
 ARMIJO = 1e-4  # sufficient-increase fraction of the Newton slope
 MIN_STEP = 2.0**-40  # smallest step fraction the Newton line search tries
-GRAD_TOL = 1e-10  # gradient max-norm at which the Newton ascent stops
+GRAD_TOL = 1e-10  # gradient max-norm the Newton ascent must reach, or NonConvergence
+# each state's net flow at which the ascent stops, relative to its flows
+STATION_RTOL = 64 * float(np.finfo(float).eps)
 _TINY = np.finfo(float).tiny  # smallest normal double
 
 
@@ -187,26 +189,36 @@ def dvg_objective(rho: ProbVector, Q: GeneratorMatrix, v: np.ndarray) -> float:
 
 
 def _laplacian_solve(src: np.ndarray, dst: np.ndarray, flow: np.ndarray, rhs: np.ndarray):
-    """Solve L x = rhs with x[0] = 0, L the weighted Laplacian of the symmetrized flow.
+    """Solve L x = rhs, L the weighted Laplacian of the symmetrized flow.
 
     ``flow`` sits on the edges src -> dst of a strongly connected graph on
-    ``rhs.size`` states, and ``rhs`` sums to zero. The gauge-fixed system is
-    solved by least squares on the rank it has: where a flow underflows, the
+    ``rhs.shape[0]`` states; each column of ``rhs`` (vector or matrix) sums
+    to zero. The system is Jacobi-scaled (D^-1/2 L D^-1/2, D the weighted
+    degrees), so each state's row is O(1) whatever its mass, and its gauge
+    fixed by an identity row at the state of largest degree. It is solved
+    by least squares on the rank it has: where a flow underflows, the
     Laplacian is singular to working precision, and the directions it
     cannot resolve get no step instead of raising.
     """
-    k = rhs.size
+    k = rhs.shape[0]
     sym = np.zeros((k, k))
     sym[src, dst] = flow
     sym += sym.T
-    laplacian = np.diag(sym.sum(axis=1)) - sym
-    x = np.zeros(k)
-    x[1:] = np.linalg.lstsq(laplacian[1:, 1:], rhs[1:], rcond=None)[0]
-    return x
+    degree = sym.sum(axis=1)
+    gauge = int(degree.argmax())
+    scale = 1.0 / np.sqrt(degree)
+    # I - D^-1/2 S D^-1/2 in place: the edges carry no self-loops
+    sym *= -scale
+    sym *= scale[:, None]
+    sym[gauge] = sym[:, gauge] = 0.0
+    sym.flat[::k + 1] = 1.0
+    b = (rhs.T * scale).T
+    b[gauge] = 0.0
+    return (np.linalg.lstsq(sym, b, rcond=None)[0].T * scale).T
 
 
 def _newton_ascent(w: np.ndarray, v: np.ndarray, max_iters: int):
-    """Maximize sum_xy w_xy (1 - exp(v_y - v_x)) over v with v[0] held fixed.
+    """Maximize sum_xy w_xy (1 - exp(v_y - v_x)) over v, up to a constant shift.
 
     ``w`` is the weight matrix of a strongly connected graph, so the
     maximum is attained. The Hessian is minus the weighted Laplacian of the
@@ -214,6 +226,9 @@ def _newton_ascent(w: np.ndarray, v: np.ndarray, max_iters: int):
     ``_laplacian_solve``) is halved until the Armijo rule holds, with the
     gain summed as -flow * expm1(step difference) so that it stays exact
     near the optimum, where the value itself moves by less than one ulp.
+    It stops once the gradient is below ``GRAD_TOL`` and every state's net
+    flow at most ``STATION_RTOL`` times its outflow plus inflow, after
+    ``max_iters`` steps, or when the line search fails.
     Returns (v, value, gradient max-norm, Newton steps).
     """
     src, dst = np.nonzero(w > 0)
@@ -222,9 +237,12 @@ def _newton_ascent(w: np.ndarray, v: np.ndarray, max_iters: int):
     steps = 0
     while True:
         flow = weights * np.exp(v[dst] - v[src])
-        grad = np.bincount(src, flow, k) - np.bincount(dst, flow, k)
-        gnorm = float(np.abs(grad).max(initial=0.0))
-        if gnorm < GRAD_TOL or steps >= max_iters:
+        outflow, inflow = np.bincount(src, flow, k), np.bincount(dst, flow, k)
+        grad = outflow - inflow
+        net = np.abs(grad)
+        gnorm = float(net.max(initial=0.0))
+        stationary = gnorm < GRAD_TOL and np.all(net <= STATION_RTOL * (outflow + inflow))
+        if stationary or steps >= max_iters:
             break
         step = _laplacian_solve(src, dst, flow, grad)
         slope = float(grad @ step)
@@ -260,11 +278,14 @@ def dvg_rate(
       components feeding it makes every edge between components contribute
       its full weight too.
     - What remains is one strongly connected problem per component, whose
-      maximum is attained. Each is solved by gauge-fixed Newton with the
+      maximum is attained. Each is solved by Newton with the
       weighted-Laplacian Hessian and Armijo halving, from v = log(rho) / 2
-      (exact for symmetric chains), to ``GRAD_TOL`` on the gradient. A
-      Laplacian singular to working precision (a flow that underflows at
-      rho entries near 1e-37) is solved on the rank it has, not raised.
+      (exact for symmetric chains), until the gradient is below
+      ``GRAD_TOL`` and every state's net flow is at rounding level
+      relative to its own flows, so a state of mass near 1e-30 converges
+      as well as a heavy one. A Laplacian singular to working precision
+      (a flow that underflows at rho entries near 1e-37) is solved on the
+      rank it has, not raised.
 
     There is no multistart: each component's problem is strictly concave
     modulo the gauge, so Newton's answer is its unique maximum.

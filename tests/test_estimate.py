@@ -352,10 +352,10 @@ def test_ball_rate_certifies_random_chains():
 
 # Sparse chains with rates over four decades (off-diagonal rates; center
 # e_vertex), whose minimizers put masses from 1e-19 to 1e-12 on some
-# states. There dvg_rate's potential misses the optimum by orders of
-# magnitude in those states' flows, and the gradient is right only after
-# the potential is polished; the second chain also needs the gauge fixed
-# at the heaviest state.
+# states. The gradient there is right only if dvg_rate converges each
+# state's potential relative to that state's own flows (an absolute
+# gradient tolerance left them off by orders of magnitude); the second
+# chain also needs the Laplacian's gauge fixed at a heavy state.
 STIFF_SPARSE = [
     ([[0.0, 0.0831, 1.0, 71.1, 90.5, 0.0],
       [0.0, 0.0, 21.8, 0.0, 0.0, 0.254],
@@ -445,8 +445,13 @@ def test_mc_decay_validations(symmetric_two):
     ({"init": 5}, "start state"),
     ({"target": [[0.4, 0.1], [0.1, 0.4]]}, "shape"),
     ({"target": [0.7, 0.3], "kind": "pair"}, "shape"),
+    ({"n_paths": 0}, "n_paths"),
+    ({"n_paths": 1000.0}, "n_paths"),
+    ({"epsilon": math.nan}, "epsilon"),
+    ({"epsilon": math.inf}, "epsilon"),
 ], ids=["negative-T", "zero-T", "fractional-m", "zero-m", "init-below", "init-above",
-        "occupation-target-2d", "pair-target-1d"])
+        "occupation-target-2d", "pair-target-1d", "zero-paths", "float-paths", "nan-epsilon",
+        "inf-epsilon"])
 def test_mc_decay_rejects_bad_input_before_simulating(symmetric_two, monkeypatch, kwargs, message):
     def no_simulation(*args, **kw):
         raise AssertionError("simulated before validating")
@@ -457,8 +462,8 @@ def test_mc_decay_rejects_bad_input_before_simulating(symmetric_two, monkeypatch
     call = {"target": [0.7, 0.3] if kind == "occupation" else [[0.4, 0.1], [0.1, 0.4]],
             "n_grid": (4, 6), "t0": 1.0 if kind == "pair" else None, **kwargs}
     with pytest.raises(ValueError, match=message):
-        br.mc_decay_rate(symmetric_two, call.pop("target"), 0.1, call.pop("n_grid"), 1000, 0,
-                         **call)
+        br.mc_decay_rate(symmetric_two, call.pop("target"), call.pop("epsilon", 0.1),
+                         call.pop("n_grid"), call.pop("n_paths", 1000), 0, **call)
 
 
 @pytest.mark.parametrize("kind", ["occupation", "pair"])

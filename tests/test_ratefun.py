@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 import bridgerates as br
 from conftest import random_generator
+from test_estimate import STIFF_SPARSE
 
 S_3_1 = 1.2958368660043291
 TWO_S_1_HALF = 0.3862943611198906
 PAIR_UNIFORM = 0.07270672893442953
 DVG_73 = 0.08348486100883201
+EPS = float(np.finfo(float).eps)
 
 
 def two_state_closed_form(q12: float, q21: float, rho1: float, rho2: float) -> float:
@@ -137,6 +139,20 @@ def test_dvg_rate_nonconvergence_carries_best(ring_three):
     assert best.value <= br.dvg_rate(rho, ring_three).value + 1e-12
 
 
+def test_dvg_rate_converges_at_a_mass_of_1e_30():
+    # the 6.9e-30 mass sits on state 0: a Laplacian gauge fixed there pins
+    # the other states only through its tiny flows, and the line search gave
+    # up at gradient 2.26e-10; the gauge belongs at the state of largest degree
+    rates = np.array([[0.0, 1.4067655498981702, 0.8852810944195624],
+                      [0.8896054203766071, 0.0, 0.6051269267264902],
+                      [1.5195288459955711, 0.8151961729438992, 0.0]])
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    rho = [6.913849467834228e-30, 0.1630127491265517, 0.8369872508734483]
+    res = br.dvg_rate(rho, br.validate_generator(rates))
+    assert res.value == pytest.approx(1.6789303467962085, rel=1e-14)
+    assert res.gradient_norm < 1e-15
+
+
 def _attained(rho: np.ndarray, Q, v: np.ndarray) -> tuple[float, float]:
     """Objective value and gradient max-norm at v, summed over edges with rho_x Q_xy > 0."""
     base = np.where(np.eye(Q.n_states, dtype=bool), 0.0, rho[:, None] * Q.rates)
@@ -205,9 +221,9 @@ def test_dvg_rate_support_not_strongly_connected(rates, weights, want, tol):
 
 # Two chains of the seeded stress set in tests/test_estimate.py (draws 54
 # and 1355 of default_rng(5)). On the first, rho_0 = 2.3e-37 makes the flow
-# underflow and the gauge-fixed Laplacian singular to working precision,
-# which np.linalg.solve rejected; on the second, an unweighted least-squares
-# divergence repair pushed a flux below zero.
+# underflow and the unscaled Laplacian singular to working precision, which
+# np.linalg.solve rejected; on the second, a divergence repair by unweighted
+# least squares, since removed, pushed a flux below zero.
 UNDERFLOW_54 = (
     [[-12.592729719003849, 0.0, 0.0, 0.0, 1.4509846686547312, 0.0, 1.4306415314582408, 9.711103518890877],
      [0.0, -144.23826208997008, 2.59166104842848, 25.62332987333185, 3.3143679918392137, 0.0,
@@ -260,6 +276,33 @@ def test_contract_on_tiny_rho_entries(rates, weights, want):
     assert out.value == pytest.approx(res.value, rel=1e-12)
     assert abs(out.gap) <= 1e-12
     assert out.flux.min() >= 0.0
+
+
+@pytest.mark.parametrize(
+    "rates, point",
+    [*((rates, (vertex, epsilon)) for rates, vertex, epsilon in STIFF_SPARSE),
+     UNDERFLOW_54[:2], SMALL_RHO_1355[:2]],
+    ids=[*(f"stiff-sparse-{i}" for i in range(len(STIFF_SPARSE))), "underflow-54", "small-rho-1355"],
+)
+def test_dvg_rate_maximizer_is_stationary_state_by_state(rates, point):
+    # every state of the support balances its flows to rounding, relative
+    # to its own flows, however small its mass (down to 1e-19 at the stiff
+    # ball minimizers and 2.3e-37 in UNDERFLOW_54)
+    rates = np.array(rates)
+    if isinstance(point, tuple):  # a STIFF_SPARSE ball (vertex, epsilon): its minimizer
+        np.fill_diagonal(rates, -rates.sum(axis=1))
+        Q = br.validate_generator(rates)
+        vertex, epsilon = point
+        rho = br.ball_rate(Q, np.eye(Q.n_states)[vertex], epsilon).minimizer
+    else:
+        Q, rho = br.validate_generator(rates), np.array(point)
+    v = br.dvg_rate(rho, Q).maximizer
+    base = np.where(np.eye(Q.n_states, dtype=bool), 0.0, rho[:, None] * Q.rates)
+    flow = np.where(base > 0, base * np.exp(v[None, :] - v[:, None]), 0.0)
+    outflow, inflow = flow.sum(axis=1), flow.sum(axis=0)
+    support = rho > 0
+    net = np.abs(outflow - inflow)[support] / (outflow + inflow)[support]
+    assert net.max() <= 64 * EPS
 
 
 # --- flux rate ----------------------------------------------------------------
