@@ -30,7 +30,7 @@ def main() -> None:
     for t0 in args.t0:
         tic = time.perf_counter()
         oracle = br.build_oracle(Q, t0, "occupation", args.n_samples, args.seed)
-        res = br.infconv_dvg(rho, oracle, br.transition_at(Q, t0))
+        res = br.infconv_dvg(rho, oracle)
         per_time = res.value / t0 if math.isfinite(res.value) else math.inf
         print(
             f"{t0:5.2f} {per_time:10.6f} {abs(per_time - ref):9.2e} "

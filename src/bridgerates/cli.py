@@ -241,16 +241,15 @@ def cmd_infconv(cfg: ExperimentConfig, args) -> dict:
     Q = cfg.chain()
     rho = cfg.rho_vector()
     oracle = build_oracle(Q, cfg.t0, cfg.mode, cfg.n_samples, cfg.seed)
-    P = transition_at(Q, cfg.t0)
     if cfg.mode == "occupation":
-        res = infconv_dvg(rho, oracle, P)
+        res = infconv_dvg(rho, oracle)
         reference = dvg_rate(rho, Q).value
         target = {"rho": rho.weights}
     else:
         if cfg.flux is None:
             raise ValueError("flux mode needs a 'flux' target in the config")
         j = np.asarray(cfg.flux, dtype=float)
-        res = infconv_bfg(rho, j, oracle, P)
+        res = infconv_bfg(rho, j, oracle)
         reference = bfg_rate(rho, j, Q)
         target = {"rho": rho.weights, "flux": j}
     per_time = res.value / cfg.t0 if math.isfinite(res.value) else math.inf

@@ -1,12 +1,13 @@
 """Log moment generating functions and their Legendre-Fenchel conjugates.
 
-Laws come in two flavors: empirical sample clouds and exact finite-support
-or classical laws used as test fixtures. Each supplies its log-MGF together
-with the tilted mean and covariance (its gradient and Hessian) from one
-pass over its points. Conjugates are computed over a box [-L, L]^d by one
-projected Newton solver with minimum-norm steps, so directions in which a
-law's support is flat (occupation fractions summing to one, zero flux
-diagonals) never move. Contact with the box boundary is a first-class
+A law is anything with a ``_moments`` method that returns its log-MGF with
+the tilted mean and covariance (its gradient and Hessian) at one point.
+``DiscreteLaw`` covers every law on weighted atoms, and ``EmpiricalLaw``,
+the sampled bridge blocks, is its uniform case; ``PoissonLaw`` is a
+closed-form test fixture. Conjugates are computed over a box [-L, L]^d by
+one projected Newton solver with minimum-norm steps, so directions in
+which a law's support is flat (occupation fractions summing to one, zero
+flux diagonals) never move. Contact with the box boundary is a first-class
 result flag, and "effectively infinite" conjugate values are detected by
 re-solving on doubled boxes and checking for sustained growth.
 """
@@ -19,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import GeneratorMatrix, transition_at
+from .chain import GeneratorMatrix, TransitionKernel, transition_at
 
 __all__ = [
     "ZeroRate",
@@ -67,20 +68,19 @@ class ZeroRate(ValueError):
 class ConjugateEstimate:
     """Numerical conjugate value with its maximizer and status flags.
 
-    ``curvature`` is the d x d Hessian in ``a`` of the boxed conjugate at
-    the maximizer, i.e. the derivative of ``maximizer`` in ``a``. On the
-    coordinates not pinned to the box it is the pseudo-inverse of the
-    tilted covariance, with the flat directions of the law's affine hull
-    (curvature below ``EIG_RTOL`` of the largest) given zero; pinned
-    coordinates get zero rows and columns, since the boxed conjugate is
-    linear in them.
+    ``decrement`` is the Newton decrement at the last iterate, g . H+ g / 2
+    with g the gradient a - mean and H the tilted covariance: an estimate
+    of the value still to gain. It is taken on the coordinates not pinned
+    to the box, where the boxed conjugate is linear, and the flat
+    directions of the law's affine hull (curvature below ``EIG_RTOL`` of
+    the largest) contribute nothing.
     """
 
     value: float
     maximizer: np.ndarray
     converged: bool
     boundary: bool
-    curvature: np.ndarray
+    decrement: float
 
 
 # ---------------------------------------------------------------------------
@@ -88,98 +88,93 @@ class ConjugateEstimate:
 
 
 @dataclass(frozen=True)
-class EmpiricalLaw:
-    """Empirical law of N i.i.d. d-dimensional samples, uniformly weighted."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 2 or samples.shape[0] < 1:
-            raise ValueError(f"samples must be a nonempty (N, d) array, got {samples.shape}")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.samples.shape[1]
-
-    @cached_property
-    def _log_weights(self) -> np.ndarray:
-        return np.full(self.n_samples, -math.log(self.n_samples))
-
-    @cached_property
-    def _columns(self) -> np.ndarray:
-        # one contiguous row per coordinate keeps the per-pass sweeps fast
-        return np.ascontiguousarray(self.samples.T)
-
-    @cached_property
-    def _work(self):
-        # reused by every moment pass, so a pass allocates nothing of size N
-        return _work_buffers(self._columns)
-
-    def _moments(self, lam: np.ndarray):
-        return _tilted_moments(self._columns, self._log_weights, lam, self._work)
-
-    def mean(self) -> np.ndarray:
-        return self.samples.mean(axis=0)
-
-    def log_mgf(self, lam) -> float:
-        """log E exp(lam . A), computed with a max shift for stability."""
-        return _weighted_lse(self.samples, self._log_weights, np.asarray(lam, dtype=float))
-
-    def abs_log_mgf(self, s: float) -> float:
-        """log E exp(s |A|_1)."""
-        return self.abs_law().log_mgf([s])
-
-    def abs_law(self) -> "EmpiricalLaw":
-        """Law of the scalar |A|_1 under this law."""
-        return EmpiricalLaw(np.abs(self.samples).sum(axis=1)[:, None])
-
-
-@dataclass(frozen=True)
 class DiscreteLaw:
-    """Exact finite-support law given by atoms and probability weights."""
+    """Law on N weighted atoms in R^d; without weights the atoms are uniform.
+
+    ``atoms`` is an (N, d) array (a 1-d array holds N scalar atoms) and
+    ``weights`` positive probabilities summing to one, or None for the
+    uniform law, which then stores no per-atom weights and gives every
+    atom the log-weight -log N exactly. The atoms are also kept as a
+    contiguous (d, N) column layout with scratch buffers, so a moment pass
+    allocates nothing of size N.
+    """
 
     atoms: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float)
         if atoms.ndim == 1:
             atoms = atoms[:, None]
-        weights = np.asarray(self.weights, dtype=float)
-        if atoms.shape[0] != weights.shape[0]:
-            raise ValueError("atoms and weights must have matching first dimension")
-        if weights.min() <= 0 or abs(float(weights.sum()) - 1.0) > 1e-12:
-            raise ValueError("weights must be positive and sum to 1")
+        if atoms.ndim != 2 or atoms.shape[0] < 1:
+            raise ValueError(f"atoms must be a nonempty (N, d) array, got {atoms.shape}")
+        if not np.all(np.isfinite(atoms)):
+            raise ValueError("atoms must be finite")
         object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
+        if self.weights is not None:
+            weights = np.asarray(self.weights, dtype=float)
+            if weights.shape != atoms.shape[:1]:
+                raise ValueError("atoms and weights must have matching first dimension")
+            if not weights.min() > 0 or abs(float(weights.sum()) - 1.0) > 1e-12:
+                raise ValueError("weights must be positive and sum to 1")
+            object.__setattr__(self, "weights", weights)
+
+    @property
+    def samples(self) -> np.ndarray:
+        return self.atoms
+
+    @property
+    def n_samples(self) -> int:
+        return self.atoms.shape[0]
 
     @property
     def d(self) -> int:
         return self.atoms.shape[1]
 
+    @cached_property
+    def _log_weights(self):
+        # a scalar for the uniform law: adding it is the same rounding per atom
+        if self.weights is None:
+            return -math.log(self.n_samples)
+        return np.log(self.weights)
+
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        # one contiguous row per coordinate keeps the per-pass sweeps fast
+        return np.ascontiguousarray(self.atoms.T)
+
+    @cached_property
+    def _work(self):
+        # scratch of _tilted_moments, reused by every moment pass: fresh
+        # arrays of size N can cost a page fault per page on each pass
+        columns = self._columns
+        return np.empty(columns.shape[1]), np.empty_like(columns), np.empty_like(columns)
+
     def _moments(self, lam: np.ndarray):
-        columns = self.atoms.T
-        return _tilted_moments(columns, np.log(self.weights), lam, _work_buffers(columns))
+        return _tilted_moments(self._columns, self._log_weights, lam, self._work)
 
     def mean(self) -> np.ndarray:
+        if self.weights is None:
+            return self.atoms.mean(axis=0)
         return self.weights @ self.atoms
 
     def log_mgf(self, lam) -> float:
-        return _weighted_lse(self.atoms, np.log(self.weights), np.asarray(lam, dtype=float))
-
-    def abs_log_mgf(self, s: float) -> float:
-        return self.abs_law().log_mgf([s])
+        """log E exp(lam . A), computed with a max shift for stability."""
+        lam = np.asarray(lam, dtype=float).ravel()
+        if lam.size != self.d:
+            raise ValueError(f"lambda dimension {lam.size} does not match law dimension {self.d}")
+        return self._moments(lam)[0]
 
     def abs_law(self) -> "DiscreteLaw":
-        return DiscreteLaw(np.abs(self.atoms).sum(axis=1)[:, None], self.weights)
+        """Law of the scalar |A|_1 under this law."""
+        return DiscreteLaw(np.abs(self.atoms).sum(axis=1), self.weights)
+
+
+class EmpiricalLaw(DiscreteLaw):
+    """Empirical law of N i.i.d. d-dimensional samples: the uniform ``DiscreteLaw``."""
+
+    def __init__(self, samples):
+        super().__init__(samples)
 
 
 @dataclass(frozen=True)
@@ -199,11 +194,8 @@ class PoissonLaw:
             raise ValueError("Poisson law is one dimensional")
         return float(self.rate * math.expm1(lam[0]))
 
-    def abs_log_mgf(self, s: float) -> float:
-        # support is nonnegative, so |A|_1 = A
-        return self.log_mgf([s])
-
     def abs_law(self) -> "PoissonLaw":
+        # support is nonnegative, so |A|_1 = A
         return self
 
     def _moments(self, lam: np.ndarray):
@@ -211,29 +203,15 @@ class PoissonLaw:
         return self.rate * math.expm1(lam[0]), np.array([tilted]), np.array([[tilted]])
 
 
-def _weighted_lse(points: np.ndarray, logw: np.ndarray, lam: np.ndarray) -> float:
-    lam = lam.ravel()
-    if lam.size != points.shape[1]:
-        raise ValueError(f"lambda dimension {lam.size} does not match law dimension {points.shape[1]}")
-    z = points @ lam + logw
-    m = float(z.max())
-    return m + math.log(float(np.exp(z - m).sum()))
-
-
-def _work_buffers(columns: np.ndarray):
-    """Scratch arrays of ``_tilted_moments`` for (d, N) support points: (N,), (d, N), (d, N)."""
-    return np.empty(columns.shape[1]), np.empty_like(columns), np.empty_like(columns)
-
-
-def _tilted_moments(columns: np.ndarray, logw: np.ndarray, lam: np.ndarray, work):
+def _tilted_moments(columns: np.ndarray, logw, lam: np.ndarray, work):
     """log-MGF, tilted mean and tilted covariance at lam, in one pass.
 
     ``columns`` holds the support points as a (d, N) array. The covariance
     is taken about the tilted mean, so flat directions of the support come
     out with curvature at roundoff level rather than at cancellation level.
-    Every temporary of size N is written into ``work`` (from
-    ``_work_buffers``): fresh arrays of that size can cost a page fault per
-    page on each pass, once the allocator has handed their memory back.
+    ``logw`` holds the log-weights, or one scalar for uniform atoms, and
+    every temporary of size N is written into ``work``: an (N,) and two
+    (d, N) arrays.
     """
     z, centered, scaled = work
     np.matmul(lam, columns, out=z)
@@ -256,7 +234,7 @@ def log_mgf(law, lam) -> float:
 
 def abs_log_mgf(law, s: float) -> float:
     """log-MGF of |A|_1 under the law, at scalar argument s."""
-    return law.abs_log_mgf(s)
+    return law.abs_law().log_mgf([s])
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +248,13 @@ def _hull_eigh(H: np.ndarray):
     return w, V, keep
 
 
-def _pinned_pinv(H: np.ndarray, pinned: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of H on the unpinned coordinates, zero elsewhere."""
-    out = np.zeros_like(H)
-    free = ~pinned
+def _decrement(H: np.ndarray, g: np.ndarray, free: np.ndarray) -> float:
+    """Newton decrement g . H+ g / 2 on the free coordinates, flat directions left out."""
     if not free.any():
-        return out
+        return 0.0
     w, V, keep = _hull_eigh(H[np.ix_(free, free)])
-    out[np.ix_(free, free)] = (V[:, keep] / w[keep]) @ V[:, keep].T
-    return out
+    coef = V[:, keep].T @ g[free]
+    return 0.5 * float(coef @ (coef / w[keep]))
 
 
 def _newton_direction(H: np.ndarray, g: np.ndarray, fixed: np.ndarray, lam_box: float,
@@ -322,7 +298,7 @@ def conjugate_at(
     search along that ray accepts a point by the sign and size of the slope
     there, which stays reliable where value differences drown in roundoff.
     It stops once the projected gradient drops below ``GRAD_TOL``. The
-    returned ``curvature`` is built from the tilted covariance already held
+    returned ``decrement`` is built from the tilted covariance already held
     at the last iterate, so it costs no further pass over the law.
     ``boundary`` is set when the maximizer presses against the box, which
     signals that the unconstrained supremum lies outside (or at infinity).
@@ -382,7 +358,7 @@ def conjugate_at(
     boundary = bool(np.any(at_hi | at_lo))
     value = float(lam @ a - phi_val)
     pinned = ((lam >= edge) & (grad > 0)) | ((lam <= -edge) & (grad < 0))
-    return ConjugateEstimate(value, lam, converged, boundary, _pinned_pinv(H, pinned))
+    return ConjugateEstimate(value, lam, converged, boundary, _decrement(H, grad, ~pinned))
 
 
 def conjugate_or_inf(phi, a) -> ConjugateEstimate:
@@ -401,7 +377,7 @@ def conjugate_or_inf(phi, a) -> ConjugateEstimate:
     if not est2.boundary:
         return est2
     if est2.value - est.value > GROWTH_RTOL * max(1.0, abs(est.value)):
-        return ConjugateEstimate(math.inf, est2.maximizer, est2.converged, True, est2.curvature)
+        return ConjugateEstimate(math.inf, est2.maximizer, est2.converged, True, est2.decrement)
     return est2
 
 
@@ -543,10 +519,12 @@ def load_samples(path) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConjugateOracle:
-    """Per-endpoint-pair block laws and their conjugates.
+    """Per-endpoint-pair block laws over windows of length t0, with their kernel.
 
     Maps every ordered state pair (x, y) to the law of its conditioned
     block statistic; each law answers its own ``mean`` and ``log_mgf``.
+    ``kernel`` is the window transition kernel P(t0) those laws were
+    conditioned under, which the decomposition tilts by them.
     Conjugates start on the box of half-width ``DEFAULT_LAM_BOX`` and double
     it to detect infinite values. Evaluations return the same values in
     any order, but each law keeps scratch buffers for its moment passes,
@@ -555,15 +533,13 @@ class ConjugateOracle:
     """
 
     laws: dict
-    mode: str = "occupation"
-    t0: float | None = None
+    kernel: TransitionKernel
+    mode: str
+    t0: float
 
     @property
     def d(self) -> int:
         return next(iter(self.laws.values())).d
-
-    def pairs(self):
-        return self.laws.keys()
 
     def law(self, x: int, y: int):
         try:

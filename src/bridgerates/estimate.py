@@ -32,9 +32,9 @@ from .bridge import BridgeSpec, conditional_samples
 from .chain import (
     GeneratorMatrix,
     ProbVector,
-    TransitionKernel,
     _strong_components,
     invariant_measure,
+    transition_at,
 )
 from .conjugate import (
     DEFAULT_LAM_BOX,
@@ -46,6 +46,7 @@ from .ratefun import (
     ARMIJO,
     MIN_STEP,
     FluxField,
+    NegativeInput,
     NonConvergence,
     PairMeasure,
     _laplacian_solve,
@@ -104,15 +105,16 @@ def build_oracle(Q: GeneratorMatrix, t0: float, mode: str, n_samples: int,
 
     One empirical law per ordered pair (x, y), diagonal included, each from
     its own deterministic stream, so the same inputs always give the same
-    draws. Every call samples afresh: a whole oracle takes a fraction of a
-    second, well under the solves it feeds.
+    draws, together with the window kernel P(t0) the decomposition tilts.
+    Every call samples afresh: a whole oracle takes a fraction of a second,
+    well under the solves it feeds.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     n = Q.n_states
     laws = {(x, y): conditional_samples(BridgeSpec(Q, x, y, t0), mode, n_samples, seed)
             for x in range(n) for y in range(n)}
-    return ConjugateOracle(laws=laws, mode=mode, t0=t0)
+    return ConjugateOracle(laws=laws, kernel=transition_at(Q, t0), mode=mode, t0=t0)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +134,9 @@ class InfConvResult:
     ``iterations`` counts the evaluations of that chain (its log Perron
     root with gradient and Hessian, one moment pass per pair each),
     ``conjugate_solves`` the conjugate solves (one per box), and
-    ``decrement`` is the Newton decrement of the doubled-box solve at its
-    maximizer; ``converged`` says both solves met their gradient tolerance.
+    ``decrement`` the doubled-box solve's ``ConjugateEstimate.decrement``,
+    the dual value its maximizer has left to gain; ``converged`` says both
+    solves met their gradient tolerance.
     """
 
     value: float
@@ -176,12 +179,13 @@ class _PairChain:
     (I - K + 1 pi)^-1. ``evaluations`` counts the passes.
     """
 
-    def __init__(self, oracle: ConjugateOracle, P: TransitionKernel):
+    def __init__(self, oracle: ConjugateOracle):
+        P = oracle.kernel.probs
         self.d = oracle.d
-        self.n = P.n_states
-        self._pairs = list(zip(*np.nonzero(P.probs > 0)))
+        self.n = P.shape[0]
+        self._pairs = list(zip(*np.nonzero(P > 0)))
         self._laws = [oracle.law(x, y) for x, y in self._pairs]
-        self._log_p = np.log(P.probs)
+        self._log_p = np.log(P)
         self.evaluations = 0
 
     def tilt(self, lam: np.ndarray):
@@ -235,11 +239,12 @@ def _perron(M: np.ndarray, lam: np.ndarray):
     return float(values[top].real), h
 
 
-def _infconv(oracle: ConjugateOracle, P: TransitionKernel, target: np.ndarray) -> InfConvResult:
-    target = np.asarray(target, dtype=float)
+def _infconv(oracle: ConjugateOracle, target: np.ndarray) -> InfConvResult:
     if target.shape != (oracle.d,):
         raise ValueError(f"target has dimension {target.shape}, oracle expects ({oracle.d},)")
-    chain = _PairChain(oracle, P)
+    if not np.all(np.isfinite(target)):
+        raise ValueError("target entries must be finite")
+    chain = _PairChain(oracle)
     est1 = conjugate_at(chain, target, DEFAULT_LAM_BOX)
     # the doubled box starts from the base-box maximizer; off the decomposable
     # set the maximizer stays on the box and the value grows with it
@@ -247,36 +252,38 @@ def _infconv(oracle: ConjugateOracle, P: TransitionKernel, target: np.ndarray) -
     _, _, _, theta, means, _ = chain.tilt(est2.maximizer)
     growth = (est2.value - est1.value) / max(1.0, abs(est1.value))
     feasible = growth <= GROWTH_RTOL
-    residual = target - np.einsum("xy,xyi->i", theta, means)
-    decrement = 0.5 * float(residual @ est2.curvature @ residual)
     return InfConvResult(est2.value if feasible else math.inf, PairMeasure(theta),
                          FluxField(theta[:, :, None] * means), abs(growth),
                          est1.converged and est2.converged, feasible, chain.evaluations, 2,
-                         decrement)
+                         est2.decrement)
 
 
-def infconv_dvg(rho, oracle: ConjugateOracle, P: TransitionKernel) -> InfConvResult:
+def infconv_dvg(rho, oracle: ConjugateOracle) -> InfConvResult:
     """Infimum of the block rate over decompositions of an occupation target.
 
     Divided by the window length, the value matches the occupation rate of
     the underlying chain at ``rho``. Requires an occupation-mode oracle.
     The infimum is computed as its dual, the conjugate of the log Perron
-    root of the bridge-tilted window kernel, by ``conjugate_at`` on the
-    base box and on the doubled box. Raises ``NonConvergence`` when the
-    tilted kernel splits into classes that double precision cannot couple.
+    root of the oracle's window kernel tilted by its bridge laws, by
+    ``conjugate_at`` on the base box and on the doubled box. A target off
+    the simplex comes back flagged infeasible; a nonfinite one raises
+    ``ValueError``. Raises ``NonConvergence`` when the tilted kernel splits
+    into classes that double precision cannot couple.
     """
     if oracle.mode != "occupation":
         raise ValueError("infconv_dvg needs an occupation-mode oracle")
     rho = rho.weights if isinstance(rho, ProbVector) else np.asarray(rho, dtype=float)
-    return _infconv(oracle, P, rho)
+    return _infconv(oracle, rho)
 
 
-def infconv_bfg(rho, j, oracle: ConjugateOracle, P: TransitionKernel) -> InfConvResult:
+def infconv_bfg(rho, j, oracle: ConjugateOracle) -> InfConvResult:
     """Infimum of the block rate over decompositions of a joint (rho, j) target.
 
     The flux part of the target is in jumps per unit time; unreachable
     targets (for instance a flux with nonzero divergence) come back flagged
-    infeasible with an infinite value. Requires a flux-mode oracle.
+    infeasible with an infinite value. Requires a flux-mode oracle. As in
+    ``bfg_rate``, a negative off-diagonal flux raises ``NegativeInput``,
+    and a nonfinite target raises ``ValueError``, before any solve.
     The solve and ``NonConvergence`` mean what they do for ``infconv_dvg``;
     a target on the edge of the decomposable set, such as zero flux, can
     raise it.
@@ -288,8 +295,9 @@ def infconv_bfg(rho, j, oracle: ConjugateOracle, P: TransitionKernel) -> InfConv
     n = rho.size
     if j.shape != (n, n):
         raise ValueError(f"flux target shape {j.shape} does not match {n} states")
-    target = np.concatenate([rho, j.ravel()])
-    return _infconv(oracle, P, target)
+    if np.any(j[~np.eye(n, dtype=bool)] < 0):
+        raise NegativeInput("flux entries must be nonnegative")
+    return _infconv(oracle, np.concatenate([rho, j.ravel()]))
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,14 @@ __all__ = [
     "theorem_rate",
 ]
 
-DIV_TOL = 1e-12
+DIV_TOL = 1e-12  # net flow per state, relative to max(1, its outflow plus inflow)
 MARGINAL_TOL = 1e-12
 OFF_SUPPORT_GAP = 60.0  # potential drop to states whose inflow the rate counts in full
 ARMIJO = 1e-4  # sufficient-increase fraction of the Newton slope
 MIN_STEP = 2.0**-40  # smallest step fraction the Newton line search tries
-GRAD_TOL = 1e-10  # gradient max-norm the Newton ascent must reach, or NonConvergence
+# gradient max-norm the Newton ascent must reach, or NonConvergence, relative
+# to max(1, the largest outflow plus inflow of a state)
+GRAD_TOL = 1e-10
 # each state's net flow at which the ascent stops, relative to its flows
 STATION_RTOL = 64 * float(np.finfo(float).eps)
 _TINY = np.finfo(float).tiny  # smallest normal double
@@ -226,10 +228,11 @@ def _newton_ascent(w: np.ndarray, v: np.ndarray, max_iters: int):
     ``_laplacian_solve``) is halved until the Armijo rule holds, with the
     gain summed as -flow * expm1(step difference) so that it stays exact
     near the optimum, where the value itself moves by less than one ulp.
-    It stops once the gradient is below ``GRAD_TOL`` and every state's net
-    flow at most ``STATION_RTOL`` times its outflow plus inflow, after
-    ``max_iters`` steps, or when the line search fails.
-    Returns (v, value, gradient max-norm, Newton steps).
+    It stops once the gradient is below ``GRAD_TOL`` times
+    max(1, largest outflow plus inflow) and every state's net flow at most
+    ``STATION_RTOL`` times its outflow plus inflow, after ``max_iters``
+    steps, or when the line search fails. Returns (v, value, gradient
+    max-norm, Newton steps, whether the gradient met its tolerance).
     """
     src, dst = np.nonzero(w > 0)
     weights = w[src, dst]
@@ -241,8 +244,8 @@ def _newton_ascent(w: np.ndarray, v: np.ndarray, max_iters: int):
         grad = outflow - inflow
         net = np.abs(grad)
         gnorm = float(net.max(initial=0.0))
-        stationary = gnorm < GRAD_TOL and np.all(net <= STATION_RTOL * (outflow + inflow))
-        if stationary or steps >= max_iters:
+        within_tol = gnorm < GRAD_TOL * max(1.0, float((outflow + inflow).max(initial=0.0)))
+        if (within_tol and np.all(net <= STATION_RTOL * (outflow + inflow))) or steps >= max_iters:
             break
         step = _laplacian_solve(src, dst, flow, grad)
         slope = float(grad @ step)
@@ -256,7 +259,7 @@ def _newton_ascent(w: np.ndarray, v: np.ndarray, max_iters: int):
         v = v + t * step
         steps += 1
     value = -float(np.sum(weights * np.expm1(v[dst] - v[src])))
-    return v, value, gnorm, steps
+    return v, value, gnorm, steps, within_tol
 
 
 def dvg_rate(
@@ -281,7 +284,8 @@ def dvg_rate(
       maximum is attained. Each is solved by Newton with the
       weighted-Laplacian Hessian and Armijo halving, from v = log(rho) / 2
       (exact for symmetric chains), until the gradient is below
-      ``GRAD_TOL`` and every state's net flow is at rounding level
+      ``GRAD_TOL`` (times the largest flow through a state, when that
+      exceeds 1) and every state's net flow is at rounding level
       relative to its own flows, so a state of mass near 1e-30 converges
       as well as a heavy one. A Laplacian singular to working precision
       (a flow that underflows at rho entries near 1e-37) is solved on the
@@ -305,7 +309,8 @@ def dvg_rate(
     Raises
     ------
     NonConvergence
-        If some component stops with gradient norm at or above tolerance;
+        If some component stops with gradient norm at or above its
+        tolerance, ``GRAD_TOL`` scaled by that component's flows;
         its ``best`` is the result assembled from that unconverged iterate.
     """
     rho = rho if isinstance(rho, ProbVector) else ProbVector(rho)
@@ -320,13 +325,15 @@ def dvg_rate(
     v = np.zeros(n)
     value = gnorm = 0.0
     iterations = 0
+    converged = True
     placed = np.zeros(n, dtype=bool)
     for comp in _strong_components(base[np.ix_(support, support)] > 0):
         states = support[comp]
         labels[states] = states[0]
-        local, value_c, gnorm_c, steps = _newton_ascent(
+        local, value_c, gnorm_c, steps, within_tol = _newton_ascent(
             base[np.ix_(states, states)], 0.5 * np.log(rho.weights[states]), max_iters
         )
+        converged &= within_tol
         feeders = placed & (base[:, states] > 0).any(axis=1)
         ceiling = v[feeders].min() - OFF_SUPPORT_GAP if feeders.any() else 0.0
         v[states] = local - local.max() + ceiling
@@ -339,7 +346,7 @@ def dvg_rate(
     outside = rho.weights == 0
     v[outside] = v[support].min() - OFF_SUPPORT_GAP
     result = VariationalResult(value, v, gnorm, iterations)
-    if gnorm >= GRAD_TOL:
+    if not converged:
         raise NonConvergence("occupation-rate Newton ascent stopped above the gradient tolerance",
                              best=result)
     return result
@@ -349,10 +356,11 @@ def bfg_rate(rho: ProbVector | np.ndarray, j: np.ndarray, Q: GeneratorMatrix) ->
     """Joint occupation-flux rate functional.
 
     Equals ``sum_{x != y} s(j_xy | rho_x Q_xy)`` when j is divergence free
-    and vanishes wherever ``rho_x Q_xy`` does; otherwise ``inf``. Diagonal
-    entries of j are ignored. The functional is jointly convex in (rho, j)
-    and vanishes exactly at rho = pi, j = pi_x Q_xy. ``rho`` may be a plain
-    array; it is validated as a ProbVector.
+    (each state's net flow within ``DIV_TOL`` times max(1, its outflow plus
+    inflow)) and vanishes wherever ``rho_x Q_xy`` does; otherwise ``inf``.
+    Diagonal entries of j are ignored. The functional is jointly convex in
+    (rho, j) and vanishes exactly at rho = pi, j = pi_x Q_xy. ``rho`` may
+    be a plain array; it is validated as a ProbVector.
     """
     rho = rho if isinstance(rho, ProbVector) else ProbVector(rho)
     j = np.asarray(j, dtype=float)
@@ -361,7 +369,9 @@ def bfg_rate(rho: ProbVector | np.ndarray, j: np.ndarray, Q: GeneratorMatrix) ->
     off = ~np.eye(Q.n_states, dtype=bool)
     if j[off].min() < 0:
         raise NegativeInput("flux entries must be nonnegative")
-    if float(np.abs(divergence(np.where(off, j, 0.0))).max()) > DIV_TOL:
+    j_off = np.where(off, j, 0.0)
+    flows = j_off.sum(axis=1) + j_off.sum(axis=0)
+    if np.any(np.abs(divergence(j_off)) > DIV_TOL * np.maximum(1.0, flows)):
         return math.inf
     reference = rho.weights[:, None] * Q.rates
     return _rel_entropy_sum(j[off], reference[off])
@@ -411,15 +421,15 @@ def cond_rate(k: FluxField, theta: PairMeasure, oracle) -> float:
     return total
 
 
-def theorem_rate(k: FluxField, theta: PairMeasure, P: TransitionKernel, oracle) -> float:
+def theorem_rate(k: FluxField, theta: PairMeasure, oracle) -> float:
     """Composite rate of the block empirical pair (K, Theta).
 
     Sum of the conditional-cost part (per-pair conjugates weighted by theta)
-    and the pair-empirical rate of theta under P. Jointly convex in (k, theta)
-    and inf off the feasible set (unbalanced theta or k not dominated by
-    theta).
+    and the pair-empirical rate of theta under the oracle's window kernel.
+    Jointly convex in (k, theta) and inf off the feasible set (unbalanced
+    theta or k not dominated by theta).
     """
-    pair_part = pair_empirical_rate(theta, P)
+    pair_part = pair_empirical_rate(theta, oracle.kernel)
     if not math.isfinite(pair_part):
         return math.inf
     cond_part = cond_rate(k, theta, oracle)

@@ -47,3 +47,13 @@ def random_generator(rng: np.random.Generator, n: int) -> "br.GeneratorMatrix":
     np.fill_diagonal(rates, 0.0)
     rates[np.diag_indices(n)] = -rates.sum(axis=1)
     return br.validate_generator(rates)
+
+
+def scaled_sweep_chains(count: int):
+    """The first ``count`` of a seeded sweep of chains: n = 2 + i % 6 states,
+    ``random_generator`` rates and a Dirichlet(0.5) occupation each."""
+    rng = np.random.default_rng(2026)
+    for i in range(count):
+        n = 2 + i % 6
+        Q = random_generator(rng, n)
+        yield Q, rng.dirichlet(np.full(n, 0.5))

@@ -148,7 +148,7 @@ def test_05_occupation_infconv_identity():
     per_time = []
     for t0 in (0.5, 1.0, 2.0):
         oracle = br.build_oracle(Q, t0, "occupation", 100_000, seed=7)
-        res = br.infconv_dvg(rho, oracle, br.transition_at(Q, t0))
+        res = br.infconv_dvg(rho, oracle)
         assert res.feasible and res.converged and math.isfinite(res.value)
         per_time.append(res.value / t0)
     worst = max(abs(v - 0.083485) for v in per_time)
@@ -167,10 +167,9 @@ def test_06_flux_infconv_identity():
     Q = br.validate_generator(SYM)
     t0 = 0.5
     oracle = br.build_oracle(Q, t0, "flux", 20_000, seed=7)
-    P = br.transition_at(Q, t0)
 
     j = np.array([[0.0, 1.0], [1.0, 0.0]])
-    res = br.infconv_bfg(np.array([0.5, 0.5]), j, oracle, P)
+    res = br.infconv_bfg(np.array([0.5, 0.5]), j, oracle)
     assert res.feasible and res.converged and math.isfinite(res.value)
     ref = 2.0 * br.rel_entropy(1.0, 0.5)
     err = abs(res.value / t0 - ref)
@@ -178,7 +177,7 @@ def test_06_flux_infconv_identity():
     pi = br.invariant_measure(Q).weights
     j_pi = pi[:, None] * Q.rates
     np.fill_diagonal(j_pi, 0.0)
-    res_min = br.infconv_bfg(pi, j_pi, oracle, P)
+    res_min = br.infconv_bfg(pi, j_pi, oracle)
     assert res_min.converged
     v_min = res_min.value / t0
 
@@ -265,7 +264,6 @@ def test_09_property_sweeps():
 
     # joint convexity of the block rate in (k, theta)
     Q = br.validate_generator(SYM)
-    P = br.transition_at(Q, 0.5)
     oracle = br.build_oracle(Q, 0.5, "occupation", 3_000, seed=21)
     for _ in range(8):
         t1 = rng.dirichlet(np.ones(4)).reshape(2, 2)
@@ -277,11 +275,10 @@ def test_09_property_sweeps():
         mid = br.theorem_rate(
             br.FluxField(lam * k1 + (1 - lam) * k2),
             br.PairMeasure(lam * t1 + (1 - lam) * t2),
-            P,
             oracle,
         )
-        ends = lam * br.theorem_rate(br.FluxField(k1), br.PairMeasure(t1), P, oracle) \
-            + (1 - lam) * br.theorem_rate(br.FluxField(k2), br.PairMeasure(t2), P, oracle)
+        ends = lam * br.theorem_rate(br.FluxField(k1), br.PairMeasure(t1), oracle) \
+            + (1 - lam) * br.theorem_rate(br.FluxField(k2), br.PairMeasure(t2), oracle)
         checks += 1
         if math.isfinite(ends) and mid > ends + 1e-9:
             violations += 1

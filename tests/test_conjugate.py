@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bridgerates as br
+from bridgerates.conjugate import DEFAULT_LAM_BOX
 
 BERN_CONJ_09 = 0.3680642071684971
 BERN_LOGMGF_1 = 0.6201145069582775
@@ -88,6 +89,37 @@ def test_empirical_law_mean_and_mgf():
     lam = np.array([0.3, -0.7])
     manual = math.log(np.exp(samples @ lam).mean())
     assert br.log_mgf(law, lam) == pytest.approx(manual, abs=1e-12)
+
+
+def test_empirical_law_is_the_uniform_discrete_law():
+    rng = np.random.default_rng(8)
+    samples = rng.normal(size=(300, 3))
+    law = br.EmpiricalLaw(samples)
+    assert isinstance(law, br.DiscreteLaw) and law.weights is None
+    assert law.samples is law.atoms and law.n_samples == 300 and law.d == 3
+    # log-weights of exactly -log N, held as one scalar rather than N copies
+    assert law._log_weights == -math.log(300)
+    weighted = br.DiscreteLaw(samples, np.full(300, 1.0 / 300))
+    for lam in (np.zeros(3), np.array([0.4, -1.2, 2.0])):
+        moments = law._moments(lam)
+        assert moments[0] == br.DiscreteLaw(samples)._moments(lam)[0]
+        for got, want in zip(moments, weighted._moments(lam)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    assert br.abs_log_mgf(law, 0.3) == pytest.approx(
+        math.log(np.exp(0.3 * np.abs(samples).sum(axis=1)).mean()), abs=1e-12)
+    assert br.abs_log_mgf(weighted, 0.3) == pytest.approx(br.abs_log_mgf(law, 0.3), abs=1e-12)
+
+
+@pytest.mark.parametrize("atoms, weights", [
+    (np.zeros((0, 2)), None),
+    (np.array([[0.0, np.nan]]), None),
+    (np.array([0.0, 1.0]), np.array([0.5, 0.6])),
+    (np.array([0.0, 1.0]), np.array([1.0, 0.0])),
+    (np.array([0.0, 1.0]), np.array([1.0])),
+], ids=["empty", "nan-atom", "weights-sum", "zero-weight", "weights-shape"])
+def test_discrete_law_validates_atoms_and_weights(atoms, weights):
+    with pytest.raises(ValueError):
+        br.DiscreteLaw(atoms, weights)
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -173,7 +205,7 @@ def test_conjugate_flat_directions(request, chain, mode):
     # and cold and warm starts must both reach it
     oracle = br.build_oracle(request.getfixturevalue(chain), 0.5, mode, 2000, seed=5)
     rng = np.random.default_rng(11)
-    for pair in oracle.pairs():
+    for pair in oracle.laws:
         law = oracle.law(*pair)
         for _ in range(5):
             lam_star = 2.0 * rng.normal(size=law.d)
@@ -205,52 +237,45 @@ def test_conjugate_rejects_non_law():
         br.conjugate_at(lambda lam: float(lam @ lam), np.array([0.5]))
 
 
-# --- curvature of the boxed conjugate ------------------------------------------
+# --- Newton decrement of the boxed conjugate -------------------------------------
 
 
-def test_curvature_poisson_is_inverse_target():
-    # (s(a | rate))'' = 1 / a
-    law = br.PoissonLaw(rate=0.8)
-    for a in (0.1, 0.8, 2.5):
-        est = br.conjugate_at(law, np.array([a]))
-        assert est.curvature.shape == (1, 1)
-        assert est.curvature[0, 0] == pytest.approx(1.0 / a, rel=1e-8)
+def test_decrement_vanishes_at_converged_interior_solve(bernoulli, ring_three):
+    # at an interior maximizer the gradient is below tolerance, so the
+    # value left to gain is at roundoff level
+    law = br.build_oracle(ring_three, 0.5, "occupation", 2000, seed=5).law(0, 1)
+    cases = [(br.PoissonLaw(rate=0.8), [a]) for a in (0.1, 0.8, 2.5)]
+    cases += [(bernoulli, [0.9]), (law, _tilted_mean(law, np.array([0.8, -0.5, 0.3])))]
+    for phi, a in cases:
+        est = br.conjugate_at(phi, np.array(a))
+        assert est.converged and not est.boundary
+        assert 0.0 <= est.decrement <= 1e-12
 
 
-def test_curvature_zero_on_pinned_coordinate(bernoulli):
-    # off the hull the maximizer sits on the box and the boxed conjugate is
-    # linear there
+def test_decrement_zero_on_pinned_coordinate(bernoulli):
+    # off the hull the maximizer sits on the box, where the boxed conjugate
+    # is linear: the gradient left there is not value to gain
     est = br.conjugate_at(bernoulli, np.array([1.5]))
     assert est.boundary
-    assert est.curvature[0, 0] == 0.0
-    # two independent fair coins: the first coordinate is pinned, the second
-    # is a free Bernoulli tilted to mean 0.3, curvature 1 / (0.3 * 0.7)
+    assert est.decrement == 0.0
+    # two independent fair coins: the first coordinate is pinned with
+    # gradient 0.5, the second is a free Bernoulli tilted to mean 0.3
     atoms = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     law = br.DiscreteLaw(atoms=atoms, weights=np.full(4, 0.25))
     est = br.conjugate_at(law, np.array([1.5, 0.3]))
-    assert np.all(est.curvature[0, :] == 0.0) and np.all(est.curvature[:, 0] == 0.0)
-    assert est.curvature[1, 1] == pytest.approx(1.0 / 0.21, rel=1e-8)
+    assert est.converged and est.boundary
+    assert est.maximizer[0] == DEFAULT_LAM_BOX
+    assert 0.0 <= est.decrement <= 1e-12
 
 
-def test_curvature_flat_along_occupation_sum(ring_three):
+def test_decrement_flat_along_occupation_sum(ring_three):
     # occupation fractions sum to one, so the log-MGF is linear along the
-    # ones vector and the curvature must give that direction nothing
+    # ones vector; a target 2e-10 off the hull along it leaves a gradient
+    # there that no step can reduce, and the decrement must give it nothing
+    # (its curvature is at roundoff level, so counting it would blow up)
     law = br.build_oracle(ring_three, 0.5, "occupation", 2000, seed=5).law(0, 1)
-    est = br.conjugate_at(law, _tilted_mean(law, np.array([0.8, -0.5, 0.3])))
-    assert est.converged and not est.boundary
-    scale = float(np.abs(est.curvature).max())
-    assert scale > 0
-    assert float(np.abs(est.curvature @ np.ones(3)).max()) < 1e-8 * scale
-
-
-def test_curvature_matches_maximizer_differences():
-    # the curvature is the derivative of the maximizer in the target
-    rng = np.random.default_rng(4)
-    law = br.EmpiricalLaw(rng.normal(size=(5000, 2)) @ np.array([[1.0, 0.3], [0.0, 0.7]]))
-    a = law.mean() + np.array([0.3, -0.2])
+    a = _tilted_mean(law, np.array([0.8, -0.5, 0.3])) + 2e-10
     est = br.conjugate_at(law, a)
-    for direction in (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.6, -0.8])):
-        h = 1e-4 * direction
-        up = br.conjugate_at(law, a + h, lam0=est.maximizer).maximizer
-        down = br.conjugate_at(law, a - h, lam0=est.maximizer).maximizer
-        np.testing.assert_allclose(est.curvature @ h, (up - down) / 2.0, rtol=1e-4, atol=1e-9)
+    assert est.converged and not est.boundary
+    assert abs(float((a - law._moments(est.maximizer)[1]).sum())) > 5e-10
+    assert 0.0 <= est.decrement <= 1e-12

@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import bridgerates as br
-from conftest import random_generator
+from conftest import random_generator, scaled_sweep_chains
 from test_estimate import STIFF_SPARSE
 
 S_3_1 = 1.2958368660043291
@@ -151,6 +151,17 @@ def test_dvg_rate_converges_at_a_mass_of_1e_30():
     res = br.dvg_rate(rho, br.validate_generator(rates))
     assert res.value == pytest.approx(1.6789303467962085, rel=1e-14)
     assert res.gradient_norm < 1e-15
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6])
+def test_dvg_rate_scales_with_the_rates(scale):
+    # the rate is linear in Q; at rates near 1e6 rounding alone leaves net
+    # flows near 1e-10, so an absolute gradient tolerance raised on 194 of
+    # these 300 chains
+    for Q, rho in scaled_sweep_chains(300):
+        want = scale * br.dvg_rate(rho, Q).value
+        got = br.dvg_rate(rho, br.validate_generator(scale * Q.rates)).value
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 def _attained(rho: np.ndarray, Q, v: np.ndarray) -> tuple[float, float]:
@@ -327,6 +338,19 @@ def test_bfg_rate_infinite_off_divergence(symmetric_two):
     assert br.bfg_rate(br.ProbVector([0.5, 0.5]), j, symmetric_two) == math.inf
 
 
+def test_bfg_rate_divergence_tolerance_scales_with_flows(ring_three):
+    # at rates 1e6 the stationary flux is divergence free only to rounding
+    # of its flows (net flows near 6e-11); a relative defect of 1e-9 on one
+    # edge is still caught
+    Q = br.validate_generator(1e6 * ring_three.rates)
+    pi = br.invariant_measure(Q)
+    j = pi.weights[:, None] * Q.rates
+    np.fill_diagonal(j, 0.0)
+    assert br.bfg_rate(pi, j, Q) == pytest.approx(0.0, abs=1e-6)
+    j[0, 1] *= 1.0 + 1e-9
+    assert br.bfg_rate(pi, j, Q) == math.inf
+
+
 def test_bfg_rate_infinite_off_support(symmetric_two):
     # rho puts no mass on state 1, so any flow out of it is not
     # absolutely continuous
@@ -412,12 +436,11 @@ def test_theorem_rate_small_at_simulated_mean(symmetric_two, small_oracle):
     k = np.zeros((2, 2, 2))
     for (x, y), law in small_oracle.laws.items():
         k[x, y] = theta[x, y] * law.mean()
-    got = br.theorem_rate(br.FluxField(k), br.PairMeasure(theta), P, small_oracle)
+    got = br.theorem_rate(br.FluxField(k), br.PairMeasure(theta), small_oracle)
     assert 0.0 <= got < 0.01
 
 
 def test_theorem_rate_joint_convexity_spot(symmetric_two, small_oracle):
-    P = br.transition_at(symmetric_two, 0.5)
     rng = np.random.default_rng(9)
     for _ in range(5):
         t1 = rng.dirichlet(np.ones(4)).reshape(2, 2)
@@ -429,12 +452,11 @@ def test_theorem_rate_joint_convexity_spot(symmetric_two, small_oracle):
         mid = br.theorem_rate(
             br.FluxField(lam * k1 + (1 - lam) * k2),
             br.PairMeasure(lam * t1 + (1 - lam) * t2),
-            P,
             small_oracle,
         )
         ends = lam * br.theorem_rate(
-            br.FluxField(k1), br.PairMeasure(t1), P, small_oracle
-        ) + (1 - lam) * br.theorem_rate(br.FluxField(k2), br.PairMeasure(t2), P, small_oracle)
+            br.FluxField(k1), br.PairMeasure(t1), small_oracle
+        ) + (1 - lam) * br.theorem_rate(br.FluxField(k2), br.PairMeasure(t2), small_oracle)
         assert mid <= ends + 1e-9
 
 
@@ -446,6 +468,6 @@ def test_cond_rate_matches_theorem_decomposition(symmetric_two, small_oracle):
     u = rng.dirichlet(np.ones(2), size=(2, 2))
     k = theta[:, :, None] * u
     kf, tm = br.FluxField(k), br.PairMeasure(theta)
-    total = br.theorem_rate(kf, tm, P, small_oracle)
+    total = br.theorem_rate(kf, tm, small_oracle)
     split = br.cond_rate(kf, tm, small_oracle) + br.pair_empirical_rate(tm, P)
     assert total == pytest.approx(split, rel=1e-12)
