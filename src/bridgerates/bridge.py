@@ -248,6 +248,8 @@ def conditional_samples(spec: BridgeSpec, mode: str, n_samples: int, seed: int) 
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
+        raise ValueError(f"sample count must be an integer, got {n_samples!r}")
     if n_samples < 1:
         raise ValueError("need at least one sample")
     n = spec.n_states
@@ -262,4 +264,9 @@ def conditional_samples(spec: BridgeSpec, mode: str, n_samples: int, seed: int) 
         lambda k, paths: _stream(seed, pair_index, k + 1).random(n_samples)[paths],
         mode == "flux",
     )
-    return EmpiricalLaw(_blocks(visits, jumps, _stream(seed, pair_index, 1), spec.t0))
+    # the law keeps the blocks in the (d, N) layout of its moment passes;
+    # _blocks fills that array through its transposed view, so no
+    # transposing copy is made
+    columns = np.empty((n if jumps is None else n + jumps.shape[1], n_samples))
+    _blocks(visits, jumps, _stream(seed, pair_index, 1), spec.t0, out=columns.T)
+    return EmpiricalLaw(columns.T)

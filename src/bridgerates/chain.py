@@ -191,7 +191,7 @@ def _uniformized_kernel(lam: float, base: np.ndarray, t: float) -> np.ndarray:
 
 
 def transition_at(Q: GeneratorMatrix, t: float) -> TransitionKernel:
-    """Transition kernel exp(tQ) of the chain at horizon t >= 0.
+    """Transition kernel exp(tQ) of the chain at a finite horizon t >= 0.
 
     Uses uniformization: with lam the largest exit rate, exp(tQ) is the
     Poisson(lam*t) mixture of powers of I + Q/lam (``_uniformized``). All
@@ -201,8 +201,8 @@ def transition_at(Q: GeneratorMatrix, t: float) -> TransitionKernel:
     doubles the rounding error in the row sums, so the rows are
     renormalized after every squaring.
     """
-    if t < 0:
-        raise ChainError(f"time must be nonnegative, got {t!r}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ChainError(f"time must be finite and nonnegative, got {t!r}")
     lam, base = _uniformized(Q)
     mass = lam * t
     if mass <= _MAX_UNIFORMIZATION_MASS:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -94,9 +94,15 @@ class DiscreteLaw:
     ``atoms`` is an (N, d) array (a 1-d array holds N scalar atoms) and
     ``weights`` positive probabilities summing to one, or None for the
     uniform law, which then stores no per-atom weights and gives every
-    atom the log-weight -log N exactly. The atoms are also kept as a
-    contiguous (d, N) column layout with scratch buffers, so a moment pass
-    allocates nothing of size N.
+    atom the log-weight -log N exactly. The law holds one copy of its
+    atoms, as a C-contiguous (d, N) array whose rows the moment passes
+    sweep, and ``atoms`` is its (N, d) view: an input already in that
+    layout (the transposed view ``bridge.conditional_samples`` builds) is
+    kept as given, and a row-major one, such as ``load_samples`` returns,
+    is copied once. The law keeps no scratch: a moment pass writes its
+    temporaries into the ``work`` it is given or into fresh arrays, and
+    the solvers hold one set while they run (``conjugate_at`` one per
+    solve, ``estimate._PairChain`` one shared by all its laws).
     """
 
     atoms: np.ndarray
@@ -108,12 +114,13 @@ class DiscreteLaw:
             atoms = atoms[:, None]
         if atoms.ndim != 2 or atoms.shape[0] < 1:
             raise ValueError(f"atoms must be a nonempty (N, d) array, got {atoms.shape}")
-        if not np.all(np.isfinite(atoms)):
+        columns = np.ascontiguousarray(atoms.T)
+        if not np.all(np.isfinite(columns)):
             raise ValueError("atoms must be finite")
-        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "atoms", columns.T)
         if self.weights is not None:
             weights = np.asarray(self.weights, dtype=float)
-            if weights.shape != atoms.shape[:1]:
+            if weights.shape != columns.shape[1:]:
                 raise ValueError("atoms and weights must have matching first dimension")
             if not weights.min() > 0 or abs(float(weights.sum()) - 1.0) > 1e-12:
                 raise ValueError("weights must be positive and sum to 1")
@@ -138,20 +145,8 @@ class DiscreteLaw:
             return -math.log(self.n_samples)
         return np.log(self.weights)
 
-    @cached_property
-    def _columns(self) -> np.ndarray:
-        # one contiguous row per coordinate keeps the per-pass sweeps fast
-        return np.ascontiguousarray(self.atoms.T)
-
-    @cached_property
-    def _work(self):
-        # scratch of _tilted_moments, reused by every moment pass: fresh
-        # arrays of size N can cost a page fault per page on each pass
-        columns = self._columns
-        return np.empty(columns.shape[1]), np.empty_like(columns), np.empty_like(columns)
-
-    def _moments(self, lam: np.ndarray):
-        return _tilted_moments(self._columns, self._log_weights, lam, self._work)
+    def _moments(self, lam: np.ndarray, work=None):
+        return _tilted_moments(self.atoms.T, self._log_weights, lam, work)
 
     def mean(self) -> np.ndarray:
         if self.weights is None:
@@ -203,17 +198,19 @@ class PoissonLaw:
         return self.rate * math.expm1(lam[0]), np.array([tilted]), np.array([[tilted]])
 
 
-def _tilted_moments(columns: np.ndarray, logw, lam: np.ndarray, work):
+def _tilted_moments(columns: np.ndarray, logw, lam: np.ndarray, work=None):
     """log-MGF, tilted mean and tilted covariance at lam, in one pass.
 
-    ``columns`` holds the support points as a (d, N) array. The covariance
-    is taken about the tilted mean, so flat directions of the support come
-    out with curvature at roundoff level rather than at cancellation level.
-    ``logw`` holds the log-weights, or one scalar for uniform atoms, and
-    every temporary of size N is written into ``work``: an (N,) and two
-    (d, N) arrays.
+    ``columns`` holds the support points as a C-contiguous (d, N) array,
+    so every sweep runs along contiguous rows. The covariance is taken
+    about the tilted mean, so flat directions of the support come out with
+    curvature at roundoff level rather than at cancellation level.
+    ``logw`` holds the log-weights, or one scalar for uniform atoms. Every
+    temporary of size N is written into ``work``, an (N,) and two (d, N)
+    arrays, allocated afresh when it is None: fresh arrays of that size
+    can cost a page fault per page on each pass.
     """
-    z, centered, scaled = work
+    z, centered, scaled = _moment_work(*columns.shape) if work is None else work
     np.matmul(lam, columns, out=z)
     z += logw
     m = z.max()
@@ -225,6 +222,11 @@ def _tilted_moments(columns: np.ndarray, logw, lam: np.ndarray, work):
     np.subtract(columns, mean[:, None], out=centered)
     np.multiply(centered, w, out=scaled)
     return float(m + math.log(total)), mean, scaled @ centered.T
+
+
+def _moment_work(d: int, n: int):
+    """Temporaries of one moment pass over n atoms in R^d: an (n,) and two (d, n) arrays."""
+    return np.empty(n), np.empty((d, n)), np.empty((d, n))
 
 
 def log_mgf(law, lam) -> float:
@@ -299,13 +301,17 @@ def conjugate_at(
     there, which stays reliable where value differences drown in roundoff.
     It stops once the projected gradient drops below ``GRAD_TOL``. The
     returned ``decrement`` is built from the tilted covariance already held
-    at the last iterate, so it costs no further pass over the law.
+    at the last iterate, so it costs no further pass over the law. On a
+    ``DiscreteLaw`` every pass of the solve writes into one set of
+    temporaries.
     ``boundary`` is set when the maximizer presses against the box, which
     signals that the unconstrained supremum lies outside (or at infinity).
     """
     moments = getattr(phi, "_moments", None)
     if moments is None:
         raise TypeError(f"conjugate_at needs a law object, got {type(phi).__name__}")
+    if isinstance(phi, DiscreteLaw):
+        moments = partial(moments, work=_moment_work(phi.d, phi.n_samples))
     a = np.asarray(a, dtype=float).ravel()
     if a.size != phi.d:
         raise ValueError(f"target dimension {a.size} does not match law dimension {phi.d}")
@@ -493,13 +499,18 @@ def flux_mgf_bound(Q: GeneratorMatrix, x: int, y: int, t0: float, s: float) -> f
 
 
 def save_samples(path, samples: np.ndarray) -> None:
-    """Write samples as a flat float64 dump: d, N, then the N*d values."""
+    """Write samples as a flat float64 dump: d, N, then the N*d values row by row.
+
+    A C-contiguous float64 array is written as it is; any other layout,
+    such as a law's (N, d) view of its (d, N) atoms, is copied once.
+    """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise ValueError("samples must be an (N, d) array")
     n, d = samples.shape
-    flat = np.concatenate(([float(d), float(n)], samples.ravel()))
-    flat.astype("<f8").tofile(str(path))
+    with open(path, "wb") as handle:
+        np.array([d, n], dtype="<f8").tofile(handle)
+        np.ascontiguousarray(samples, dtype="<f8").tofile(handle)
 
 
 def load_samples(path) -> np.ndarray:
@@ -527,9 +538,8 @@ class ConjugateOracle:
     conditioned under, which the decomposition tilts by them.
     Conjugates start on the box of half-width ``DEFAULT_LAM_BOX`` and double
     it to detect infinite values. Evaluations return the same values in
-    any order, but each law keeps scratch buffers for its moment passes,
-    so an oracle is not thread-safe: evaluate it from one thread at a time
-    (nothing in the package runs threads).
+    any order; the laws keep no scratch, so nothing an evaluation writes
+    is shared.
     """
 
     laws: dict

@@ -40,6 +40,7 @@ from .conjugate import (
     DEFAULT_LAM_BOX,
     GROWTH_RTOL,
     ConjugateOracle,
+    _moment_work,
     conjugate_at,
 )
 from .ratefun import (
@@ -186,6 +187,10 @@ class _PairChain:
         self._pairs = list(zip(*np.nonzero(P > 0)))
         self._laws = [oracle.law(x, y) for x, y in self._pairs]
         self._log_p = np.log(P)
+        # moment-pass temporaries, one set per sample count shared by the
+        # laws (build_oracle gives them all one (d, N)); reused pass after
+        # pass, they spare the page faults that fresh arrays of that size cost
+        self._work = {m: _moment_work(self.d, m) for m in {law.n_samples for law in self._laws}}
         self.evaluations = 0
 
     def tilt(self, lam: np.ndarray):
@@ -197,7 +202,7 @@ class _PairChain:
         means = np.zeros((n, n, d))
         covs = np.zeros((n, n, d, d))
         for (x, y), law in zip(self._pairs, self._laws):
-            lmgf, means[x, y], covs[x, y] = law._moments(lam)
+            lmgf, means[x, y], covs[x, y] = law._moments(lam, self._work[law.n_samples])
             log_m[x, y] = self._log_p[x, y] + lmgf
         shift = log_m.max()
         M = np.exp(log_m - shift)

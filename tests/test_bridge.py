@@ -116,6 +116,33 @@ def test_conditional_samples_prefix_stable(spec_one):
         assert np.array_equal(a.samples, b.samples[:64])
 
 
+@pytest.mark.parametrize("count", [64.0, True, "64"])
+def test_conditional_samples_rejects_non_integer_count(spec_one, symmetric_two, count):
+    with pytest.raises(ValueError, match="integer"):
+        br.conditional_samples(spec_one, "occupation", count, seed=5)
+    with pytest.raises(ValueError, match="integer"):
+        br.build_oracle(symmetric_two, 1.0, "occupation", count, seed=5)
+
+
+def test_flux_samples_round_trip_through_a_dump(ring_three, tmp_path):
+    # the law's samples are an (N, d) view of its (d, N) blocks; the dump
+    # is the row-major layout, and a law built from the loaded rows moves
+    # them into the (d, N) layout again
+    law = br.conditional_samples(br.BridgeSpec(ring_three, 0, 2, 0.5), "flux", 300, seed=4)
+    path = tmp_path / "flux.f64"
+    br.save_samples(path, law.samples)
+    n, d = law.samples.shape
+    header_then_rows = np.concatenate(([d, n], law.samples.ravel()))
+    assert path.read_bytes() == header_then_rows.astype("<f8").tobytes()
+    back = br.load_samples(path)
+    assert np.array_equal(back, law.samples)
+    again = br.EmpiricalLaw(back)
+    assert again.atoms.T.flags.c_contiguous and not np.shares_memory(again.atoms, back)
+    lam = np.linspace(-1.0, 1.0, d)
+    for got, want in zip(again._moments(lam), law._moments(lam)):
+        assert np.array_equal(got, want)
+
+
 def test_conditional_samples_rare_pair(symmetric_two):
     # P_01(1e-9) is about 1e-9: each bridge makes exactly one jump, at a
     # uniform time, so the occupation of state 0 is uniform on (0, 1)

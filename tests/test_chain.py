@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -59,6 +61,14 @@ def test_transition_at_symmetric_half(symmetric_two):
     assert P.probs[0, 1] == pytest.approx(P12_HALF, abs=1e-12)
     # symmetric chain: the kernel is symmetric too
     assert np.allclose(P.probs, P.probs.T)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_transition_at_rejects_nonfinite_horizon(symmetric_two, t):
+    with pytest.raises(br.ChainError):
+        br.transition_at(symmetric_two, t)
+    with pytest.raises(br.ChainError):
+        br.BridgeSpec(symmetric_two, 0, 1, t)
 
 
 def test_transition_rows_are_distributions(ring_three):

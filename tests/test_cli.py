@@ -5,6 +5,7 @@ directory and inspects the files it writes.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -288,6 +289,17 @@ def test_mc_verify_rejects_bad_config_reference(tmp_path, reference):
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "ValueError"
     assert "reference" in error["message"]
+
+
+def test_infconv_with_infinite_window_fails_typed(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", generator=SYM, t0=math.inf, n_samples=100,
+                       rho=[0.7, 0.3])
+    assert "Infinity" in (tmp_path / "cfg.json").read_text()
+    code, out = run(tmp_path, "infconv", cfg)
+    assert code == 1
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "ChainError"
+    assert "finite" in error["message"]
 
 
 def test_mc_verify_needs_grid(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bridgerates as br
+from bridgerates import conjugate
 from bridgerates.conjugate import DEFAULT_LAM_BOX
 
 BERN_CONJ_09 = 0.3680642071684971
@@ -120,6 +121,22 @@ def test_empirical_law_is_the_uniform_discrete_law():
 def test_discrete_law_validates_atoms_and_weights(atoms, weights):
     with pytest.raises(ValueError):
         br.DiscreteLaw(atoms, weights)
+
+
+def test_conjugate_at_holds_one_work_set_per_solve(monkeypatch):
+    # the law keeps no scratch, so the solve passes one set to all its passes
+    law = br.EmpiricalLaw(np.random.default_rng(2).normal(size=(500, 3)))
+    works = []
+    moments = conjugate._tilted_moments
+
+    def spy(columns, logw, lam, work=None):
+        works.append(work)
+        return moments(columns, logw, lam, work)
+
+    monkeypatch.setattr(conjugate, "_tilted_moments", spy)
+    est = br.conjugate_at(law, law.mean() + 0.1)
+    assert est.converged and len(works) > 1
+    assert works[0] is not None and all(work is works[0] for work in works)
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bridgerates as br
-from bridgerates import estimate
+from bridgerates import conjugate, estimate
 from bridgerates.estimate import BALL_MIN_EPSILON, _ball_distances, _count_hits, _PairChain
 from conftest import random_generator, scaled_sweep_chains
 
@@ -38,6 +39,41 @@ def test_build_oracle_holds_its_window_kernel(ring_three, mode):
     oracle = br.build_oracle(ring_three, 0.7, mode, 50, seed=2)
     assert np.array_equal(oracle.kernel.probs, br.transition_at(ring_three, 0.7).probs)
     assert oracle.t0 == 0.7
+
+
+@pytest.mark.parametrize("mode, n_samples", [("flux", 4000), ("occupation", 8000)])
+def test_oracle_holds_one_copy_of_its_samples(ring_three, mode, n_samples, monkeypatch):
+    # each pair's blocks live once, as the (d, N) array the moment passes
+    # read: build and solve peak near 1x the sample bytes, not 4x
+    pi = br.invariant_measure(ring_three)
+    tracemalloc.start()
+    try:
+        oracle = br.build_oracle(ring_three, 0.5, mode, n_samples, seed=4)
+        if mode == "flux":
+            flux = pi.weights[:, None] * ring_three.rates
+            np.fill_diagonal(flux, 0.0)
+            res = br.infconv_bfg(pi, flux, oracle)
+        else:
+            res = br.infconv_dvg(pi, oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged and res.feasible
+    sample_bytes = sum(law.atoms.nbytes for law in oracle.laws.values())
+    assert peak <= 1.6 * sample_bytes
+    reads = []
+    moments = conjugate._tilted_moments
+
+    def spy(columns, *rest):
+        reads.append(columns)
+        return moments(columns, *rest)
+
+    monkeypatch.setattr(conjugate, "_tilted_moments", spy)
+    _PairChain(oracle)._moments(np.zeros(oracle.d))
+    assert len(reads) == len(oracle.laws)
+    for law, columns in zip(oracle.laws.values(), reads):
+        assert columns.flags.c_contiguous and columns.shape == (oracle.d, n_samples)
+        assert columns.base is law.atoms.base and columns.base.flags.owndata
 
 
 def test_infconv_dvg_matches_closed_form(symmetric_two, occ_oracle):

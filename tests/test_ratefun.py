@@ -338,6 +338,12 @@ def test_bfg_rate_infinite_off_divergence(symmetric_two):
     assert br.bfg_rate(br.ProbVector([0.5, 0.5]), j, symmetric_two) == math.inf
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_bfg_rate_rejects_nonfinite_flux(symmetric_two, bad):
+    with pytest.raises(ValueError, match="finite"):
+        br.bfg_rate([0.5, 0.5], np.array([[0.0, bad], [1.0, 0.0]]), symmetric_two)
+
+
 def test_bfg_rate_divergence_tolerance_scales_with_flows(ring_three):
     # at rates 1e6 the stationary flux is divergence free only to rounding
     # of its flows (net flows near 6e-11); a relative defect of 1e-9 on one
