@@ -33,6 +33,7 @@ from .simulate import (
     _jump_tables,
     _next_state_table,
     _skeleton,
+    _state_dtype,
 )
 
 __all__ = [
@@ -260,8 +261,8 @@ def conditional_samples(spec: BridgeSpec, mode: str, n_samples: int, seed: int) 
     events = np.minimum(np.searchsorted(cdf, draws, side="right"), cdf.size - 1)
     tables = _bridge_tables(probs, columns[: events.max()])
     _, visits, jumps = _skeleton(
-        events, np.full(n_samples, spec.x), tables,
-        lambda k, paths: _stream(seed, pair_index, k + 1).random(n_samples)[paths],
+        events, np.full(n_samples, spec.x, dtype=_state_dtype(n)), tables,
+        lambda k: _stream(seed, pair_index, k + 1).random(n_samples).take,
         mode == "flux",
     )
     # the law keeps the blocks in the (d, N) layout of its moment passes;

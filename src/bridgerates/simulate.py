@@ -9,12 +9,20 @@ sequence. Batch helpers simulate many paths at once by uniformization, one
 stream per batch: a Poisson number of events per path, and the skeleton
 chain P = I + Q / lam (``chain._uniformized``) run in lockstep by
 ``_skeleton``, which returns each path's end state, visit counts and jump
-counts in batch order. ``_blocks`` is the one place that turns those
-counts into window blocks: occupation fractions drawn from the Dirichlet
-law of the event spacings given the visit counts, followed in flux mode by
-the jump counts per unit time. Absorbing states need no special case
-there. The batch helpers drive tail-probability estimation, where
-``batch_occupations`` carries each path's end state from one horizon of a
+counts in batch order. The lockstep walk keeps states in the smallest
+signed integer type that holds n and visit counts in the smallest type
+that holds the longest path's step count, and walks each step's paths
+CHUNK rows at a time through preallocated buffers, so a batch costs a few
+bytes per path plus a fixed scratch; index arithmetic on states
+(``a * n + b``) is done in a wide type or replaced by a multi-index, since
+it wraps in int8 once n >= 12. The draws are those of a walk over whole
+steps: the same uniforms in the same order, and the same gamma variates
+from the same counts in batch order. ``_blocks`` is the one place that
+turns those counts into window blocks: occupation fractions drawn from
+the Dirichlet law of the event spacings given the visit counts, followed
+in flux mode by the jump counts per unit time. Absorbing states need no
+special case there. The batch helpers drive tail-probability estimation,
+where ``batch_occupations`` carries each path's end state from one horizon of a
 grid to the next, so a path is simulated once for the whole grid; ``_skeleton``
 also runs the endpoint-conditioned skeletons of bridge sampling
 (``bridge.conditional_samples``), with next-state tables that depend on
@@ -48,6 +56,10 @@ __all__ = [
 ]
 
 MODES = ("occupation", "flux")
+
+# rows per chunk of the lockstep walk and of the gamma draws: the per-step
+# scratch of a batch is a few arrays of this many rows, whatever its size
+CHUNK = 8192
 
 
 class AbsorbingState(RuntimeError):
@@ -317,6 +329,15 @@ def accumulate(embedding: DiscreteEmbedding) -> EmpiricalPair:
 # vectorized batch simulation
 
 
+def _state_dtype(n: int) -> np.dtype:
+    """Smallest signed integer type that holds the states of an n-state chain.
+
+    Index arithmetic such as ``a * n + b`` wraps silently in int8 once
+    n >= 12, so callers widen the states first or index by (a, b).
+    """
+    return np.min_scalar_type(-n)
+
+
 def _skeleton(events: np.ndarray, states: np.ndarray, tables: np.ndarray, uniforms,
               want_flux: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Run a batch of skeleton chains in lockstep: path p takes events[p] steps from states[p].
@@ -325,13 +346,26 @@ def _skeleton(events: np.ndarray, states: np.ndarray, tables: np.ndarray, unifor
     (R, n, n - 1) array. With R = 1 every step reads the one table, which
     is the homogeneous skeleton; otherwise a step after which j steps are
     still to come reads table j, which is how an endpoint-conditioned
-    skeleton moves. ``uniforms(k, paths)`` returns one uniform for each
-    path in ``paths`` (batch indices of the paths that take a k-th step,
-    in simulation order). Paths are sorted by their number of steps once,
-    so step k runs on the contiguous tail of paths with events >= k, and
-    memory stays O(batch n) (O(batch n^2) with flux) whatever the steps;
-    jumps are counted straight into their batch row, and the end states and
-    visit counts are scattered back to batch order at the end.
+    skeleton moves. ``uniforms(k)`` is called once for each step k and
+    returns ``draw(paths)``, which gives one uniform for each path in
+    ``paths`` (batch indices of paths that take a k-th step, in simulation
+    order); it is called chunk by chunk along the step's paths, so a
+    generator that draws ``len(paths)`` uniforms per call takes the same
+    numbers as one draw for the whole step.
+
+    Paths are sorted by their number of steps once, and ``np.bincount``
+    of the events gives where each step's tail starts: step k runs on the
+    contiguous tail of paths with events >= k, walked CHUNK rows at a time
+    through preallocated threshold, mask and next-state buffers. The
+    states live in the smallest signed type that holds n
+    (``_state_dtype``) and the visit counts in the smallest unsigned type
+    that holds the largest event count plus one, so the working set is a
+    few bytes per path plus O(CHUNK) scratch (plus O(batch n^2) floats
+    with flux), whatever the number of steps. Tables are read by index
+    arithmetic on steps left, which is int64, so nothing wraps; jumps are
+    counted straight into their batch row by (path, from, to) indices.
+    End states and visit counts are scattered back to batch order at the
+    end. The draws are those of the unchunked walk.
     Returns (ends, visits, jumps) in batch order: the end states, the
     (batch, n) visit counts per state (each row sums to events + 1) and,
     if want_flux, the (batch, n^2) float counts of real jumps a -> b in
@@ -340,37 +374,58 @@ def _skeleton(events: np.ndarray, states: np.ndarray, tables: np.ndarray, unifor
     """
     n = tables.shape[1]
     batch = states.size
-    columns = [np.ascontiguousarray(tables[..., c]).ravel() for c in range(n - 1)]
     top = int(events.max(initial=0))
     # numpy radix-sorts 16-bit keys; the order only has to be deterministic
     order = np.argsort(events.astype(np.uint16) if top < 2**16 else events, kind="stable")
-    events = events[order]
-    state = states[order]
-    # one row per state, so each step works on contiguous slices
-    visits = np.zeros((n, batch), dtype=np.int64)  # row 0 is filled in at the end
+    per_count = np.bincount(events, minlength=top + 1)
+    # the sorted rows from starts[k - 1] on take a k-th step
+    starts = np.cumsum(per_count).tolist()
+    state = states.astype(_state_dtype(n), copy=False)[order]
+    # one row per state, so each step works on contiguous slices; row 0 is
+    # filled in at the end
+    visits = np.zeros((n, batch), dtype=np.min_scalar_type(top + 1))
     for z in range(1, n):
-        visits[z] += state == z
+        visits[z] = state == z
     jumps = np.zeros((batch, n * n)) if want_flux else None
+    cells = None if jumps is None else jumps.reshape(batch, n, n)
+    homogeneous = tables.shape[0] == 1
+    columns = [np.ascontiguousarray(tables[..., c]).ravel() for c in range(n - 1)]
+    size = min(CHUNK, batch)
+    threshold, mask = np.empty(size), np.empty(size, dtype=bool)
+    chunk_next = np.empty(size, dtype=state.dtype)
     for k in range(1, top + 1):
-        lo = int(np.searchsorted(events, k))
-        here = state[lo:]
-        paths = order[lo:]
-        u = uniforms(k, paths)
-        entry = here if tables.shape[0] == 1 else (events[lo:] - k) * n + here
-        new = np.zeros(here.size, dtype=np.int64)
-        for col in columns:
-            new += u >= col[entry]
-        if want_flux:
-            jumps[paths, here * n + new] += 1.0
-        state[lo:] = new
-        for z in range(1, n):
-            visits[z, lo:] += new == z
-    visits[0] = events + 1 - visits[1:].sum(axis=0)
+        draw = uniforms(k)
+        for lo in range(starts[k - 1], batch, CHUNK):
+            hi = min(lo + CHUNK, batch)
+            here, paths = state[lo:hi], order[lo:hi]
+            thr, hit, new = threshold[: hi - lo], mask[: hi - lo], chunk_next[: hi - lo]
+            u = draw(paths)
+            if homogeneous:
+                entry = here
+            else:
+                entry = events[paths] - k  # steps left after this one, int64
+                entry *= n
+                entry += here
+            new.fill(0)
+            for col in columns:
+                np.take(col, entry, out=thr)
+                np.greater_equal(u, thr, out=hit)
+                new += hit
+            if want_flux:
+                cells[paths, here, new] += 1.0
+            here[...] = new
+            for z in range(1, n):
+                np.equal(new, z, out=hit)
+                visits[z, lo:hi] += hit
+    # every row holds events + 1 visits; state 0 has those not counted
+    visits[0] = np.repeat(np.arange(1, top + 2, dtype=visits.dtype), per_count)
+    for z in range(1, n):
+        visits[0] -= visits[z]
     if want_flux:
         jumps[:, :: n + 1] = 0.0  # skeleton self-loops are not jumps
     ends = np.empty_like(state)
     ends[order] = state
-    counts = np.empty((batch, n), dtype=np.int64)
+    counts = np.empty((batch, n), dtype=visits.dtype)
     counts[order] = visits.T
     return ends, counts, jumps
 
@@ -382,17 +437,17 @@ def _batch_step(Q: GeneratorMatrix, t0: float, states: np.ndarray, rng: np.rando
     With lam the largest exit rate, each path sees N ~ Poisson(lam t0)
     events, and its states at the events follow the skeleton chain with
     kernel P = I + Q / lam (``chain._uniformized``), run by ``_skeleton``
-    with one uniform per step from ``rng``; returns its (ends, visits,
-    jumps), which ``_blocks`` turns into the window's blocks. A state with
-    zero exit rate has the unit row in P and keeps its paths, so chains
-    with absorbing states sample exactly and nothing raises
-    ``AbsorbingState``. The cost is proportional to lam t0, not to the
+    with uniforms drawn from ``rng`` in simulation order, one per path
+    and step; returns its (ends, visits, jumps), which ``_blocks`` turns
+    into the window's blocks. A state with zero exit rate has the unit
+    row in P and keeps its paths, so chains with absorbing states sample
+    exactly and nothing raises ``AbsorbingState``. The cost is proportional to lam t0, not to the
     number of real jumps.
     """
     lam, probs = _uniformized(Q)
     events = rng.poisson(lam * t0, states.size)
     return _skeleton(events, states, _next_state_table(probs)[None],
-                     lambda k, paths: rng.random(paths.size), want_flux)
+                     lambda k: lambda paths: rng.random(paths.size), want_flux)
 
 
 def _blocks(visits: np.ndarray, jumps: np.ndarray | None, rng: np.random.Generator,
@@ -404,13 +459,21 @@ def _blocks(visits: np.ndarray, jumps: np.ndarray | None, rng: np.random.Generat
     state the skeleton holds in each spacing they are Dirichlet(visits),
     drawn as normalized gamma variates (a zero count gives an exact 0).
     With jumps (flux mode) the n^2 jump counts divided by t0 follow.
-    The blocks are written to ``out`` when it is given.
+    The blocks are written to ``out`` when it is given, which may be a
+    strided or transposed view. The gamma variates are drawn CHUNK rows
+    at a time into one float buffer that holds the counts of those rows,
+    C-contiguous and in batch order, which is the draw of one call on the
+    whole (batch, n) array; so the visit counts stay in their compact
+    type and no batch-sized float temporary is made.
     """
     batch, n = visits.shape
-    gamma = rng.standard_gamma(visits)
-    # allocated after the draw, which converts visits to a float temporary
     block = np.empty((batch, n if jumps is None else n + jumps.shape[1])) if out is None else out
-    np.divide(gamma, gamma.sum(axis=1, keepdims=True), out=block[:, :n])
+    buffer = np.empty((min(CHUNK, batch), n))
+    for lo in range(0, batch, CHUNK):
+        gamma = buffer[: min(CHUNK, batch - lo)]
+        gamma[...] = visits[lo : lo + CHUNK]
+        rng.standard_gamma(gamma, out=gamma)
+        np.divide(gamma, gamma.sum(axis=1, keepdims=True), out=block[lo : lo + CHUNK, :n])
     if jumps is not None:
         np.divide(jumps, t0, out=block[:, n:])
     return block
@@ -418,15 +481,21 @@ def _blocks(visits: np.ndarray, jumps: np.ndarray | None, rng: np.random.Generat
 
 def _start_states(n: int, n_paths: int, rng: np.random.Generator,
                   init: ProbVector | int) -> np.ndarray:
-    """Start states of a batch: all ``init`` if it is a state, else drawn from it."""
+    """Start states of a batch: all ``init`` if it is a state, else drawn from it.
+
+    The states come in ``_state_dtype(n)``, the type ``_skeleton`` keeps
+    them in.
+    """
     if isinstance(init, ProbVector):
         if init.weights.size != n:
             raise ValueError(f"start distribution has {init.weights.size} entries "
                              f"for a chain of {n} states")
-        return rng.choice(n, size=n_paths, p=init.weights)
+        return rng.choice(n, size=n_paths, p=init.weights).astype(_state_dtype(n))
+    if isinstance(init, bool) or not isinstance(init, (int, np.integer)):
+        raise ValueError(f"start state must be an integer state or a ProbVector, got {init!r}")
     if not 0 <= init < n:
         raise ValueError(f"start state {init!r} outside [0, {n})")
-    return np.full(n_paths, int(init))
+    return np.full(n_paths, init, dtype=_state_dtype(n))
 
 
 def batch_occupations(
@@ -454,8 +523,9 @@ def batch_occupations(
     """
     grid = np.asarray(horizon, dtype=float)
     times = np.atleast_1d(grid)
-    if times.ndim != 1 or times.size == 0 or not np.all(times > 0) or np.any(np.diff(times) <= 0):
-        raise ValueError("horizon must be a positive time or an increasing grid of them")
+    if (times.ndim != 1 or times.size == 0 or not np.all((times > 0) & np.isfinite(times))
+            or np.any(np.diff(times) <= 0)):
+        raise ValueError("horizon must be a positive, finite time or an increasing grid of them")
     states = _start_states(Q.n_states, n_paths, rng, init)
     out = np.empty((n_paths, times.size, Q.n_states))
     before = 0.0
@@ -484,9 +554,16 @@ def batch_pair_statistics(
 
     Returns (k, theta) arrays of shapes (n_paths, n, n, d) and
     (n_paths, n, n); memory scales accordingly, so keep batches moderate.
+    A window length that is not positive and finite, or a window count
+    that is not a positive integer, raises ValueError before any draw.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if not (math.isfinite(t0) and t0 > 0):
+        raise ValueError(f"window length t0 must be positive and finite, got {t0!r}")
+    if isinstance(n_windows, bool) or not (isinstance(n_windows, (int, np.integer))
+                                           and n_windows >= 1):
+        raise ValueError(f"n_windows must be a positive integer, got {n_windows!r}")
     n = Q.n_states
     d = n if mode == "occupation" else n + n * n
     states = _start_states(n, n_paths, rng, init)

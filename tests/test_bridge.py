@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,26 @@ def test_conditional_samples_prefix_stable(spec_one):
         a = br.conditional_samples(spec_one, mode, 64, seed=5)
         b = br.conditional_samples(spec_one, mode, 96, seed=5)
         assert np.array_equal(a.samples, b.samples[:64])
+
+
+@pytest.mark.parametrize("chain, t0, mode, n_samples, digest", [
+    ("ring_three", 0.25, "occupation", 4000,
+     "046502303d5b0a5a1556dd4f18823d8806a092e823ec1df37fcfe31590c9c022"),
+    ("ring_three", 0.25, "flux", 4000,
+     "73cddb7af4de04c2b8fba0a0268e4095fbf8aa8ae4346e7489c3c99800add759"),
+    ("symmetric_two", 2.0, "occupation", 8000,
+     "30dcf06e35676851b6a43ef4c5081a035d28273ab3d9edd78dbeee3848e09481"),
+], ids=["ring-occupation", "ring-flux", "sym2-occupation"])
+def test_conditional_samples_are_pinned(request, chain, t0, mode, n_samples, digest):
+    # the (d, N) blocks of every pair, in pair order, hashed: the draws of
+    # the skeleton and the spacings (digest of numpy 2.4's generator output)
+    Q = request.getfixturevalue(chain)
+    h = hashlib.sha256()
+    for x in range(Q.n_states):
+        for y in range(Q.n_states):
+            law = br.conditional_samples(br.BridgeSpec(Q, x, y, t0), mode, n_samples, seed=5)
+            h.update(np.ascontiguousarray(law.atoms.T).tobytes())
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("count", [64.0, True, "64"])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -522,9 +523,17 @@ def test_mc_decay_validations(symmetric_two):
     ({"n_paths": 1000.0}, "n_paths"),
     ({"epsilon": math.nan}, "epsilon"),
     ({"epsilon": math.inf}, "epsilon"),
+    ({"n_paths": True}, "n_paths"),
+    ({"epsilon": True}, "epsilon"),
+    ({"kind": "pair", "t0": math.nan}, "t0"),
+    ({"kind": "pair", "t0": math.inf}, "t0"),
+    ({"n_grid": (4, math.inf)}, "finite"),
+    ({"n_grid": (4, math.inf), "kind": "pair"}, "finite"),
+    ({"init": True}, "start state"),
 ], ids=["negative-T", "zero-T", "fractional-m", "zero-m", "init-below", "init-above",
         "occupation-target-2d", "pair-target-1d", "zero-paths", "float-paths", "nan-epsilon",
-        "inf-epsilon"])
+        "inf-epsilon", "bool-paths", "bool-epsilon", "nan-t0", "inf-t0", "inf-T", "inf-m",
+        "bool-init"])
 def test_mc_decay_rejects_bad_input_before_simulating(symmetric_two, monkeypatch, kwargs, message):
     def no_simulation(*args, **kw):
         raise AssertionError("simulated before validating")
@@ -556,6 +565,42 @@ def test_mc_hits_on_a_grid_prefix_do_not_see_later_points(symmetric_two, monkeyp
                          4000, 5, init, kind, t0)
     assert np.array_equal(full[:2], prefix)
     assert np.all(full > 0)
+
+
+def test_mc_hits_on_the_bench_shape_are_pinned(symmetric_two):
+    # the mc-verify shape of the rates-mc benchmark: two batches of 50 000
+    # paths from the streams keyed (7, 0) and (7, 1) (numpy 2.4's generator)
+    hits = _count_hits(symmetric_two, np.array([40.0, 60.0, 80.0, 100.0]), np.array([0.7, 0.3]),
+                       0.03, 100_000, 7, br.invariant_measure(symmetric_two), "occupation", None)
+    assert hits.tolist() == [614, 161, 44, 11]
+
+
+def test_mc_pair_distances_on_the_ring_are_pinned(ring_three):
+    init = br.invariant_measure(ring_three)
+    grid = np.array([4.0, 6.0, 8.0])
+    theta = init.weights[:, None] * br.transition_at(ring_three, 0.5).probs
+    dist = _ball_distances(ring_three, grid, 3000, np.random.default_rng(31), init, theta,
+                           "pair", 0.5)
+    digest = hashlib.sha256(dist.tobytes()).hexdigest()
+    assert digest == "fd6f17531375b7fa8267db1f8c639cffcda665e8d5aadb46663395e1d07dfa79"
+    hits = _count_hits(ring_three, grid, theta, 0.6, 3000, 31, init, "pair", 0.5)
+    assert hits.tolist() == [0, 108, 292]
+
+
+def test_mc_batch_step_keeps_a_small_working_set(symmetric_two):
+    # the bench-shaped fit: two batches of 50 000 paths over four horizons;
+    # the (paths, G, n) occupations of one batch take 3.2 MB, and the
+    # lockstep walk adds byte-sized counters and chunk-sized scratch; a
+    # small fit first loads the modules numpy imports lazily (numpy.ma)
+    br.mc_decay_rate(symmetric_two, [0.7, 0.3], 0.1, [4, 6], 2000, 7)
+    tracemalloc.start()
+    try:
+        fit = br.mc_decay_rate(symmetric_two, [0.7, 0.3], 0.03, [40, 60, 80, 100], 100_000, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.hits.tolist() == [614, 161, 44, 11]
+    assert peak <= 5.5e6
 
 
 def test_mc_pair_statistic_agrees_in_law_with_batch_pair_statistics(ring_three):

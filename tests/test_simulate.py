@@ -1,9 +1,12 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 import bridgerates as br
+from bridgerates.estimate import _ball_distances
+from conftest import random_generator
 
 
 def test_gillespie_deterministic_per_seed(symmetric_two):
@@ -168,19 +171,32 @@ def test_batch_occupations_grid_prefix_is_stable(ring_three):
 
 
 @pytest.mark.parametrize(
-    "horizon", [0.0, -1.0, (1.0, 1.0), (2.0, 1.0), (0.0, 1.0), [], [[1.0]]],
-    ids=["zero", "negative", "repeated", "decreasing", "zero-first", "empty", "2d"])
+    "horizon", [0.0, -1.0, (1.0, 1.0), (2.0, 1.0), (0.0, 1.0), [], [[1.0]], math.inf,
+                (1.0, math.inf), math.nan],
+    ids=["zero", "negative", "repeated", "decreasing", "zero-first", "empty", "2d", "inf",
+         "inf-last", "nan"])
 def test_batch_occupations_rejects_bad_horizons(symmetric_two, horizon):
     with pytest.raises(ValueError, match="horizon"):
         br.batch_occupations(symmetric_two, horizon, 10, np.random.default_rng(0), 0)
 
 
-@pytest.mark.parametrize("init", [-1, 2])
+@pytest.mark.parametrize("init", [-1, 2, True])
 def test_batch_samplers_reject_start_states_outside_the_chain(symmetric_two, init):
     with pytest.raises(ValueError, match="start state"):
         br.batch_occupations(symmetric_two, 1.0, 10, np.random.default_rng(0), init)
     with pytest.raises(ValueError, match="start state"):
         br.batch_pair_statistics(symmetric_two, 1.0, 2, 10, np.random.default_rng(0), init)
+
+
+@pytest.mark.parametrize("t0, n_windows, message", [
+    (0.0, 2, "t0"), (math.inf, 2, "t0"), (math.nan, 2, "t0"),
+    (1.0, 0, "n_windows"), (1.0, 2.0, "n_windows"), (1.0, True, "n_windows"),
+], ids=["zero-t0", "inf-t0", "nan-t0", "zero-windows", "float-windows", "bool-windows"])
+def test_batch_pair_statistics_rejects_bad_windows(symmetric_two, t0, n_windows, message):
+    # these used to return NaN arrays with a RuntimeWarning, or fail inside
+    # the Poisson draw
+    with pytest.raises(ValueError, match=message):
+        br.batch_pair_statistics(symmetric_two, t0, n_windows, 10, np.random.default_rng(0), 0)
 
 
 def test_batch_pair_statistics_shapes_and_mass(symmetric_two):
@@ -305,3 +321,47 @@ def test_batch_absorbing_state_samples_exactly():
     frozen = br.GeneratorMatrix(np.zeros((2, 2)))
     assert np.array_equal(br.batch_occupations(frozen, horizon, 10, np.random.default_rng(6), 0),
                           np.tile([1.0, 0.0], (10, 1)))
+
+
+def test_thirteen_state_batches_are_pinned():
+    # states are kept in int8, where a * 13 + b wraps: the jump cells, the
+    # endpoint pairs and the bridge tables must still be read at the right
+    # index (digests of numpy 2.4's generator output, as drawn with int64
+    # states)
+    Q = random_generator(np.random.default_rng(13), 13)
+    pi = br.invariant_measure(Q)
+
+    def digest(array):
+        return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+    k, theta = br.batch_pair_statistics(Q, 0.4, 3, 500, np.random.default_rng(5), 12, mode="flux")
+    assert digest(k) == "509610e16e5a4f5e07ac4159364eaa6d47d2aae0ea1669bb07a2d8529c27d7d7"
+    assert digest(theta) == "78fd97874812a4fa5e22f92b70b6c6b25ed11dcdee1cc7f0b70ec85230cda742"
+    target = pi.weights[:, None] * br.transition_at(Q, 0.4).probs
+    dist = _ball_distances(Q, np.array([2.0, 3.0]), 500, np.random.default_rng(6), pi, target,
+                           "pair", 0.4)
+    assert digest(dist) == "67c2690e01a4b637b74f47f409cf0eaded5bf923b19bffe7ceac9a695456dc37"
+    law = br.conditional_samples(br.BridgeSpec(Q, 12, 11, 0.4), "flux", 500, seed=3)
+    assert digest(law.atoms.T) == "9db4297f360b6ee0f7d1d559e08d388be01d6d1dbb5e4616a31ba6f2599f6185"
+
+
+def test_chunk_size_leaves_every_draw_unchanged(ring_three, monkeypatch):
+    # the lockstep walk and the gamma draws go CHUNK rows at a time; a
+    # chunk of 7 rows splits every step and must draw the same numbers
+    init = br.invariant_measure(ring_three)
+    target = np.array([0.3, 0.3, 0.4])
+
+    def draws():
+        return [
+            br.batch_occupations(ring_three, (1.0, 3.0), 400, np.random.default_rng(2), init),
+            *br.batch_pair_statistics(ring_three, 0.7, 3, 400, np.random.default_rng(3), 1),
+            br.conditional_samples(br.BridgeSpec(ring_three, 0, 2, 2.0), "flux", 400, 4).samples,
+            _ball_distances(ring_three, np.array([1.0, 2.0]), 400, np.random.default_rng(5), init,
+                            target, "occupation", None),
+        ]
+
+    default = draws()
+    monkeypatch.setattr(br.simulate, "CHUNK", 7)
+    monkeypatch.setattr(br.estimate, "CHUNK", 7)
+    for got, want in zip(draws(), default, strict=True):
+        assert np.array_equal(got, want)
