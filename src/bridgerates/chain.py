@@ -228,7 +228,9 @@ def _strong_components(edges: np.ndarray) -> list[np.ndarray]:
         if np.array_equal(closed, reach):
             break
         reach = closed
-    leaders = np.unique((reach & reach.T).argmax(axis=1))
+    # each component is led by its lowest state, the first one its members reach both ways
+    first = (reach & reach.T).argmax(axis=1)
+    leaders = np.flatnonzero(first == np.arange(first.size))
     order = leaders[np.argsort(-reach[leaders].sum(axis=1), kind="stable")]
     return [np.flatnonzero(reach[lead] & reach[:, lead]) for lead in order]
 

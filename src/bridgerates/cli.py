@@ -3,15 +3,18 @@
 Every subcommand reads one JSON config, runs a single experiment, and
 writes three files into the output directory: ``<cmd>.json`` (the full
 result), ``<cmd>.csv`` (flat numeric metrics), and ``<cmd>.schema.json``
-(the shape of the JSON). Outputs carry the config hash and the effective
-seed and contain no timestamps, so a rerun with the same config is
-byte-identical. Failures write ``error.json`` and exit nonzero.
+(the shape of the JSON). All three come from one walk over the result,
+which maps each numpy type to its plain JSON form once. Outputs carry
+the config hash and the effective seed and contain no timestamps, so a
+rerun with the same config is byte-identical. Failures write
+``error.json`` and exit nonzero.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -87,86 +90,61 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# serialization helpers
+# serialization
 
 
-def _jsonable(obj):
-    """Recursively convert to plain JSON types; nonfinite floats to strings."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        value = float(obj)
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _walk(value, prefix: str, rows: list):
+    """Plain JSON form and schema of ``value``, appending its numeric leaves to ``rows``.
+
+    Each numeric leaf is appended as (dotted path, value), with ``prefix``
+    the path of ``value`` plus a trailing dot. Dict keys are sorted,
+    booleans count as 0/1, nonfinite floats become the strings "nan",
+    "inf" and "-inf" (still a metric in the CSV), and an array's schema is
+    that of its first item.
+    """
+    if isinstance(value, dict):
+        items = {str(k): v for k, v in value.items()}
+        plain, properties = {}, {}
+        for key in sorted(items):
+            plain[key], properties[key] = _walk(items[key], f"{prefix}{key}.", rows)
+        return plain, {"type": "object", "properties": properties}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        walked = [_walk(item, f"{prefix}{idx}.", rows) for idx, item in enumerate(value)]
+        schema = {"type": "array", "items": walked[0][1] if walked else {}}
+        return [form for form, _ in walked], schema
+    if isinstance(value, (bool, np.bool_)):
+        rows.append((prefix[:-1], int(value)))
+        return bool(value), {"type": "boolean"}
+    if isinstance(value, (int, np.integer)):
+        rows.append((prefix[:-1], int(value)))
+        return int(value), {"type": "integer"}
+    if isinstance(value, (float, np.floating)):
+        value = float(value) if math.isfinite(value) else str(float(value))
+        rows.append((prefix[:-1], value))
+        return value, {"type": "number" if isinstance(value, float) else "string"}
+    if value is None:
+        return None, {"type": "null"}
+    # a string: json.dumps rejects anything else
+    return value, {"type": "string"}
 
 
-def _schema_of(payload):
-    if isinstance(payload, dict):
-        return {
-            "type": "object",
-            "properties": {k: _schema_of(v) for k, v in sorted(payload.items())},
-        }
-    if isinstance(payload, list):
-        return {"type": "array", "items": _schema_of(payload[0]) if payload else {}}
-    if isinstance(payload, bool):
-        return {"type": "boolean"}
-    if isinstance(payload, int):
-        return {"type": "integer"}
-    if isinstance(payload, float):
-        return {"type": "number"}
-    if payload is None:
-        return {"type": "null"}
-    return {"type": "string"}
-
-
-def _flat_metrics(payload, prefix=""):
-    """Numeric leaves of the payload as (dotted-path, value) pairs."""
-    rows = []
-    if isinstance(payload, dict):
-        for key in sorted(payload):
-            rows.extend(_flat_metrics(payload[key], f"{prefix}{key}."))
-    elif isinstance(payload, list):
-        for idx, item in enumerate(payload):
-            rows.extend(_flat_metrics(item, f"{prefix}{idx}."))
-    elif isinstance(payload, bool):
-        rows.append((prefix[:-1], int(payload)))
-    elif isinstance(payload, (int, float)):
-        rows.append((prefix[:-1], payload))
-    elif payload in ("inf", "-inf", "nan"):
-        rows.append((prefix[:-1], payload))
-    return rows
+def _dump(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _write_outputs(out_dir: Path, name: str, payload: dict, config_hash: str, seed: int) -> None:
-    payload = dict(payload)
-    payload["config_hash"] = config_hash
-    payload["seed"] = seed
-    payload = _jsonable(payload)
-    (out_dir / f"{name}.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    (out_dir / f"{name}.schema.json").write_text(
-        json.dumps(_schema_of(payload), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    rows = []
+    plain, schema = _walk({**payload, "config_hash": config_hash, "seed": seed}, "", rows)
+    _dump(out_dir / f"{name}.json", plain)
+    _dump(out_dir / f"{name}.schema.json", schema)
     with open(out_dir / f"{name}.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["metric", "value", "config_hash", "seed"])
-        for metric, value in _flat_metrics(payload):
-            if metric in ("config_hash", "seed"):
-                continue
-            writer.writerow([metric, value, config_hash, seed])
+        # the seed has its own column, and the config hash is a string, not a row
+        writer.writerows([metric, value, config_hash, seed]
+                         for metric, value in rows if metric != "seed")
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +152,7 @@ def _write_outputs(out_dir: Path, name: str, payload: dict, config_hash: str, se
 
 
 def cmd_chain_info(cfg: ExperimentConfig, args) -> dict:
+    """Describe the chain: exit rates, invariant measure and the transition matrix at t0."""
     Q = cfg.chain()
     P = transition_at(Q, cfg.t0)
     return {
@@ -188,6 +167,7 @@ def cmd_chain_info(cfg: ExperimentConfig, args) -> dict:
 
 
 def cmd_rates(cfg: ExperimentConfig, args) -> dict:
+    """Evaluate the occupation rate at rho, plus the flux and pair rates when configured."""
     Q = cfg.chain()
     rho = cfg.rho_vector()
     res = dvg_rate(rho, Q)
@@ -211,6 +191,7 @@ def cmd_rates(cfg: ExperimentConfig, args) -> dict:
 
 
 def cmd_bridge_sample(cfg: ExperimentConfig, args) -> dict:
+    """Sample bridge-conditioned block statistics and dump them as .f64 files."""
     Q = cfg.chain()
     out_dir = Path(args.out)
     if (cfg.x is None) != (cfg.y is None):
@@ -238,6 +219,7 @@ def cmd_bridge_sample(cfg: ExperimentConfig, args) -> dict:
 
 
 def cmd_infconv(cfg: ExperimentConfig, args) -> dict:
+    """Recover a rate from sampled block laws by inf-convolution, against its direct value."""
     Q = cfg.chain()
     rho = cfg.rho_vector()
     oracle = build_oracle(Q, cfg.t0, cfg.mode, cfg.n_samples, cfg.seed)
@@ -276,6 +258,7 @@ def cmd_infconv(cfg: ExperimentConfig, args) -> dict:
 
 
 def cmd_contract(cfg: ExperimentConfig, args) -> dict:
+    """Contract the joint occupation-flux rate onto rho, certified by its duality gap."""
     Q = cfg.chain()
     rho = cfg.rho_vector()
     res = contract_dvg_from_bfg(rho, Q)
@@ -293,6 +276,7 @@ def cmd_contract(cfg: ExperimentConfig, args) -> dict:
 
 
 def cmd_mc_verify(cfg: ExperimentConfig, args) -> dict:
+    """Fit the Monte Carlo decay rate of l1-ball hit probabilities and compare it with the ball rate."""
     Q = cfg.chain()
     rho = cfg.rho_vector()
     if cfg.n_grid is None:
@@ -333,7 +317,9 @@ HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: argparse spends most of a build on gettext lookups
     parser = argparse.ArgumentParser(
         prog="bridgerates",
         description="Rate functionals of Markov chains, cross-validated three ways.",
@@ -350,13 +336,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built once per process: argparse spends most of a build on gettext lookups
-    return build_parser()
+def _steady_heap() -> None:
+    """Pin glibc's malloc thresholds where its own heuristic would end up.
+
+    By default glibc hands the top of the heap back to the kernel once more
+    than 128 KiB of it is free, and raises that bound only after it frees a
+    large mmapped block. So whether a ``main`` call reuses the heap of the
+    call before it, or faults about 0.7 MB back in (an ``infconv`` on 8000
+    samples), depends on what ran earlier in the process. With both bounds
+    fixed the heap keeps its pages, and blocks under 32 MiB, the
+    heuristic's ceiling, come from it.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # glibc only
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    _steady_heap()
+    args = build_parser().parse_args(argv)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config_hash = None
@@ -375,9 +374,7 @@ def main(argv=None) -> int:
             "message": str(exc),
             "config_hash": config_hash,
         }
-        (out_dir / "error.json").write_text(
-            json.dumps(_jsonable(error), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        _dump(out_dir / "error.json", error)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     _write_outputs(out_dir, args.command, payload, config_hash, seed)

@@ -12,9 +12,9 @@ pair's block law. That is one d-dimensional ``conjugate_at`` solve, run on
 the conjugate box and again on the doubled box to certify the optimum, and
 the minimizing (k, theta) is read off the tilted chain at its maximizer.
 ``contract_dvg_from_bfg`` checks the flux-to-occupation contraction by
-convex duality: its dual is the ``dvg_rate`` problem, so it builds a
-divergence-free flux from that call's potentials and certifies it by
-``bfg_rate`` and the primal-dual gap. ``mc_decay_rate`` estimates the decay
+convex duality: its dual is the ``dvg_rate`` problem, whose call returns
+the divergence-free flux its potentials induce; ``bfg_rate`` at that flux
+and the primal-dual gap certify it. ``mc_decay_rate`` estimates the decay
 exponent of ball probabilities from direct simulation, each path simulated
 once across the horizon grid and tested at every grid point, and
 ``ball_rate`` gives its reference: the occupation rate's minimum over the
@@ -32,7 +32,6 @@ from .bridge import BridgeSpec, conditional_samples
 from .chain import (
     GeneratorMatrix,
     ProbVector,
-    _strong_components,
     invariant_measure,
     transition_at,
 )
@@ -331,31 +330,20 @@ def contract_dvg_from_bfg(rho, Q: GeneratorMatrix) -> ContractionResult:
     The concave dual of this problem over potentials v is the occupation
     rate problem, so the dual side is one ``dvg_rate`` call: its value is
     ``dual_value`` and its maximizer the returned ``potential``. The primal
-    side is a flux built from v and evaluated by ``bfg_rate``. A flux must
+    side is that call's ``flux``, evaluated by ``bfg_rate``. A flux must
     vanish wherever ``rho_x Q_xy`` does, and a divergence-free one also
     vanishes on every edge that lies on no cycle, so it lives on the edges
     inside one strongly connected component of S = supp(rho); every other
     edge costs its full weight ``rho_x Q_xy``. On a component the flux
     is ``j_xy = rho_x Q_xy exp(v_y - v_x)``, divergence free to rounding
-    because ``dvg_rate`` stops only once every state's net flow is at
-    rounding level relative to its flows. The gap bounds the error whatever
+    at the ``dvg_rate`` maximizer. The gap bounds the error whatever
     optimizer found v: ``bfg_rate`` at a feasible flux bounds the
     contraction from above, the dual value at any v from below.
     """
     rho = rho if isinstance(rho, ProbVector) else ProbVector(np.asarray(rho, dtype=float))
     dual = dvg_rate(rho, Q)
-    v = dual.maximizer
-    base = rho.weights[:, None] * Q.rates
-    np.fill_diagonal(base, 0.0)
-    support = np.flatnonzero(rho.weights > 0)
-    j = np.zeros_like(base)
-    for comp in _strong_components(base[np.ix_(support, support)] > 0):
-        states = support[comp]
-        tail, head = np.nonzero(base[np.ix_(states, states)] > 0)
-        src, dst = states[tail], states[head]
-        j[src, dst] = base[src, dst] * np.exp(v[dst] - v[src])
-    value = bfg_rate(rho, j, Q)
-    return ContractionResult(value, dual.value, value - dual.value, j, v)
+    value = bfg_rate(rho, dual.flux, Q)
+    return ContractionResult(value, dual.value, value - dual.value, dual.flux, dual.maximizer)
 
 
 @dataclass(frozen=True)

@@ -113,12 +113,19 @@ class FluxField:
 
 @dataclass(frozen=True)
 class VariationalResult:
-    """Outcome of a variational optimization: value plus maximizer."""
+    """Outcome of the occupation-rate ascent: value, maximizer and the flux it induces.
+
+    ``flux`` is rho_x Q_xy e^{v_y - v_x} at the maximizer v on the edges
+    inside one strongly connected component of supp(rho), and zero on every
+    other edge: the divergence-free flux that attains the contraction of
+    the joint rate onto rho (see ``contract_dvg_from_bfg``).
+    """
 
     value: float
     maximizer: np.ndarray
     gradient_norm: float
     iterations: int
+    flux: np.ndarray
 
 
 def _rel_entr(a, b) -> np.ndarray:
@@ -304,14 +311,19 @@ def dvg_rate(
     ``iterations`` the total number of Newton steps, capped by
     ``max_iters`` per component. A single-state component takes no step,
     so rho = e_x gives the exit rate of x with 0 iterations. The value is
-    0 exactly when rho is the invariant measure of Q.
+    0 exactly when rho is the invariant measure of Q. ``flux`` is the
+    flux of the tilted chain at v, rho_x Q_xy e^{v_y - v_x}, on the edges
+    inside a component and zero elsewhere; it is divergence free to
+    rounding because each component's ascent stops only once every
+    state's net flow is at rounding level relative to its flows.
 
     Raises
     ------
     NonConvergence
         If some component stops with gradient norm at or above its
         tolerance, ``GRAD_TOL`` scaled by that component's flows;
-        its ``best`` is the result assembled from that unconverged iterate.
+        its ``best`` is the result assembled from that unconverged iterate,
+        flux included.
     """
     rho = rho if isinstance(rho, ProbVector) else ProbVector(rho)
     if rho.n_states != Q.n_states:
@@ -341,11 +353,15 @@ def dvg_rate(
         value += value_c
         gnorm = max(gnorm, gnorm_c)
         iterations += steps
+    inside = labels[:, None] == labels[None, :]
     # edges between components, or out of the support, keep their whole weight
-    value += float(base[labels[:, None] != labels[None, :]].sum())
+    value += float(base[~inside].sum())
     outside = rho.weights == 0
     v[outside] = v[support].min() - OFF_SUPPORT_GAP
-    result = VariationalResult(value, v, gnorm, iterations)
+    src, dst = np.nonzero(inside & (base > 0))
+    flux = np.zeros_like(base)
+    flux[src, dst] = base[src, dst] * np.exp(v[dst] - v[src])
+    result = VariationalResult(value, v, gnorm, iterations, flux)
     if not converged:
         raise NonConvergence("occupation-rate Newton ascent stopped above the gradient tolerance",
                              best=result)

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,3 +154,27 @@ def test_random_transition_stochastic(seed, t):
     P = br.transition_at(Q, t)
     assert np.all(P.probs >= -1e-14)
     assert np.allclose(P.probs.sum(axis=1), 1.0, atol=1e-10)
+
+
+# Runs in a fresh interpreter: the support splits (strongly connected
+# components) behind these calls must not load numpy.ma, which numpy imports
+# lazily on the first np.unique call.
+NO_MASKED_CHILD = r"""
+import json, sys
+import bridgerates as br
+Q = br.validate_generator([[-2.0, 1.0, 1.0], [0.5, -1.0, 0.5], [1.0, 1.0, -2.0]])
+loaded = ["numpy.ma" in sys.modules]
+br.dvg_rate([0.5, 0.5, 0.0], Q)
+br.invariant_measure(Q)
+br.contract_dvg_from_bfg([0.2, 0.3, 0.5], Q)
+loaded.append("numpy.ma" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_support_splits_do_not_import_numpy_ma():
+    src = str(Path(br.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", NO_MASKED_CHILD], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == [False, False]

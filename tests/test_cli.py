@@ -4,6 +4,7 @@ Each test drives ``cli.main`` in-process with a JSON config in a temp
 directory and inspects the files it writes.
 """
 
+import ctypes
 import json
 import math
 import os
@@ -73,6 +74,149 @@ def test_rerun_is_byte_identical(tmp_path):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), (command, name)
 
 
+# One payload holding every type the output walk maps, and the exact bytes of
+# the three files written for it.
+PINNED_PAYLOAD = {
+    "zeta": {"b": np.array([[0.5, -1.25], [math.inf, 1e-300]]), "a": np.float64(0.1)},
+    "count": np.int64(7),
+    "flag": np.bool_(True),
+    "ok": False,
+    "n": 3,
+    "bad": [math.nan, math.inf, -math.inf],
+    "none": None,
+    "name": "sym2",
+    "pair": (1, 2.5),
+    "empty": [],
+}
+
+PINNED_JSON = """\
+{
+  "bad": [
+    "nan",
+    "inf",
+    "-inf"
+  ],
+  "config_hash": "c0ffee",
+  "count": 7,
+  "empty": [],
+  "flag": true,
+  "n": 3,
+  "name": "sym2",
+  "none": null,
+  "ok": false,
+  "pair": [
+    1,
+    2.5
+  ],
+  "seed": 5,
+  "zeta": {
+    "a": 0.1,
+    "b": [
+      [
+        0.5,
+        -1.25
+      ],
+      [
+        "inf",
+        1e-300
+      ]
+    ]
+  }
+}
+"""
+
+PINNED_SCHEMA = """\
+{
+  "properties": {
+    "bad": {
+      "items": {
+        "type": "string"
+      },
+      "type": "array"
+    },
+    "config_hash": {
+      "type": "string"
+    },
+    "count": {
+      "type": "integer"
+    },
+    "empty": {
+      "items": {},
+      "type": "array"
+    },
+    "flag": {
+      "type": "boolean"
+    },
+    "n": {
+      "type": "integer"
+    },
+    "name": {
+      "type": "string"
+    },
+    "none": {
+      "type": "null"
+    },
+    "ok": {
+      "type": "boolean"
+    },
+    "pair": {
+      "items": {
+        "type": "integer"
+      },
+      "type": "array"
+    },
+    "seed": {
+      "type": "integer"
+    },
+    "zeta": {
+      "properties": {
+        "a": {
+          "type": "number"
+        },
+        "b": {
+          "items": {
+            "items": {
+              "type": "number"
+            },
+            "type": "array"
+          },
+          "type": "array"
+        }
+      },
+      "type": "object"
+    }
+  },
+  "type": "object"
+}
+"""
+
+PINNED_CSV = "".join(f"{line}\r\n" for line in """\
+metric,value,config_hash,seed
+bad.0,nan,c0ffee,5
+bad.1,inf,c0ffee,5
+bad.2,-inf,c0ffee,5
+count,7,c0ffee,5
+flag,1,c0ffee,5
+n,3,c0ffee,5
+ok,0,c0ffee,5
+pair.0,1,c0ffee,5
+pair.1,2.5,c0ffee,5
+zeta.a,0.1,c0ffee,5
+zeta.b.0.0,0.5,c0ffee,5
+zeta.b.0.1,-1.25,c0ffee,5
+zeta.b.1.0,inf,c0ffee,5
+zeta.b.1.1,1e-300,c0ffee,5
+""".splitlines())
+
+
+def test_outputs_of_every_mapped_type_are_pinned(tmp_path):
+    cli._write_outputs(tmp_path, "pin", PINNED_PAYLOAD, "c0ffee", 5)
+    assert (tmp_path / "pin.json").read_bytes() == PINNED_JSON.encode()
+    assert (tmp_path / "pin.schema.json").read_bytes() == PINNED_SCHEMA.encode()
+    assert (tmp_path / "pin.csv").read_bytes() == PINNED_CSV.encode()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["pin.csv", "pin.json", "pin.schema.json"]
+
+
 def test_main_runs_different_commands_in_one_process(tmp_path):
     # the parser is built once per process and shared by every call
     cfg = write_config(tmp_path / "cfg.json", generator=SYM, t0=0.5, rho=[0.7, 0.3])
@@ -81,6 +225,17 @@ def test_main_runs_different_commands_in_one_process(tmp_path):
     assert json.loads((tmp_path / "a" / "rates.json").read_text())["dvg"]["value"] > 0.0
     assert json.loads((tmp_path / "b" / "chain-info.json").read_text())["n_states"] == 2
     assert not (tmp_path / "a" / "chain-info.json").exists()
+
+
+def test_every_subcommand_has_help(capsys):
+    with pytest.raises(SystemExit) as done:
+        cli.main(["--help"])
+    assert done.value.code == 0
+    listing = " ".join(capsys.readouterr().out.split())
+    for name, handler in cli.HANDLERS.items():
+        words = (handler.__doc__ or "").split()
+        assert words, name
+        assert f"{name} {' '.join(words[:3])}" in listing, name
 
 
 def test_unknown_config_key_fails(tmp_path):
@@ -369,3 +524,30 @@ def test_cli_runs_without_scipy(tmp_path):
     codes, loaded = json.loads(done.stdout.strip().splitlines()[-1])
     assert codes == [0, 0, 0]
     assert loaded == []
+
+
+# Runs in a fresh interpreter: the minor page faults of the last of three
+# identical infconv calls, each into its own output directory.
+REPEAT_FAULTS_CHILD = r"""
+import resource, sys
+import bridgerates.cli as cli
+faults = []
+for k in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(["infconv", "--config", sys.argv[1], "--out", f"{sys.argv[2]}/{k}"]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults[-1])
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="needs glibc's mallopt")
+def test_repeated_main_calls_reuse_the_heap(tmp_path):
+    # without fixed malloc thresholds the heap top is trimmed after each call
+    # and faulted back in by the next, about 170 pages for this config
+    cfg = write_config(tmp_path / "cfg.json", generator=SYM, t0=0.5, mode="occupation",
+                       n_samples=8000, rho=[0.7, 0.3], seed=3)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", REPEAT_FAULTS_CHILD, cfg, str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert int(done.stdout.strip().splitlines()[-1]) <= 40

@@ -591,7 +591,7 @@ def test_mc_batch_step_keeps_a_small_working_set(symmetric_two):
     # the bench-shaped fit: two batches of 50 000 paths over four horizons;
     # the (paths, G, n) occupations of one batch take 3.2 MB, and the
     # lockstep walk adds byte-sized counters and chunk-sized scratch; a
-    # small fit first loads the modules numpy imports lazily (numpy.ma)
+    # small fit first warms the lazy imports and caches of a first call
     br.mc_decay_rate(symmetric_two, [0.7, 0.3], 0.1, [4, 6], 2000, 7)
     tracemalloc.start()
     try:

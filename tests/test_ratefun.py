@@ -137,6 +137,7 @@ def test_dvg_rate_nonconvergence_carries_best(ring_three):
     assert best.gradient_norm >= 1e-10
     assert best.iterations <= 1
     assert best.value <= br.dvg_rate(rho, ring_three).value + 1e-12
+    assert best.flux.shape == (3, 3) and np.all(best.flux >= 0.0)
 
 
 def test_dvg_rate_converges_at_a_mass_of_1e_30():
@@ -186,7 +187,11 @@ def test_dvg_rate_boundary_occupation_random(symmetric_two, seed, n, zeros):
     value, grad = _attained(rho.weights, Q, res.maximizer)
     assert res.value == pytest.approx(value, rel=1e-12, abs=1e-12)
     assert grad <= 1e-6
+    # the contraction's flux is the one dvg_rate returns, zero off the support
+    outside = rho.weights == 0
+    assert np.all(res.flux[outside] == 0.0) and np.all(res.flux[:, outside] == 0.0)
     out = br.contract_dvg_from_bfg(rho, Q)
+    assert np.array_equal(out.flux, res.flux)
     assert out.value == pytest.approx(res.value, abs=1e-6)
     assert abs(out.gap) <= 1e-6
     if n == 2:
