@@ -47,7 +47,6 @@ from .conjugate import (
     abs_log_mgf,
     chernoff_bound,
     conjugate_at,
-    conjugate_or_inf,
     flux_mgf_bound,
     load_samples,
     log_mgf,

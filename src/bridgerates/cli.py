@@ -99,8 +99,9 @@ def _walk(value, prefix: str, rows: list):
     Each numeric leaf is appended as (dotted path, value), with ``prefix``
     the path of ``value`` plus a trailing dot. Dict keys are sorted,
     booleans count as 0/1, nonfinite floats become the strings "nan",
-    "inf" and "-inf" (still a metric in the CSV), and an array's schema is
-    that of its first item.
+    "inf" and "-inf" (still a metric in the CSV), and an array's items are
+    described by their one schema, or by ``anyOf`` over their distinct
+    schemas in first-seen order when they disagree.
     """
     if isinstance(value, dict):
         items = {str(k): v for k, v in value.items()}
@@ -112,8 +113,12 @@ def _walk(value, prefix: str, rows: list):
         value = value.tolist()
     if isinstance(value, (list, tuple)):
         walked = [_walk(item, f"{prefix}{idx}.", rows) for idx, item in enumerate(value)]
-        schema = {"type": "array", "items": walked[0][1] if walked else {}}
-        return [form for form, _ in walked], schema
+        schemas = []
+        for _, schema in walked:
+            if schema not in schemas:
+                schemas.append(schema)
+        items = schemas[0] if len(schemas) == 1 else {"anyOf": schemas} if schemas else {}
+        return [form for form, _ in walked], {"type": "array", "items": items}
     if isinstance(value, (bool, np.bool_)):
         rows.append((prefix[:-1], int(value)))
         return bool(value), {"type": "boolean"}
@@ -250,7 +255,6 @@ def cmd_infconv(cfg: ExperimentConfig, args) -> dict:
         "feasible": res.feasible,
         "converged": res.converged,
         "iterations": res.iterations,
-        "conjugate_solves": res.conjugate_solves,
         "decrement": res.decrement,
         "theta": res.theta.weights,
         "k": res.k.vectors,

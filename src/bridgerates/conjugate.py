@@ -4,18 +4,18 @@ A law is anything with a ``_moments`` method that returns its log-MGF with
 the tilted mean and covariance (its gradient and Hessian) at one point.
 ``DiscreteLaw`` covers every law on weighted atoms, and ``EmpiricalLaw``,
 the sampled bridge blocks, is its uniform case; ``PoissonLaw`` is a
-closed-form test fixture. Conjugates are computed over a box [-L, L]^d by
-one projected Newton solver with minimum-norm steps, so directions in
-which a law's support is flat (occupation fractions summing to one, zero
-flux diagonals) never move. Contact with the box boundary is a first-class
-result flag, and "effectively infinite" conjugate values are detected by
-re-solving on doubled boxes and checking for sustained growth.
+closed-form test fixture. ``conjugate_at`` is the one conjugate solver:
+a projected Newton method with minimum-norm steps on a box [-L, L]^d, so
+directions in which a law's support is flat (occupation fractions summing
+to one, zero flux diagonals) never move. When the maximizer is pinned
+against the box it solves once more on the doubled box; a value that is
+still pinned there and grew by more than ``GROWTH_RTOL`` is infinite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 
 import numpy as np
@@ -31,7 +31,6 @@ __all__ = [
     "log_mgf",
     "abs_log_mgf",
     "conjugate_at",
-    "conjugate_or_inf",
     "SuperlinearityReport",
     "superlinearity_check",
     "chernoff_bound",
@@ -73,7 +72,8 @@ class ConjugateEstimate:
     of the value still to gain. It is taken on the coordinates not pinned
     to the box, where the boxed conjugate is linear, and the flat
     directions of the law's affine hull (curvature below ``EIG_RTOL`` of
-    the largest) contribute nothing.
+    the largest) contribute nothing. ``growth`` is the value's relative
+    gain from the box to the doubled box, 0.0 when the box was not touched.
     """
 
     value: float
@@ -81,6 +81,7 @@ class ConjugateEstimate:
     converged: bool
     boundary: bool
     decrement: float
+    growth: float
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +102,8 @@ class DiscreteLaw:
     kept as given, and a row-major one, such as ``load_samples`` returns,
     is copied once. The law keeps no scratch: a moment pass writes its
     temporaries into the ``work`` it is given or into fresh arrays, and
-    the solvers hold one set while they run (``conjugate_at`` one per
-    solve, ``estimate._PairChain`` one shared by all its laws).
+    the solvers hold one set while they run (``conjugate_at`` one for
+    both its boxes, ``estimate._PairChain`` one shared by all its laws).
     """
 
     atoms: np.ndarray
@@ -283,42 +284,20 @@ def _newton_direction(H: np.ndarray, g: np.ndarray, fixed: np.ndarray, lam_box: 
     return p
 
 
-def conjugate_at(
-    phi,
-    a,
-    lam_box: float = DEFAULT_LAM_BOX,
-    *,
-    lam0=None,
-) -> ConjugateEstimate:
-    """Conjugate sup_{lam in [-L, L]^d} (lam . a - phi(lam)) of a law's log-MGF.
+def _boxed_conjugate(moments, a: np.ndarray, lam_box: float, lam: np.ndarray) -> ConjugateEstimate:
+    """Conjugate sup_{lam in [-L, L]^d} (lam . a - phi(lam)) from the start ``lam``.
 
-    ``phi`` is a law object (``EmpiricalLaw``, ``DiscreteLaw`` or
-    ``PoissonLaw``); anything else raises ``TypeError``. Projected Newton
-    (Bertsekas 1982) runs from ``lam0`` (default the origin): coordinates
-    pinned on the box with an outward gradient are held fixed, the rest take
-    the minimum-norm Newton step of the tilted covariance, and a safeguarded
+    ``moments`` returns phi's value, gradient and Hessian at a point.
+    Projected Newton (Bertsekas 1982): coordinates pinned on the box (within
+    1e-12 of it) with an outward gradient are held fixed, the rest take the
+    minimum-norm Newton step of the tilted covariance, and a safeguarded
     search along that ray accepts a point by the sign and size of the slope
     there, which stays reliable where value differences drown in roundoff.
     It stops once the projected gradient drops below ``GRAD_TOL``. The
     returned ``decrement`` is built from the tilted covariance already held
-    at the last iterate, so it costs no further pass over the law. On a
-    ``DiscreteLaw`` every pass of the solve writes into one set of
-    temporaries.
-    ``boundary`` is set when the maximizer presses against the box, which
-    signals that the unconstrained supremum lies outside (or at infinity).
+    at the last iterate, so it costs no further pass over the law, and
+    ``boundary`` says some coordinate of the maximizer is pinned.
     """
-    moments = getattr(phi, "_moments", None)
-    if moments is None:
-        raise TypeError(f"conjugate_at needs a law object, got {type(phi).__name__}")
-    if isinstance(phi, DiscreteLaw):
-        moments = partial(moments, work=_moment_work(phi.d, phi.n_samples))
-    a = np.asarray(a, dtype=float).ravel()
-    if a.size != phi.d:
-        raise ValueError(f"target dimension {a.size} does not match law dimension {phi.d}")
-    if lam0 is not None:
-        lam = np.clip(np.asarray(lam0, dtype=float).ravel(), -lam_box, lam_box)
-    else:
-        lam = np.zeros(a.size)
     edge = lam_box * (1 - 1e-12)
     phi_val, mean, H = moments(lam)
     grad = a - mean
@@ -359,32 +338,46 @@ def conjugate_at(
             break
         lam, phi_val, mean, H = trial, trial_phi, trial_mean, trial_H
         grad = a - mean
-    at_hi = (lam >= lam_box * (1 - 1e-6)) & (grad > GRAD_TOL)
-    at_lo = (lam <= -lam_box * (1 - 1e-6)) & (grad < -GRAD_TOL)
-    boundary = bool(np.any(at_hi | at_lo))
-    value = float(lam @ a - phi_val)
     pinned = ((lam >= edge) & (grad > 0)) | ((lam <= -edge) & (grad < 0))
-    return ConjugateEstimate(value, lam, converged, boundary, _decrement(H, grad, ~pinned))
+    return ConjugateEstimate(float(lam @ a - phi_val), lam, converged, bool(pinned.any()),
+                             _decrement(H, grad, ~pinned), 0.0)
 
 
-def conjugate_or_inf(phi, a) -> ConjugateEstimate:
-    """Conjugate with effective-infinity detection by box doubling.
+def conjugate_at(phi, a) -> ConjugateEstimate:
+    """Conjugate sup_lam (lam . a - phi(lam)) of a law's log-MGF, inf when unbounded.
 
-    Solve on the box of half-width ``DEFAULT_LAM_BOX``, and when the
-    maximizer presses against it, re-solve on the doubled box. Sustained
-    boundary contact together with value growth above ``GROWTH_RTOL``
-    marks the conjugate as effectively infinite at ``a``; boundary contact
-    with a plateauing value (a mass-carrying support vertex) stays finite.
+    ``phi`` is a law object (``EmpiricalLaw``, ``DiscreteLaw`` or
+    ``PoissonLaw``, or any object with their ``_moments`` and ``d``);
+    anything else raises ``TypeError``, and a target of the wrong dimension
+    or with a nonfinite entry raises ``ValueError``. The solve runs on the
+    box of half-width ``DEFAULT_LAM_BOX`` from the origin. Only when its
+    maximizer is pinned against the box does it run again, on the doubled
+    box from that maximizer, and report the doubled solve with its relative
+    ``growth``: a value still pinned there that grew by more than
+    ``GROWTH_RTOL`` is infinite, as off the support's hull, where it grows
+    linearly with the box, while a hull vertex carrying point mass
+    plateaus. ``converged`` holds when every solve that ran converged. On a
+    ``DiscreteLaw`` every moment pass of both solves writes into one set of
+    temporaries.
     """
-    est = conjugate_at(phi, a)
+    moments = getattr(phi, "_moments", None)
+    if moments is None:
+        raise TypeError(f"conjugate_at needs a law object, got {type(phi).__name__}")
+    if isinstance(phi, DiscreteLaw):
+        moments = partial(moments, work=_moment_work(phi.d, phi.n_samples))
+    a = np.asarray(a, dtype=float).ravel()
+    if a.size != phi.d:
+        raise ValueError(f"target dimension {a.size} does not match law dimension {phi.d}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("target entries must be finite")
+    est = _boxed_conjugate(moments, a, DEFAULT_LAM_BOX, np.zeros(a.size))
     if not est.boundary:
         return est
-    est2 = conjugate_at(phi, a, 2 * DEFAULT_LAM_BOX, lam0=est.maximizer)
-    if not est2.boundary:
-        return est2
-    if est2.value - est.value > GROWTH_RTOL * max(1.0, abs(est.value)):
-        return ConjugateEstimate(math.inf, est2.maximizer, est2.converged, True, est2.decrement)
-    return est2
+    doubled = _boxed_conjugate(moments, a, 2 * DEFAULT_LAM_BOX, est.maximizer)
+    growth = (doubled.value - est.value) / max(1.0, abs(est.value))
+    infinite = doubled.boundary and growth > GROWTH_RTOL
+    return replace(doubled, value=math.inf if infinite else doubled.value,
+                   converged=est.converged and doubled.converged, growth=growth)
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +404,13 @@ def superlinearity_check(law, r_grid) -> SuperlinearityReport:
     beyond their support radius.
     """
     r_grid = np.asarray(r_grid, dtype=float)
-    if r_grid.ndim != 1 or np.any(r_grid <= 0):
-        raise ValueError("r_grid must be a 1-d grid of positive radii")
+    if r_grid.ndim != 1 or not np.all((r_grid > 0) & np.isfinite(r_grid)):
+        raise ValueError("r_grid must be a 1-d grid of positive finite radii")
     abs_law = law.abs_law()
     values = np.empty(r_grid.size)
     boundary = np.zeros(r_grid.size, dtype=bool)
     for idx, r in enumerate(r_grid):
-        est = conjugate_or_inf(abs_law, [r])
+        est = conjugate_at(abs_law, [r])
         values[idx] = est.value
         boundary[idx] = est.boundary
     ratios = values / r_grid
@@ -432,9 +425,9 @@ def chernoff_bound(law, radius: float) -> float:
     The probability that an i.i.d. block average of the law leaves the
     |.|_1 ball of this radius decays at least at this exponential rate.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    return conjugate_or_inf(law.abs_law(), [radius]).value
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
+    return conjugate_at(law.abs_law(), [radius]).value
 
 
 def flux_mgf_bound(Q: GeneratorMatrix, x: int, y: int, t0: float, s: float) -> float:
@@ -535,11 +528,10 @@ class ConjugateOracle:
     Maps every ordered state pair (x, y) to the law of its conditioned
     block statistic; each law answers its own ``mean`` and ``log_mgf``.
     ``kernel`` is the window transition kernel P(t0) those laws were
-    conditioned under, which the decomposition tilts by them.
-    Conjugates start on the box of half-width ``DEFAULT_LAM_BOX`` and double
-    it to detect infinite values. Evaluations return the same values in
-    any order; the laws keep no scratch, so nothing an evaluation writes
-    is shared.
+    conditioned under, which the decomposition tilts by them. A pair's
+    conjugate is ``conjugate_at(oracle.law(x, y), a)``. Evaluations return
+    the same values in any order; the laws keep no scratch, so nothing an
+    evaluation writes is shared.
     """
 
     laws: dict
@@ -556,7 +548,3 @@ class ConjugateOracle:
             return self.laws[(x, y)]
         except KeyError:
             raise KeyError(f"oracle does not cover endpoint pair ({x}, {y})") from None
-
-    def conjugate(self, x: int, y: int, a) -> ConjugateEstimate:
-        """Conjugate with effective-infinity detection (box doubling)."""
-        return conjugate_or_inf(self.law(x, y), a)

@@ -8,9 +8,9 @@ hit the target. ``build_oracle`` samples the per-pair block laws afresh on
 every call, and ``infconv_dvg`` / ``infconv_bfg`` compute that infimum
 numerically against the sampled oracle through its dual: the conjugate, at
 the target, of the log Perron root of the window kernel tilted by each
-pair's block law. That is one d-dimensional ``conjugate_at`` solve, run on
-the conjugate box and again on the doubled box to certify the optimum, and
-the minimizing (k, theta) is read off the tilted chain at its maximizer.
+pair's block law. That is one d-dimensional ``conjugate_at`` call, which
+doubles its box only when the maximizer is pinned against it, and the
+minimizing (k, theta) is read off the tilted chain at its maximizer.
 ``contract_dvg_from_bfg`` checks the flux-to-occupation contraction by
 convex duality: its dual is the ``dvg_rate`` problem, whose call returns
 the divergence-free flux its potentials induce; ``bfg_rate`` at that flux
@@ -35,13 +35,7 @@ from .chain import (
     invariant_measure,
     transition_at,
 )
-from .conjugate import (
-    DEFAULT_LAM_BOX,
-    GROWTH_RTOL,
-    ConjugateOracle,
-    _moment_work,
-    conjugate_at,
-)
+from .conjugate import ConjugateOracle, _moment_work, conjugate_at
 from .ratefun import (
     ARMIJO,
     MIN_STEP,
@@ -126,17 +120,16 @@ class InfConvResult:
     """Minimizing pair decomposition of a block-rate target.
 
     ``value`` is the composite block rate per window (divide by the window
-    length for the continuous-time rate); infinite when the target was
-    flagged unreachable. ``certificate`` is the relative change of the
-    optimum under doubling of the conjugate box, small when the reported
-    optimum has stabilized. ``theta`` and ``k`` are the pair measure and
-    pair block sums of the tilted chain at the doubled-box maximizer.
-    ``iterations`` counts the evaluations of that chain (its log Perron
-    root with gradient and Hessian, one moment pass per pair each),
-    ``conjugate_solves`` the conjugate solves (one per box), and
-    ``decrement`` the doubled-box solve's ``ConjugateEstimate.decrement``,
-    the dual value its maximizer has left to gain; ``converged`` says both
-    solves met their gradient tolerance.
+    length for the continuous-time rate); infinite, and ``feasible`` False,
+    when the target was flagged unreachable. ``certificate`` is the dual
+    solve's ``ConjugateEstimate.growth``: the relative change of the optimum
+    when its maximizer pressed the box and the box was doubled, 0.0 when it
+    did not. ``theta`` and ``k`` are the pair measure and pair block sums of
+    the tilted chain at the maximizer. ``iterations`` counts the evaluations
+    of that chain (its log Perron root with gradient and Hessian, one moment
+    pass per pair each), and ``decrement`` is the solve's
+    ``ConjugateEstimate.decrement``, the dual value its maximizer has left
+    to gain; ``converged`` says every box's solve met its gradient tolerance.
     """
 
     value: float
@@ -146,7 +139,6 @@ class InfConvResult:
     converged: bool
     feasible: bool
     iterations: int
-    conjugate_solves: int
     decrement: float
 
 
@@ -249,17 +241,12 @@ def _infconv(oracle: ConjugateOracle, target: np.ndarray) -> InfConvResult:
     if not np.all(np.isfinite(target)):
         raise ValueError("target entries must be finite")
     chain = _PairChain(oracle)
-    est1 = conjugate_at(chain, target, DEFAULT_LAM_BOX)
-    # the doubled box starts from the base-box maximizer; off the decomposable
-    # set the maximizer stays on the box and the value grows with it
-    est2 = conjugate_at(chain, target, 2 * DEFAULT_LAM_BOX, lam0=est1.maximizer)
-    _, _, _, theta, means, _ = chain.tilt(est2.maximizer)
-    growth = (est2.value - est1.value) / max(1.0, abs(est1.value))
-    feasible = growth <= GROWTH_RTOL
-    return InfConvResult(est2.value if feasible else math.inf, PairMeasure(theta),
-                         FluxField(theta[:, :, None] * means), abs(growth),
-                         est1.converged and est2.converged, feasible, chain.evaluations, 2,
-                         est2.decrement)
+    # off the decomposable set the value grows with the box, so it comes back inf
+    est = conjugate_at(chain, target)
+    _, _, _, theta, means, _ = chain.tilt(est.maximizer)
+    return InfConvResult(est.value, PairMeasure(theta), FluxField(theta[:, :, None] * means),
+                         est.growth, est.converged, math.isfinite(est.value), chain.evaluations,
+                         est.decrement)
 
 
 def infconv_dvg(rho, oracle: ConjugateOracle) -> InfConvResult:
@@ -268,11 +255,11 @@ def infconv_dvg(rho, oracle: ConjugateOracle) -> InfConvResult:
     Divided by the window length, the value matches the occupation rate of
     the underlying chain at ``rho``. Requires an occupation-mode oracle.
     The infimum is computed as its dual, the conjugate of the log Perron
-    root of the oracle's window kernel tilted by its bridge laws, by
-    ``conjugate_at`` on the base box and on the doubled box. A target off
-    the simplex comes back flagged infeasible; a nonfinite one raises
-    ``ValueError``. Raises ``NonConvergence`` when the tilted kernel splits
-    into classes that double precision cannot couple.
+    root of the oracle's window kernel tilted by its bridge laws, by one
+    ``conjugate_at`` call. A target off the simplex comes back flagged
+    infeasible; a nonfinite one raises ``ValueError``. Raises
+    ``NonConvergence`` when the tilted kernel splits into classes that
+    double precision cannot couple.
     """
     if oracle.mode != "occupation":
         raise ValueError("infconv_dvg needs an occupation-mode oracle")
@@ -570,11 +557,11 @@ class DecayFit:
     nonnegative). ``hits[i]`` counts the paths whose statistic at grid
     point i lies in the ball; every grid point reads the same ``n_paths``
     paths, each simulated once to the last grid point. ``slope_se`` is
-    still the standard error for independent binomial hit counts at each
+    the standard error for independent binomial hit counts at each
     point: the sharing makes the counts positively correlated, but over
     seeds 0-29 (sym2, rho = (0.7, 0.3), epsilon = 0.03, grid 40..100,
     1e5 paths) the mean ``slope_se`` was 0.00338 against a seed-to-seed
-    sd of ``slope`` of 0.00326, so it still covers the slope's spread.
+    sd of ``slope`` of 0.00326, so it covers the slope's spread.
     The paths run in batches of at most MC_BATCH, each with the working
     set ``_count_hits`` describes.
     """

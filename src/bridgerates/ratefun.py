@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import GeneratorMatrix, ProbVector, TransitionKernel, _strong_components
+from .conjugate import conjugate_at
 
 __all__ = [
     "NegativeInput",
@@ -417,7 +418,7 @@ def pair_empirical_rate(theta: PairMeasure | np.ndarray, P: TransitionKernel) ->
 def cond_rate(k: FluxField, theta: PairMeasure, oracle) -> float:
     """Conditional-cost part of the block rate: sum_xy theta_xy phi*_xy(k_xy / theta_xy).
 
-    ``oracle`` supplies the per-pair conjugates (see conjugate.ConjugateOracle).
+    ``oracle`` supplies the per-pair block laws (see conjugate.ConjugateOracle).
     Pairs with theta_xy = 0 contribute 0 if their k vector is exactly zero
     and inf otherwise. The value is inf whenever some conjugate is
     effectively infinite at its evaluation point.
@@ -434,7 +435,7 @@ def cond_rate(k: FluxField, theta: PairMeasure, oracle) -> float:
                 if np.any(vec != 0.0):
                     return math.inf
                 continue
-            est = oracle.conjugate(x, y, vec / w)
+            est = conjugate_at(oracle.law(x, y), vec / w)
             if not math.isfinite(est.value):
                 return math.inf
             total += w * est.value

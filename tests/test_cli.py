@@ -161,7 +161,14 @@ PINNED_SCHEMA = """\
     },
     "pair": {
       "items": {
-        "type": "integer"
+        "anyOf": [
+          {
+            "type": "integer"
+          },
+          {
+            "type": "number"
+          }
+        ]
       },
       "type": "array"
     },
@@ -175,10 +182,27 @@ PINNED_SCHEMA = """\
         },
         "b": {
           "items": {
-            "items": {
-              "type": "number"
-            },
-            "type": "array"
+            "anyOf": [
+              {
+                "items": {
+                  "type": "number"
+                },
+                "type": "array"
+              },
+              {
+                "items": {
+                  "anyOf": [
+                    {
+                      "type": "string"
+                    },
+                    {
+                      "type": "number"
+                    }
+                  ]
+                },
+                "type": "array"
+              }
+            ]
           },
           "type": "array"
         }

@@ -42,17 +42,24 @@ def test_conjugate_poisson_matches_entropy_kernel():
         assert est.value == pytest.approx(br.rel_entropy(a, 0.8), abs=1e-8)
 
 
+def _boxed(law, a, lam0=None):
+    """The fixed-box solve on the base box, from the origin or from lam0."""
+    a = np.asarray(a, dtype=float)
+    lam = np.zeros(a.size) if lam0 is None else np.asarray(lam0, dtype=float)
+    return conjugate._boxed_conjugate(law._moments, a, DEFAULT_LAM_BOX, lam)
+
+
 def test_conjugate_warm_start_independent(bernoulli):
-    # the reported value must be a function of the query point alone,
-    # whatever lam0 the caller seeds the solver with
+    # the boxed value must be a function of the query point alone,
+    # whatever start the solver is seeded with
     rng = np.random.default_rng(8)
     atoms = rng.normal(size=(6, 3))
     law = br.DiscreteLaw(atoms=atoms, weights=rng.dirichlet(np.ones(6)))
     targets = [law.mean(), law.mean() + 0.2, atoms[0], atoms[0] + 0.5]
     for a in targets:
-        base = br.conjugate_at(law, a).value
+        base = _boxed(law, a).value
         for lam0 in (np.zeros(3), rng.normal(size=3), np.full(3, 39.0), -np.full(3, 39.0)):
-            again = br.conjugate_at(law, a, lam0=lam0).value
+            again = _boxed(law, a, lam0).value
             assert again == pytest.approx(base, abs=1e-6)
 
 
@@ -64,22 +71,64 @@ def test_conjugate_boundary_flag(bernoulli):
     assert not inside.boundary
 
 
-def test_conjugate_or_inf_outside_hull(bernoulli):
-    est = br.conjugate_or_inf(bernoulli, np.array([1.5]))
+def test_conjugate_infinite_outside_hull(bernoulli):
+    est = br.conjugate_at(bernoulli, np.array([1.5]))
     assert est.value == math.inf
     # a law on the line x0 + x1 = 1: off that line the log-MGF is flat
     # along (1, 1) and the target is unreachable, on it the value is finite
     flat = br.DiscreteLaw(atoms=np.array([[0.0, 1.0], [0.4, 0.6], [1.0, 0.0]]),
                           weights=np.array([0.2, 0.5, 0.3]))
-    assert br.conjugate_or_inf(flat, np.array([0.5, 0.6])).value == math.inf
-    inside = br.conjugate_or_inf(flat, np.array([0.3, 0.7]))
+    assert br.conjugate_at(flat, np.array([0.5, 0.6])).value == math.inf
+    inside = br.conjugate_at(flat, np.array([0.3, 0.7]))
     assert inside.converged and not inside.boundary and math.isfinite(inside.value)
 
 
-def test_conjugate_or_inf_vertex_atom(bernoulli):
+def test_conjugate_vertex_atom(bernoulli):
     # a support vertex carrying mass w has conjugate -log w, not infinity
-    est = br.conjugate_or_inf(bernoulli, np.array([1.0]))
+    est = br.conjugate_at(bernoulli, np.array([1.0]))
     assert est.value == pytest.approx(math.log(2.0), abs=1e-6)
+
+
+def test_conjugate_doubles_the_box_only_on_contact(monkeypatch):
+    # a log-weight of -50.66 on the atom 1 puts the maximizer at a = 0.5 at
+    # lam = log(1e22) = 50.657, past the box of 40 but inside the doubled
+    # one: the doubled solve ends interior with the exact value, and the
+    # growth records what the base box had cut off
+    law = br.DiscreteLaw(atoms=np.array([0.0, 1.0]), weights=np.array([1 - 1e-22, 1e-22]))
+    est = br.conjugate_at(law, [0.5])
+    assert est.value == pytest.approx(24.635288842374557, abs=1e-9)
+    assert est.value == pytest.approx(0.5 * math.log(1e22) - math.log(2.0), abs=1e-9)
+    assert est.converged and not est.boundary
+    assert est.growth == pytest.approx(0.2318, abs=1e-4)
+    # an interior maximizer never touches the box: one solve, no growth
+    boxes = []
+    boxed = conjugate._boxed_conjugate
+
+    def spy(moments, a, lam_box, lam):
+        boxes.append(lam_box)
+        return boxed(moments, a, lam_box, lam)
+
+    monkeypatch.setattr(conjugate, "_boxed_conjugate", spy)
+    inside = br.conjugate_at(law, law.mean())
+    assert boxes == [DEFAULT_LAM_BOX]
+    assert inside.growth == 0.0 and not inside.boundary
+    boxes.clear()
+    assert br.conjugate_at(law, [1.5]).value == math.inf
+    assert boxes == [DEFAULT_LAM_BOX, 2 * DEFAULT_LAM_BOX]
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_conjugate_rejects_nonfinite_target(bernoulli, a):
+    with pytest.raises(ValueError, match="finite"):
+        br.conjugate_at(bernoulli, [a])
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan], ids=["zero", "negative", "inf", "nan"])
+def test_tail_diagnostics_reject_bad_radii(bernoulli, radius):
+    with pytest.raises(ValueError):
+        br.chernoff_bound(bernoulli, radius)
+    with pytest.raises(ValueError):
+        br.superlinearity_check(bernoulli, np.array([0.5, radius]))
 
 
 def test_empirical_law_mean_and_mgf():
@@ -124,7 +173,8 @@ def test_discrete_law_validates_atoms_and_weights(atoms, weights):
 
 
 def test_conjugate_at_holds_one_work_set_per_solve(monkeypatch):
-    # the law keeps no scratch, so the solve passes one set to all its passes
+    # the law keeps no scratch, so the solve passes one set to all its
+    # passes, on the doubled box as on the base box
     law = br.EmpiricalLaw(np.random.default_rng(2).normal(size=(500, 3)))
     works = []
     moments = conjugate._tilted_moments
@@ -134,9 +184,12 @@ def test_conjugate_at_holds_one_work_set_per_solve(monkeypatch):
         return moments(columns, logw, lam, work)
 
     monkeypatch.setattr(conjugate, "_tilted_moments", spy)
-    est = br.conjugate_at(law, law.mean() + 0.1)
-    assert est.converged and len(works) > 1
-    assert works[0] is not None and all(work is works[0] for work in works)
+    for a, doubled in ((law.mean() + 0.1, False), (law.samples.max(axis=0) + 1.0, True)):
+        works.clear()
+        est = br.conjugate_at(law, a)
+        assert est.converged and len(works) > 1
+        assert (est.growth > 0) == doubled
+        assert works[0] is not None and all(work is works[0] for work in works)
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -229,7 +282,7 @@ def test_conjugate_flat_directions(request, chain, mode):
             a = _tilted_mean(law, lam_star)
             near = _tilted_mean(law, lam_star + 0.1 * rng.normal(size=law.d))
             cold = br.conjugate_at(law, a)
-            warm = br.conjugate_at(law, a, lam0=br.conjugate_at(law, near).maximizer)
+            warm = _boxed(law, a, br.conjugate_at(law, near).maximizer)
             assert cold.converged and warm.converged
             assert warm.value == pytest.approx(cold.value, abs=1e-9)
             assert cold.value == pytest.approx(lam_star @ a - br.log_mgf(law, lam_star), abs=1e-9)
@@ -243,7 +296,7 @@ def test_conjugate_near_point_mass_vertex(symmetric_two):
     for a0 in (0.045, 0.01, 0.002):
         a = np.array([a0, 1.0 - a0])
         cold = br.conjugate_at(law, a)
-        warm = br.conjugate_at(law, a, lam0=br.conjugate_at(law, [1.1 * a0, 1.0 - 1.1 * a0]).maximizer)
+        warm = _boxed(law, a, br.conjugate_at(law, [1.1 * a0, 1.0 - 1.1 * a0]).maximizer)
         assert cold.converged and warm.converged
         assert not cold.boundary
         assert warm.value == pytest.approx(cold.value, abs=1e-9)
@@ -279,7 +332,7 @@ def test_decrement_zero_on_pinned_coordinate(bernoulli):
     # gradient 0.5, the second is a free Bernoulli tilted to mean 0.3
     atoms = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     law = br.DiscreteLaw(atoms=atoms, weights=np.full(4, 0.25))
-    est = br.conjugate_at(law, np.array([1.5, 0.3]))
+    est = _boxed(law, [1.5, 0.3])
     assert est.converged and est.boundary
     assert est.maximizer[0] == DEFAULT_LAM_BOX
     assert 0.0 <= est.decrement <= 1e-12

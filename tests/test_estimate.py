@@ -87,6 +87,33 @@ def test_infconv_dvg_matches_closed_form(symmetric_two, occ_oracle):
     assert np.all(res.theta.weights >= 0)
 
 
+def test_interior_infconv_makes_one_fixed_box_solve(occ_oracle, monkeypatch):
+    # an interior target's maximizer never touches the box, so the dual is
+    # one solve on the base box with zero growth; the numbers are the ones
+    # the base-plus-doubled-box pair of solves gave, bit for bit
+    boxes = []
+    boxed = conjugate._boxed_conjugate
+
+    def spy(moments, a, lam_box, lam):
+        boxes.append(lam_box)
+        return boxed(moments, a, lam_box, lam)
+
+    monkeypatch.setattr(conjugate, "_boxed_conjugate", spy)
+    res = br.infconv_dvg(np.array([0.7, 0.3]), occ_oracle)
+    assert boxes == [conjugate.DEFAULT_LAM_BOX]
+    assert res.certificate == 0.0
+    assert res.converged and res.feasible
+    assert res.iterations == 6
+    assert res.value == 0.04186612562161622
+    assert res.decrement == 4.503474425933285e-28
+    assert res.theta.weights.tolist() == [[0.5606769653896686, 0.13950732450512843],
+                                          [0.13950732450512843, 0.1603083856000745]]
+    assert res.k.vectors.tolist() == [
+        [[0.5430134133758621, 0.017663552013796942], [0.07491053253525694, 0.06459679196987152]],
+        [[0.07487040224062941, 0.06463692226449898], [0.007205651848227289, 0.15310273375184555]],
+    ]
+
+
 def test_infconv_dvg_converges_on_ring(ring_three):
     # nonreversible three-state chain: the decomposition has nine pairs with
     # three-dimensional block laws and must still converge
@@ -97,7 +124,7 @@ def test_infconv_dvg_converges_on_ring(ring_three):
     assert res.converged
     assert res.feasible
     assert res.decrement < 1e-6
-    assert res.conjugate_solves == 2
+    assert res.certificate == 0.0
     assert res.theta.weights.min() > 0
     assert res.value / t0 == pytest.approx(br.dvg_rate(rho, ring_three).value, abs=0.01)
 
