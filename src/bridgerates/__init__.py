@@ -61,20 +61,15 @@ from .simulate import (
     accumulate,
     batch_occupations,
     batch_pair_statistics,
-    cumulative_flux,
     discrete_embedding,
     gillespie,
-    occupation,
 )
 from .bridge import (
     BridgeSpec,
     DegenerateDenominator,
-    RejectionBudgetExceeded,
     bridge_generator,
-    bridge_transition,
     bridge_transition_row,
     conditional_samples,
-    sample_bridge,
 )
 from .estimate import (
     BallResult,

@@ -2,18 +2,18 @@
 
 A bridge pins the chain to start at x and end at y after a window of
 length t0. Its inhomogeneous transition law is a ratio of unconditioned
-kernels. ``conditional_samples`` samples it exactly by uniformization
-(Hobolth & Stone, Ann. Appl. Stat. 3(3):1204-1231, 2009): with lam the
-largest exit rate and P = I + Q / lam (``chain._uniformized``), it draws
-the number N of skeleton events given both endpoints, runs the skeleton
-conditioned to reach y in N steps on the lockstep loop of ``simulate``,
-and hands its counts to ``simulate._blocks``, which draws the occupation
-fractions from the Dirichlet law of the event spacings and, in flux mode,
-appends the jump counts per unit time. The blocks are the conditional laws
-feeding the per-pair conjugate oracle; no path is rejected, however small
+kernels: ``bridge_transition_row`` gives its rows and ``bridge_generator``
+its jump rates. ``conditional_samples`` is the one bridge sampler. It
+samples the bridge exactly by uniformization (Hobolth & Stone, Ann. Appl.
+Stat. 3(3):1204-1231, 2009): with lam the largest exit rate and
+P = I + Q / lam (``chain._uniformized``), it draws the number N of
+skeleton events given both endpoints, runs the skeleton conditioned to
+reach y in N steps on the lockstep loop of ``simulate``, and hands its
+counts to ``simulate._blocks``, which draws the occupation fractions from
+the Dirichlet law of the event spacings and, in flux mode, appends the
+jump counts per unit time. The blocks are the conditional laws feeding
+the per-pair conjugate oracle; no path is rejected, however small
 P_xy(t0).
-``sample_bridge`` draws single paths by rejection with the Gillespie loop
-of ``simulate`` and stays as the independent reference for the kernels.
 """
 
 from __future__ import annotations
@@ -25,30 +25,16 @@ import numpy as np
 
 from .chain import GeneratorMatrix, _uniformized, transition_at
 from .conjugate import EmpiricalLaw
-from .simulate import (
-    MODES,
-    PathRecord,
-    _blocks,
-    _gillespie_jumps,
-    _jump_tables,
-    _next_state_table,
-    _skeleton,
-    _state_dtype,
-)
+from .simulate import MODES, _blocks, _next_state_table, _skeleton, _state_dtype
 
 __all__ = [
     "DegenerateDenominator",
-    "RejectionBudgetExceeded",
     "BridgeSpec",
-    "PathRecord",
-    "bridge_transition",
     "bridge_transition_row",
     "bridge_generator",
-    "sample_bridge",
     "conditional_samples",
 ]
 
-DEFAULT_MAX_ATTEMPTS = 1_000_000
 # The law of the skeleton's event count is truncated at the first k where
 # the Poisson tail beyond k is at most this fraction of the weight so far.
 TAIL_RTOL = 1e-16
@@ -56,10 +42,6 @@ TAIL_RTOL = 1e-16
 
 class DegenerateDenominator(ValueError):
     """A bridge ratio has a vanishing denominator (endpoint unreachable)."""
-
-
-class RejectionBudgetExceeded(RuntimeError):
-    """Rejection sampling hit its attempt cap before acceptance."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +70,14 @@ class BridgeSpec:
 
 
 def bridge_transition_row(spec: BridgeSpec, a: int, s: float, t: float) -> np.ndarray:
-    """Conditional law of X(t) given X(s) = a under the bridge, as a row."""
+    """Conditional law of X(t) given X(s) = a under the bridge, as a row.
+
+    Entry b is P_ab(t - s) P_by(t0 - t) / P_ay(t0 - s): the unconditioned
+    step reweighted by the likelihood of still hitting the pinned endpoint.
+    The start state of the bridge does not enter, only the pinned endpoint
+    does. Rows sum to 1 and satisfy the two-step (Chapman-Kolmogorov)
+    identity.
+    """
     if not 0 <= s <= t <= spec.t0:
         raise ValueError("need 0 <= s <= t <= t0")
     p_step = transition_at(spec.Q, t - s).probs[a]
@@ -97,20 +86,6 @@ def bridge_transition_row(spec: BridgeSpec, a: int, s: float, t: float) -> np.nd
     if denom <= 0.0:
         raise DegenerateDenominator(f"state {a} cannot reach {spec.y} in time {spec.t0 - s!r}")
     return p_step * p_close / denom
-
-
-def bridge_transition(spec: BridgeSpec, a: int, b: int, s: float, t: float) -> float:
-    """Bridge transition probability P(X(t) = b | X(s) = a).
-
-    Equals P_ab(t - s) P_by(t0 - t) / P_ay(t0 - s): the unconditioned step
-    reweighted by the likelihood of still hitting the pinned endpoint. The
-    start state of the bridge does not enter, only the pinned endpoint does.
-    Rows sum to 1 and satisfy the two-step (Chapman-Kolmogorov) identity.
-    """
-    row = bridge_transition_row(spec, a, s, t)
-    if not 0 <= b < spec.n_states:
-        raise ValueError("state out of range")
-    return float(row[b])
 
 
 def bridge_generator(spec: BridgeSpec, a: int, b: int, t: float) -> float:
@@ -129,34 +104,6 @@ def bridge_generator(spec: BridgeSpec, a: int, b: int, t: float) -> float:
     if p_close[a] <= 0.0:
         raise DegenerateDenominator(f"state {a} cannot reach {spec.y} in time {spec.t0 - t!r}")
     return float(spec.Q.rates[a, b] * p_close[b] / p_close[a])
-
-
-def sample_bridge(
-    spec: BridgeSpec,
-    rng: np.random.Generator,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> PathRecord:
-    """Draw one bridge path by rejection on the unconditioned chain.
-
-    Simulates from x over [0, t0] with the draws of ``simulate.gillespie``
-    until a path ends at y; the chain's jump tables are built once per
-    call, and only the accepted path becomes a PathRecord. The acceptance
-    probability is P_xy(t0), positive by BridgeSpec validation.
-
-    Raises
-    ------
-    RejectionBudgetExceeded
-        If no path is accepted within max_attempts draws.
-    """
-    tables = _jump_tables(spec.Q)
-    for _ in range(max_attempts):
-        times, dests = _gillespie_jumps(tables, spec.x, spec.t0, rng)
-        if (dests[-1] if dests else spec.x) == spec.y:
-            return PathRecord(spec.n_states, spec.x, spec.t0, np.array(times),
-                              np.array(dests, dtype=np.int64))
-    raise RejectionBudgetExceeded(
-        f"no acceptance in {max_attempts} attempts for pair ({spec.x}, {spec.y})"
-    )
 
 
 def _stream(seed: int, pair_index: int, key: int) -> np.random.Generator:

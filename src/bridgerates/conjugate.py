@@ -440,10 +440,15 @@ def flux_mgf_bound(Q: GeneratorMatrix, x: int, y: int, t0: float, s: float) -> f
         bound(s) = s + Qbar * t0 * (exp(2 s / t0) - 1),
 
     which dominates the log-MGF of occupation-plus-flux blocks uniformly in
-    the endpoints. Requires all off-diagonal rates positive.
+    the endpoints for s >= 0. At s < 0 it does not: on the unit two-state
+    chain at t0 = 0.5 and s = -0.5 the pair (0, 0) has log-MGF about -0.60
+    and the bound is -0.70. Requires all off-diagonal rates positive.
 
     Raises
     ------
+    ValueError
+        If a state is out of range, t0 is not positive, or s is not finite
+        and nonnegative.
     ZeroRate
         If some off-diagonal rate of Q vanishes.
     """
@@ -452,6 +457,8 @@ def flux_mgf_bound(Q: GeneratorMatrix, x: int, y: int, t0: float, s: float) -> f
         raise ValueError("states out of range")
     if t0 <= 0:
         raise ValueError("window length must be positive")
+    if not (math.isfinite(s) and s >= 0):
+        raise ValueError(f"s must be finite and nonnegative, got {s!r}")
     off = ~np.eye(n, dtype=bool)
     if Q.rates[off].min() <= 0:
         raise ZeroRate("flux bound needs strictly positive off-diagonal rates")

@@ -1,11 +1,15 @@
-"""Exact simulation of CTMC paths and their empirical statistics.
+"""Exact simulation of CTMC paths: reference single paths and uniformized batches.
 
-Single paths are simulated jump by jump (exponential holding times plus the
-embedded jump chain); ``gillespie`` raises ``AbsorbingState`` when a path
-reaches a state it cannot leave. Whole-path statistics (occupation
-fractions, jump counts) and the windowed block embedding (endpoint skeleton
-plus per-window additive statistics) are computed from the recorded jump
-sequence. Batch helpers simulate many paths at once by uniformization, one
+Two samplers live here. The reference one is ``gillespie``: one path at a
+time, jump by jump (exponential holding times plus the embedded jump
+chain), raising ``AbsorbingState`` when a path reaches a state it cannot
+leave. ``discrete_embedding`` splits such a path into its endpoint
+skeleton and per-window blocks, and ``accumulate`` averages the blocks by
+endpoint pair. No route samples this way; these per-path pieces are the
+independent reference that claim 09 (relabeling equivariance and
+window-count integrality of the embedding) runs on.
+
+Everything else samples by uniformization, many paths at once with one
 stream per batch: a Poisson number of events per path, and the skeleton
 chain P = I + Q / lam (``chain._uniformized``) run in lockstep by
 ``_skeleton``, which returns each path's end state, visit counts and jump
@@ -21,10 +25,11 @@ from the same counts in batch order. ``_blocks`` is the one place that
 turns those counts into window blocks: occupation fractions drawn from
 the Dirichlet law of the event spacings given the visit counts, followed
 in flux mode by the jump counts per unit time. Absorbing states need no
-special case there. The batch helpers drive tail-probability estimation,
-where ``batch_occupations`` carries each path's end state from one horizon of a
-grid to the next, so a path is simulated once for the whole grid; ``_skeleton``
-also runs the endpoint-conditioned skeletons of bridge sampling
+special case there. ``_batch_step`` advances a batch through one window
+and drives tail-probability estimation, where ``batch_occupations``
+carries each path's end state from one horizon of a grid to the next, so
+a path is simulated once for the whole grid. ``_skeleton`` also runs the
+endpoint-conditioned skeletons of bridge sampling
 (``bridge.conditional_samples``), with next-state tables that depend on
 the number of steps left, and ``_blocks`` builds their blocks too.
 """
@@ -47,8 +52,6 @@ __all__ = [
     "DiscreteEmbedding",
     "EmpiricalPair",
     "gillespie",
-    "occupation",
-    "cumulative_flux",
     "discrete_embedding",
     "accumulate",
     "batch_occupations",
@@ -65,14 +68,19 @@ CHUNK = 8192
 class AbsorbingState(RuntimeError):
     """A gillespie path entered a state with zero total exit rate.
 
-    The batch helpers never raise it: uniformization keeps their paths in
-    such a state, which is the exact law.
+    Only the reference sampler of claim 09 raises it. The batch helpers
+    never do: uniformization keeps their paths in such a state, which is
+    the exact law.
     """
 
 
 @dataclass(frozen=True)
 class PathRecord:
-    """A cadlag CTMC path on [0, horizon]: start state plus jump sequence."""
+    """A cadlag CTMC path on [0, horizon]: start state plus jump sequence.
+
+    What ``gillespie`` returns and ``discrete_embedding`` reads; claim 09
+    relabels these paths to check the embedding's equivariance.
+    """
 
     n_states: int
     x0: int
@@ -92,8 +100,7 @@ class PathRecord:
                 raise ValueError("jump beyond the path horizon")
             if dests.min() < 0 or dests.max() >= self.n_states:
                 raise ValueError("destination out of range")
-        if not 0 <= self.x0 < self.n_states:
-            raise ValueError("start state out of range")
+        _check_state(self.n_states, self.x0)
         object.__setattr__(self, "jump_times", times)
         object.__setattr__(self, "destinations", dests)
 
@@ -120,6 +127,8 @@ class DiscreteEmbedding:
     ``states`` holds the n+1 window endpoints X(0), X(t0), ..., X(n t0);
     ``blocks`` holds one d-vector per window: occupation fractions, or
     occupation fractions followed by the n^2 jump counts divided by t0.
+    Claim 09's reference statistic: the routes build their blocks with
+    ``_blocks`` instead.
     """
 
     t0: float
@@ -155,7 +164,11 @@ class DiscreteEmbedding:
 
 @dataclass(frozen=True)
 class EmpiricalPair:
-    """Pair-indexed block averages: K (per-pair sums / n) and Theta."""
+    """Pair-indexed block averages: K (per-pair sums / n) and Theta.
+
+    What ``accumulate`` returns, and what claim 09's equivariance and
+    integrality checks compare.
+    """
 
     k: FluxField
     theta: PairMeasure
@@ -183,22 +196,37 @@ def _next_state_table(probs: np.ndarray) -> np.ndarray:
     return np.where(cum[..., :-1] >= cum[..., -1:], 2.0, cum[..., :-1])
 
 
-def _jump_tables(Q: GeneratorMatrix) -> tuple[list[float], list[list[float]]]:
-    """Exit rates and next-state table of Q, as the Python lists a path loop reads.
+def _check_state(n: int, state) -> None:
+    """Refuse a start state that is not an integer in [0, n); bools are refused too."""
+    if isinstance(state, bool) or not isinstance(state, (int, np.integer)):
+        raise ValueError(f"start state must be an integer state, got {state!r}")
+    if not 0 <= state < n:
+        raise ValueError(f"start state {state!r} outside [0, {n})")
 
-    Built once per chain: ``_gillespie_jumps`` reads them for every path.
+
+def gillespie(Q: GeneratorMatrix, x0: int, horizon: float, rng: np.random.Generator) -> PathRecord:
+    """Simulate one exact path of the chain on [0, horizon] from x0.
+
+    Each step draws one exponential holding time with the state's exit
+    rate and, unless the path has run past the horizon, one uniform that
+    picks the next state from the embedded jump chain. This per-path loop
+    is claim 09's independent reference: its paths, embedded by
+    ``discrete_embedding``, are what the relabeling and integrality checks
+    run on. Every route samples with the batch helpers below instead.
+
+    Raises
+    ------
+    ValueError
+        If x0 is not an integer state, or the horizon is not finite and
+        nonnegative.
+    AbsorbingState
+        If the path visits a state with zero exit rate.
     """
-    return Q.exit_rates.tolist(), _next_state_table(Q.jump_probs()).tolist()
-
-
-def _gillespie_jumps(tables, x0: int, horizon: float, rng: np.random.Generator):
-    """Jump times and destinations of one path on [0, horizon] from x0.
-
-    ``tables`` comes from ``_jump_tables``; the inputs are not validated.
-    Each step draws one exponential holding time and, unless the path has
-    run past the horizon, one uniform for the next state.
-    """
-    exit_rates, cum_jump = tables
+    _check_state(Q.n_states, x0)
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
+    exit_rates = Q.exit_rates.tolist()
+    cum_jump = _next_state_table(Q.jump_probs()).tolist()
     times: list[float] = []
     dests: list[int] = []
     state = x0
@@ -209,60 +237,23 @@ def _gillespie_jumps(tables, x0: int, horizon: float, rng: np.random.Generator):
             raise AbsorbingState(f"state {state} has zero exit rate")
         t += rng.exponential(1.0 / rate)
         if t > horizon:
-            return times, dests
+            break
         # table rows are nondecreasing, so this counts the entries the uniform reaches
         state = bisect_right(cum_jump[state], rng.random())
         times.append(t)
         dests.append(state)
-
-
-def gillespie(Q: GeneratorMatrix, x0: int, horizon: float, rng: np.random.Generator) -> PathRecord:
-    """Simulate one exact path of the chain on [0, horizon] from x0.
-
-    Holding times are exponential with the state's exit rate and the next
-    state follows the embedded jump chain.
-
-    Raises
-    ------
-    AbsorbingState
-        If the path visits a state with zero exit rate.
-    """
-    if not 0 <= x0 < Q.n_states:
-        raise ValueError("start state out of range")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    times, dests = _gillespie_jumps(_jump_tables(Q), x0, horizon, rng)
     return PathRecord(Q.n_states, x0, horizon, np.array(times), np.array(dests, dtype=np.int64))
 
 
-def _segments(path: PathRecord, t_max: float):
-    """(state, start, end) triples covering [0, t_max]."""
+def _segments(path: PathRecord):
+    """(state, start, end) triples covering [0, horizon]."""
     bounds = np.concatenate(([0.0], path.jump_times, [path.horizon]))
     states = path.states()
     for idx in range(states.size):
         lo, hi = bounds[idx], bounds[idx + 1]
-        if lo >= t_max:
+        if lo >= path.horizon:
             break
-        yield int(states[idx]), lo, min(hi, t_max)
-
-
-def occupation(path: PathRecord, t_max: float | None = None) -> ProbVector:
-    """Occupation fractions of the path over [0, t_max] (default: whole path)."""
-    t_max = path.horizon if t_max is None else t_max
-    if not 0 < t_max <= path.horizon:
-        raise ValueError("t_max must lie in (0, horizon]")
-    occ = np.zeros(path.n_states)
-    for state, lo, hi in _segments(path, t_max):
-        occ[state] += hi - lo
-    return ProbVector(occ / t_max)
-
-
-def cumulative_flux(path: PathRecord) -> np.ndarray:
-    """Integer jump counts W_xy over the whole path, zero on the diagonal."""
-    counts = np.zeros((path.n_states, path.n_states), dtype=np.int64)
-    states = path.states()
-    np.add.at(counts, (states[:-1], states[1:]), 1)
-    return counts
+        yield int(states[idx]), lo, hi
 
 
 def discrete_embedding(path: PathRecord, t0: float, mode: str) -> DiscreteEmbedding:
@@ -270,7 +261,10 @@ def discrete_embedding(path: PathRecord, t0: float, mode: str) -> DiscreteEmbedd
 
     Window m covers ((m-1) t0, m t0]. Occupation fractions are relative to
     t0; jump counts are divided by t0 so every block is an average per unit
-    time. The horizon must be an integer multiple of t0.
+    time. The horizon must be an integer multiple of t0; with one window
+    (t0 = horizon) the block is the whole path's occupation fractions and
+    jump counts per unit time. Claim 09 checks this embedding's relabeling
+    equivariance and window-count integrality on ``gillespie`` paths.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -281,7 +275,7 @@ def discrete_embedding(path: PathRecord, t0: float, mode: str) -> DiscreteEmbedd
         raise ValueError("path horizon must be a positive integer multiple of t0")
     n = path.n_states
     occ = np.zeros((n_windows, n))
-    for state, lo, hi in _segments(path, path.horizon):
+    for state, lo, hi in _segments(path):
         w = min(int(lo / t0), n_windows - 1)
         while w < n_windows and w * t0 < hi:
             overlap = min(hi, (w + 1) * t0) - max(lo, w * t0)
@@ -312,7 +306,8 @@ def accumulate(embedding: DiscreteEmbedding) -> EmpiricalPair:
 
     Returns K (block sums per endpoint pair, divided by the number of
     windows) and Theta (endpoint-pair frequencies). The total of K over all
-    pairs equals the plain average of all blocks.
+    pairs equals the plain average of all blocks. Part of claim 09's
+    reference, with ``discrete_embedding``.
     """
     n = embedding.n_states
     n_win = embedding.n_windows
@@ -491,10 +486,7 @@ def _start_states(n: int, n_paths: int, rng: np.random.Generator,
             raise ValueError(f"start distribution has {init.weights.size} entries "
                              f"for a chain of {n} states")
         return rng.choice(n, size=n_paths, p=init.weights).astype(_state_dtype(n))
-    if isinstance(init, bool) or not isinstance(init, (int, np.integer)):
-        raise ValueError(f"start state must be an integer state or a ProbVector, got {init!r}")
-    if not 0 <= init < n:
-        raise ValueError(f"start state {init!r} outside [0, {n})")
+    _check_state(n, init)
     return np.full(n_paths, init, dtype=_state_dtype(n))
 
 
@@ -556,6 +548,9 @@ def batch_pair_statistics(
     (n_paths, n, n); memory scales accordingly, so keep batches moderate.
     A window length that is not positive and finite, or a window count
     that is not a positive integer, raises ValueError before any draw.
+    No route calls it: it is the reference that the pair kind of
+    ``estimate._ball_distances``, which counts endpoint pairs only, is
+    checked against in law.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import bridgerates as br
+from bridgerates.simulate import _batch_step
 from conftest import random_generator
 
 SYM = [[-1.0, 1.0], [1.0, -1.0]]
@@ -115,17 +116,24 @@ def test_04_bridge_kernel_against_sampler():
             gen = br.bridge_generator(spec2, a, b, t_fd)
             worst_fd = max(worst_fd, abs(fd - gen) / max(1.0, abs(gen)))
 
-    # the rejection sampler reproduces the kernel marginals
+    # forward rejection reproduces the kernel marginals: paths of the chain
+    # from x, stepped by the lockstep walk window by window to each probe
+    # time and on to t0, kept when they end at y; the walk never reads P(t)
     rng = np.random.default_rng(99)
-    n_accepted = 100_000
+    n_accepted, batch = 100_000, 250_000
     probes = (0.37, 0.71)
     counts = {tp: np.zeros(2) for tp in probes}
-    for _ in range(n_accepted):
-        path = br.sample_bridge(spec2, rng)
-        seq = np.concatenate([[path.x0], path.destinations])
-        for tp in probes:
-            idx = np.searchsorted(path.jump_times, tp, side="right")
-            counts[tp][int(seq[idx])] += 1.0
+    kept = 0
+    while kept < n_accepted:
+        states, seen, before = np.full(batch, spec2.x), [], 0.0
+        for tp in probes + (spec2.t0,):
+            states, _, _ = _batch_step(Q, tp - before, states, rng, want_flux=False)
+            seen.append(states)
+            before = tp
+        hit = np.flatnonzero(states == spec2.y)[: n_accepted - kept]
+        for tp, at in zip(probes, seen):
+            counts[tp] += np.bincount(at[hit], minlength=2)
+        kept += hit.size
     worst_tv = 0.0
     for tp in probes:
         kernel = br.bridge_transition_row(spec2, 0, 0.0, tp)

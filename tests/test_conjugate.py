@@ -231,6 +231,15 @@ def test_flux_bound_needs_positive_rates():
         br.flux_mgf_bound(ring, 0, 1, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, -0.5],
+                         ids=["nan", "inf", "-inf", "negative"])
+def test_flux_mgf_bound_rejects_bad_s(symmetric_two, s):
+    # a nan bound compares false against every log-MGF, so claim 07 would
+    # count it as no violation; below s = 0 the formula is no bound
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        br.flux_mgf_bound(symmetric_two, 0, 1, 1.0, s)
+
+
 @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 1.0))
 def test_log_mgf_convex_along_segments(seed, t):
     rng = np.random.default_rng(seed)
@@ -349,3 +358,4 @@ def test_decrement_flat_along_occupation_sum(ring_three):
     assert est.converged and not est.boundary
     assert abs(float((a - law._moments(est.maximizer)[1]).sum())) > 5e-10
     assert 0.0 <= est.decrement <= 1e-12
+

@@ -34,24 +34,44 @@ def test_gillespie_absorbing_raises():
         br.gillespie(Q, 0, 50.0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_gillespie_rejects_bad_horizons(symmetric_two, horizon):
+    # no holding time passes a nonfinite horizon, so the path would never end
+    with pytest.raises(ValueError, match="horizon"):
+        br.gillespie(symmetric_two, 0, horizon, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("x0", [True, 0.5, -1, 2], ids=["bool", "float", "negative", "past-end"])
+def test_gillespie_rejects_bad_start_states(symmetric_two, x0):
+    with pytest.raises(ValueError, match="start state"):
+        br.gillespie(symmetric_two, x0, 1.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="start state"):
+        br.PathRecord(2, x0, 1.0, np.array([]), np.array([]))
+
+
+def _whole_path_block(path, mode):
+    """The one-window embedding: whole-path occupation, then jumps per unit time."""
+    return br.discrete_embedding(path, path.horizon, mode).blocks[0]
+
+
 def test_occupation_is_distribution(ring_three):
     path = br.gillespie(ring_three, 0, 12.0, np.random.default_rng(9))
-    occ = br.occupation(path)
-    assert occ.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(occ.weights >= 0)
+    occ = _whole_path_block(path, "occupation")
+    assert occ.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(occ >= 0)
 
 
 def test_occupation_long_run_near_invariant(ring_three):
     path = br.gillespie(ring_three, 0, 4000.0, np.random.default_rng(12))
-    occ = br.occupation(path).weights
+    occ = _whole_path_block(path, "occupation")
     pi = br.invariant_measure(ring_three).weights
     assert np.abs(occ - pi).max() < 0.05
 
 
 def test_cumulative_flux_divergence_telescopes(ring_three):
     path = br.gillespie(ring_three, 2, 30.0, np.random.default_rng(3))
-    flux = br.cumulative_flux(path)
-    assert flux.dtype.kind in "iu" or np.allclose(flux, np.round(flux))
+    flux = _whole_path_block(path, "flux")[3:].reshape(3, 3) * path.horizon
+    assert np.allclose(flux, np.round(flux))
     end = path.destinations[-1] if path.destinations.size else path.x0
     expect = np.zeros(3)
     expect[path.x0] += 1.0
