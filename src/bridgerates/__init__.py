@@ -41,17 +41,11 @@ from .conjugate import (
     ConjugateOracle,
     DiscreteLaw,
     EmpiricalLaw,
-    PoissonLaw,
-    SuperlinearityReport,
     ZeroRate,
-    abs_log_mgf,
-    chernoff_bound,
     conjugate_at,
     flux_mgf_bound,
     load_samples,
-    log_mgf,
     save_samples,
-    superlinearity_check,
 )
 from .simulate import (
     AbsorbingState,

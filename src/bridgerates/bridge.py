@@ -25,7 +25,7 @@ import numpy as np
 
 from .chain import GeneratorMatrix, _uniformized, transition_at
 from .conjugate import EmpiricalLaw
-from .simulate import MODES, _blocks, _next_state_table, _skeleton, _state_dtype
+from .simulate import MODES, _blocks, _check_state, _next_state_table, _skeleton, _state_dtype
 
 __all__ = [
     "DegenerateDenominator",
@@ -46,7 +46,10 @@ class DegenerateDenominator(ValueError):
 
 @dataclass(frozen=True)
 class BridgeSpec:
-    """Chain bridged from x at time 0 to y at time t0."""
+    """Chain bridged from x at time 0 to y at time t0.
+
+    x and y must be integer states of the chain, or ``ValueError``.
+    """
 
     Q: GeneratorMatrix
     x: int
@@ -54,9 +57,8 @@ class BridgeSpec:
     t0: float
 
     def __post_init__(self):
-        n = self.Q.n_states
-        if not (0 <= self.x < n and 0 <= self.y < n):
-            raise ValueError("bridge endpoints out of range")
+        _check_state(self.Q.n_states, self.x, "bridge start x")
+        _check_state(self.Q.n_states, self.y, "bridge end y")
         if self.t0 <= 0:
             raise ValueError("window length must be positive")
         if transition_at(self.Q, self.t0).probs[self.x, self.y] <= 0.0:
@@ -76,8 +78,9 @@ def bridge_transition_row(spec: BridgeSpec, a: int, s: float, t: float) -> np.nd
     step reweighted by the likelihood of still hitting the pinned endpoint.
     The start state of the bridge does not enter, only the pinned endpoint
     does. Rows sum to 1 and satisfy the two-step (Chapman-Kolmogorov)
-    identity.
+    identity. An a that is not an integer state raises ``ValueError``.
     """
+    _check_state(spec.n_states, a, "bridge state a")
     if not 0 <= s <= t <= spec.t0:
         raise ValueError("need 0 <= s <= t <= t0")
     p_step = transition_at(spec.Q, t - s).probs[a]
@@ -94,12 +97,12 @@ def bridge_generator(spec: BridgeSpec, a: int, b: int, t: float) -> float:
     Equals Q_ab P_by(t0 - t) / P_ay(t0 - t). Rates into the pinned state
     blow up as t approaches t0, which is what forces the bridge home.
     """
+    _check_state(spec.n_states, a, "bridge state a")
+    _check_state(spec.n_states, b, "bridge state b")
     if a == b:
         raise ValueError("generator entries are defined for a != b")
     if not 0 <= t < spec.t0:
         raise ValueError("need 0 <= t < t0")
-    if not (0 <= a < spec.n_states and 0 <= b < spec.n_states):
-        raise ValueError("state out of range")
     p_close = transition_at(spec.Q, spec.t0 - t).probs[:, spec.y]
     if p_close[a] <= 0.0:
         raise DegenerateDenominator(f"state {a} cannot reach {spec.y} in time {spec.t0 - t!r}")

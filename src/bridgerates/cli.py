@@ -62,7 +62,6 @@ class ExperimentConfig:
     epsilon: float = 0.03
     n_grid: list | None = None
     n_paths: int = 100_000
-    reference: float | None = None
 
     @classmethod
     def from_file(cls, path) -> tuple["ExperimentConfig", str]:
@@ -285,15 +284,9 @@ def cmd_mc_verify(cfg: ExperimentConfig, args) -> dict:
     rho = cfg.rho_vector()
     if cfg.n_grid is None:
         raise ValueError("config needs 'n_grid' for mc-verify")
-    reference, gap, iterations = cfg.reference, None, None
-    if reference is not None and (isinstance(reference, bool) or not isinstance(reference, (int, float))
-                                  or not (math.isfinite(reference) and reference > 0)):
-        raise ValueError(f"config 'reference' must be a finite positive rate, got {reference!r}")
     fit = mc_decay_rate(Q, rho, cfg.epsilon, cfg.n_grid, cfg.n_paths, cfg.seed)
-    if reference is None:
-        ball = ball_rate(Q, rho, cfg.epsilon)
-        reference, gap, iterations = ball.value, ball.gap, ball.iterations
-    rel_error = abs(fit.slope - reference) / reference if reference > 0 else math.inf
+    ball = ball_rate(Q, rho, cfg.epsilon)
+    rel_error = abs(fit.slope - ball.value) / ball.value if ball.value > 0 else math.inf
     return {
         "target": rho.weights,
         "epsilon": cfg.epsilon,
@@ -304,9 +297,9 @@ def cmd_mc_verify(cfg: ExperimentConfig, args) -> dict:
         "slope": fit.slope,
         "slope_se": fit.slope_se,
         "intercept": fit.intercept,
-        "reference": reference,
-        "reference_gap": gap,
-        "reference_iterations": iterations,
+        "reference": ball.value,
+        "reference_gap": ball.gap,
+        "reference_iterations": ball.iterations,
         "rel_error": rel_error,
     }
 

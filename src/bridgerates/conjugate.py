@@ -3,8 +3,8 @@
 A law is anything with a ``_moments`` method that returns its log-MGF with
 the tilted mean and covariance (its gradient and Hessian) at one point.
 ``DiscreteLaw`` covers every law on weighted atoms, and ``EmpiricalLaw``,
-the sampled bridge blocks, is its uniform case; ``PoissonLaw`` is a
-closed-form test fixture. ``conjugate_at`` is the one conjugate solver:
+the sampled bridge blocks, is its uniform case; its ``log_mgf`` is the one
+log-MGF evaluation. ``conjugate_at`` is the one conjugate solver:
 a projected Newton method with minimum-norm steps on a box [-L, L]^d, so
 directions in which a law's support is flat (occupation fractions summing
 to one, zero flux diagonals) never move. When the maximizer is pinned
@@ -15,7 +15,7 @@ still pinned there and grew by more than ``GROWTH_RTOL`` is infinite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
 import numpy as np
@@ -27,13 +27,7 @@ __all__ = [
     "ConjugateEstimate",
     "EmpiricalLaw",
     "DiscreteLaw",
-    "PoissonLaw",
-    "log_mgf",
-    "abs_log_mgf",
     "conjugate_at",
-    "SuperlinearityReport",
-    "superlinearity_check",
-    "chernoff_bound",
     "flux_mgf_bound",
     "save_samples",
     "load_samples",
@@ -161,42 +155,12 @@ class DiscreteLaw:
             raise ValueError(f"lambda dimension {lam.size} does not match law dimension {self.d}")
         return self._moments(lam)[0]
 
-    def abs_law(self) -> "DiscreteLaw":
-        """Law of the scalar |A|_1 under this law."""
-        return DiscreteLaw(np.abs(self.atoms).sum(axis=1), self.weights)
-
 
 class EmpiricalLaw(DiscreteLaw):
     """Empirical law of N i.i.d. d-dimensional samples: the uniform ``DiscreteLaw``."""
 
     def __init__(self, samples):
         super().__init__(samples)
-
-
-@dataclass(frozen=True)
-class PoissonLaw:
-    """Poisson law with the given rate; log-MGF is rate * (e^lam - 1)."""
-
-    rate: float
-
-    d: int = field(default=1, init=False)
-
-    def mean(self) -> np.ndarray:
-        return np.array([self.rate])
-
-    def log_mgf(self, lam) -> float:
-        lam = np.asarray(lam, dtype=float).ravel()
-        if lam.size != 1:
-            raise ValueError("Poisson law is one dimensional")
-        return float(self.rate * math.expm1(lam[0]))
-
-    def abs_law(self) -> "PoissonLaw":
-        # support is nonnegative, so |A|_1 = A
-        return self
-
-    def _moments(self, lam: np.ndarray):
-        tilted = self.rate * math.exp(lam[0])
-        return self.rate * math.expm1(lam[0]), np.array([tilted]), np.array([[tilted]])
 
 
 def _tilted_moments(columns: np.ndarray, logw, lam: np.ndarray, work=None):
@@ -228,16 +192,6 @@ def _tilted_moments(columns: np.ndarray, logw, lam: np.ndarray, work=None):
 def _moment_work(d: int, n: int):
     """Temporaries of one moment pass over n atoms in R^d: an (n,) and two (d, n) arrays."""
     return np.empty(n), np.empty((d, n)), np.empty((d, n))
-
-
-def log_mgf(law, lam) -> float:
-    """log-MGF of a law at lam (delegates to the law object)."""
-    return law.log_mgf(lam)
-
-
-def abs_log_mgf(law, s: float) -> float:
-    """log-MGF of |A|_1 under the law, at scalar argument s."""
-    return law.abs_law().log_mgf([s])
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +300,8 @@ def _boxed_conjugate(moments, a: np.ndarray, lam_box: float, lam: np.ndarray) ->
 def conjugate_at(phi, a) -> ConjugateEstimate:
     """Conjugate sup_lam (lam . a - phi(lam)) of a law's log-MGF, inf when unbounded.
 
-    ``phi`` is a law object (``EmpiricalLaw``, ``DiscreteLaw`` or
-    ``PoissonLaw``, or any object with their ``_moments`` and ``d``);
-    anything else raises ``TypeError``, and a target of the wrong dimension
+    ``phi`` is a law object (a ``DiscreteLaw``, or any object with its
+    ``_moments`` and ``d``); anything else raises ``TypeError``, and a target of the wrong dimension
     or with a nonfinite entry raises ``ValueError``. The solve runs on the
     box of half-width ``DEFAULT_LAM_BOX`` from the origin. Only when its
     maximizer is pinned against the box does it run again, on the doubled
@@ -381,53 +334,7 @@ def conjugate_at(phi, a) -> ConjugateEstimate:
 
 
 # ---------------------------------------------------------------------------
-# tail diagnostics
-
-
-@dataclass(frozen=True)
-class SuperlinearityReport:
-    """Growth table of the conjugate of the |A|_1 log-MGF along a grid."""
-
-    r_grid: np.ndarray
-    values: np.ndarray
-    ratios: np.ndarray
-    ratios_increasing: bool
-    boundary: np.ndarray
-
-
-def superlinearity_check(law, r_grid) -> SuperlinearityReport:
-    """Tabulate phi*_{|.|}(r) / r along r_grid and check monotone growth.
-
-    Superlinear growth of the conjugate (ratios increasing without bound)
-    is the tightness condition needed for the block rate to control heavy
-    tails. Laws with bounded support report effectively infinite values
-    beyond their support radius.
-    """
-    r_grid = np.asarray(r_grid, dtype=float)
-    if r_grid.ndim != 1 or not np.all((r_grid > 0) & np.isfinite(r_grid)):
-        raise ValueError("r_grid must be a 1-d grid of positive finite radii")
-    abs_law = law.abs_law()
-    values = np.empty(r_grid.size)
-    boundary = np.zeros(r_grid.size, dtype=bool)
-    for idx, r in enumerate(r_grid):
-        est = conjugate_at(abs_law, [r])
-        values[idx] = est.value
-        boundary[idx] = est.boundary
-    ratios = values / r_grid
-    finite = np.isfinite(ratios)
-    increasing = bool(np.all(np.diff(ratios[finite]) > -1e-9)) if finite.sum() > 1 else True
-    return SuperlinearityReport(r_grid, values, ratios, increasing, boundary)
-
-
-def chernoff_bound(law, radius: float) -> float:
-    """Exponential decay bound phi*_{|.|}(radius) for tail balls.
-
-    The probability that an i.i.d. block average of the law leaves the
-    |.|_1 ball of this radius decays at least at this exponential rate.
-    """
-    if not 0 < radius < math.inf:
-        raise ValueError("radius must be positive and finite")
-    return conjugate_at(law.abs_law(), [radius]).value
+# bridge-block MGF bound
 
 
 def flux_mgf_bound(Q: GeneratorMatrix, x: int, y: int, t0: float, s: float) -> float:
@@ -442,7 +349,9 @@ def flux_mgf_bound(Q: GeneratorMatrix, x: int, y: int, t0: float, s: float) -> f
     which dominates the log-MGF of occupation-plus-flux blocks uniformly in
     the endpoints for s >= 0. At s < 0 it does not: on the unit two-state
     chain at t0 = 0.5 and s = -0.5 the pair (0, 0) has log-MGF about -0.60
-    and the bound is -0.70. Requires all off-diagonal rates positive.
+    and the bound is -0.70. Bridge blocks are nonnegative, so the |.|_1
+    log-MGF this bounds is ``law.log_mgf(np.full(law.d, s))``. Requires
+    all off-diagonal rates positive.
 
     Raises
     ------

@@ -652,7 +652,6 @@ def mc_decay_rate(
     *,
     kind: str = "occupation",
     t0: float | None = None,
-    init: ProbVector | int | None = None,
 ) -> DecayFit:
     """Estimate the exponential decay exponent of l1-ball hit probabilities.
 
@@ -662,7 +661,7 @@ def mc_decay_rate(
     are positive integer window counts m, ``t0`` is the window length,
     and the hit statistic is the empirical pair measure of the first m
     windows' skeleton against an (n, n) target. Either way ``n_paths``
-    paths start from ``init`` (default: the invariant measure) and each
+    paths start from the invariant measure, and each
     is simulated once, to the last grid point, and tested at every grid
     point on the way; see ``DecayFit`` for what that means for
     ``slope_se``. The decay exponent comes from a weighted linear fit of
@@ -694,9 +693,7 @@ def mc_decay_rate(
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if isinstance(n_paths, bool) or not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
         raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
-    if init is None:
-        init = invariant_measure(Q)
-    hits = _count_hits(Q, n_grid, target, epsilon, n_paths, seed, init, kind, t0)
+    hits = _count_hits(Q, n_grid, target, epsilon, n_paths, seed, invariant_measure(Q), kind, t0)
     # a point where every path hits carries no decay information (and an
     # infinite binomial weight), so it is as unusable as a rare one
     usable = (hits >= MIN_HITS) & (hits < n_paths)

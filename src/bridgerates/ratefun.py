@@ -38,6 +38,7 @@ MARGINAL_TOL = 1e-12
 OFF_SUPPORT_GAP = 60.0  # potential drop to states whose inflow the rate counts in full
 ARMIJO = 1e-4  # sufficient-increase fraction of the Newton slope
 MIN_STEP = 2.0**-40  # smallest step fraction the Newton line search tries
+MAX_ASCENT_STEPS = 100  # Newton steps per strongly connected component
 # gradient max-norm the Newton ascent must reach, or NonConvergence, relative
 # to max(1, the largest outflow plus inflow of a state)
 GRAD_TOL = 1e-10
@@ -227,7 +228,7 @@ def _laplacian_solve(src: np.ndarray, dst: np.ndarray, flow: np.ndarray, rhs: np
     return (np.linalg.lstsq(sym, b, rcond=None)[0].T * scale).T
 
 
-def _newton_ascent(w: np.ndarray, v: np.ndarray, max_iters: int):
+def _newton_ascent(w: np.ndarray, v: np.ndarray):
     """Maximize sum_xy w_xy (1 - exp(v_y - v_x)) over v, up to a constant shift.
 
     ``w`` is the weight matrix of a strongly connected graph, so the
@@ -238,7 +239,7 @@ def _newton_ascent(w: np.ndarray, v: np.ndarray, max_iters: int):
     near the optimum, where the value itself moves by less than one ulp.
     It stops once the gradient is below ``GRAD_TOL`` times
     max(1, largest outflow plus inflow) and every state's net flow at most
-    ``STATION_RTOL`` times its outflow plus inflow, after ``max_iters``
+    ``STATION_RTOL`` times its outflow plus inflow, after ``MAX_ASCENT_STEPS``
     steps, or when the line search fails. Returns (v, value, gradient
     max-norm, Newton steps, whether the gradient met its tolerance).
     """
@@ -253,7 +254,7 @@ def _newton_ascent(w: np.ndarray, v: np.ndarray, max_iters: int):
         net = np.abs(grad)
         gnorm = float(net.max(initial=0.0))
         within_tol = gnorm < GRAD_TOL * max(1.0, float((outflow + inflow).max(initial=0.0)))
-        if (within_tol and np.all(net <= STATION_RTOL * (outflow + inflow))) or steps >= max_iters:
+        if (within_tol and np.all(net <= STATION_RTOL * (outflow + inflow))) or steps >= MAX_ASCENT_STEPS:
             break
         step = _laplacian_solve(src, dst, flow, grad)
         slope = float(grad @ step)
@@ -273,8 +274,6 @@ def _newton_ascent(w: np.ndarray, v: np.ndarray, max_iters: int):
 def dvg_rate(
     rho: ProbVector | np.ndarray,
     Q: GeneratorMatrix,
-    *,
-    max_iters: int = 100,
 ) -> VariationalResult:
     """Occupation-measure rate functional sup_{u > 0} -sum_x rho_x (Qu)_x / u_x.
 
@@ -310,7 +309,7 @@ def dvg_rate(
     potential feeding it, and states outside S sit that far below all of S.
     ``gradient_norm`` is the largest per-component gradient max-norm and
     ``iterations`` the total number of Newton steps, capped by
-    ``max_iters`` per component. A single-state component takes no step,
+    ``MAX_ASCENT_STEPS`` per component. A single-state component takes no step,
     so rho = e_x gives the exit rate of x with 0 iterations. The value is
     0 exactly when rho is the invariant measure of Q. ``flux`` is the
     flux of the tilted chain at v, rho_x Q_xy e^{v_y - v_x}, on the edges
@@ -344,7 +343,7 @@ def dvg_rate(
         states = support[comp]
         labels[states] = states[0]
         local, value_c, gnorm_c, steps, within_tol = _newton_ascent(
-            base[np.ix_(states, states)], 0.5 * np.log(rho.weights[states]), max_iters
+            base[np.ix_(states, states)], 0.5 * np.log(rho.weights[states])
         )
         converged &= within_tol
         feeders = placed & (base[:, states] > 0).any(axis=1)

@@ -79,7 +79,9 @@ class PathRecord:
     """A cadlag CTMC path on [0, horizon]: start state plus jump sequence.
 
     What ``gillespie`` returns and ``discrete_embedding`` reads; claim 09
-    relabels these paths to check the embedding's equivariance.
+    relabels these paths to check the embedding's equivariance. A horizon
+    that is not finite and nonnegative raises ``ValueError``, as in
+    ``gillespie``.
     """
 
     n_states: int
@@ -89,6 +91,7 @@ class PathRecord:
     destinations: np.ndarray
 
     def __post_init__(self):
+        _check_horizon(self.horizon)
         times = np.asarray(self.jump_times, dtype=float)
         dests = np.asarray(self.destinations, dtype=np.int64)
         if times.shape != dests.shape or times.ndim != 1:
@@ -100,7 +103,7 @@ class PathRecord:
                 raise ValueError("jump beyond the path horizon")
             if dests.min() < 0 or dests.max() >= self.n_states:
                 raise ValueError("destination out of range")
-        _check_state(self.n_states, self.x0)
+        _check_state(self.n_states, self.x0, "start state")
         object.__setattr__(self, "jump_times", times)
         object.__setattr__(self, "destinations", dests)
 
@@ -196,12 +199,21 @@ def _next_state_table(probs: np.ndarray) -> np.ndarray:
     return np.where(cum[..., :-1] >= cum[..., -1:], 2.0, cum[..., :-1])
 
 
-def _check_state(n: int, state) -> None:
-    """Refuse a start state that is not an integer in [0, n); bools are refused too."""
+def _check_state(n: int, state, what: str) -> None:
+    """Refuse a state that is not an integer in [0, n); bools are refused too.
+
+    ``what`` names the state in the message, such as "start state".
+    """
     if isinstance(state, bool) or not isinstance(state, (int, np.integer)):
-        raise ValueError(f"start state must be an integer state, got {state!r}")
+        raise ValueError(f"{what} must be an integer state, got {state!r}")
     if not 0 <= state < n:
-        raise ValueError(f"start state {state!r} outside [0, {n})")
+        raise ValueError(f"{what} {state!r} outside [0, {n})")
+
+
+def _check_horizon(horizon) -> None:
+    """Refuse a path horizon that is not finite and nonnegative."""
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
 
 
 def gillespie(Q: GeneratorMatrix, x0: int, horizon: float, rng: np.random.Generator) -> PathRecord:
@@ -222,9 +234,8 @@ def gillespie(Q: GeneratorMatrix, x0: int, horizon: float, rng: np.random.Genera
     AbsorbingState
         If the path visits a state with zero exit rate.
     """
-    _check_state(Q.n_states, x0)
-    if not (math.isfinite(horizon) and horizon >= 0):
-        raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
+    _check_state(Q.n_states, x0, "start state")
+    _check_horizon(horizon)
     exit_rates = Q.exit_rates.tolist()
     cum_jump = _next_state_table(Q.jump_probs()).tolist()
     times: list[float] = []
@@ -486,7 +497,7 @@ def _start_states(n: int, n_paths: int, rng: np.random.Generator,
             raise ValueError(f"start distribution has {init.weights.size} entries "
                              f"for a chain of {n} states")
         return rng.choice(n, size=n_paths, p=init.weights).astype(_state_dtype(n))
-    _check_state(n, init)
+    _check_state(n, init, "start state")
     return np.full(n_paths, init, dtype=_state_dtype(n))
 
 

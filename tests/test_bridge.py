@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -72,6 +73,18 @@ def test_bridge_degenerate_at_terminal_time(spec_one):
     # at s = t0 a state other than the endpoint has no time left to reach it
     with pytest.raises(br.DegenerateDenominator):
         br.bridge_transition_row(spec_one, 0, spec_one.t0, spec_one.t0)
+
+
+@pytest.mark.parametrize("name, state", [("x", True), ("x", 0.5), ("y", 3), ("a", -1), ("a", 3),
+                                         ("a", True)],
+                         ids=["bool-x", "float-x", "past-end-y", "negative-a", "past-end-a", "bool-a"])
+def test_bridge_states_must_be_states_of_the_chain(ring_three, name, state):
+    # unchecked, a negative a would index from the end and return another state's row
+    states = {"x": 0, "y": 2, "a": 0, name: state}
+    for call in (lambda spec, a: br.bridge_transition_row(spec, a, 0.2, 0.5),
+                 lambda spec, a: br.bridge_generator(spec, a, 1, 0.2)):
+        with pytest.raises(ValueError, match=f"bridge .*{name}"):
+            call(br.BridgeSpec(ring_three, states["x"], states["y"], 1.0), states["a"])
 
 
 def test_gillespie_end_state_tracks_the_kernel(symmetric_two):
@@ -190,6 +203,17 @@ def test_conditional_block_layout_agrees_across_modes(ring_three):
             assert np.all(jumps[:, np.arange(n), np.arange(n)] == 0.0)
             counts = jumps * t0
             assert np.array_equal(counts, np.rint(counts))
+
+
+@pytest.mark.parametrize("mode", ["occupation", "flux"])
+def test_block_log_mgf_along_ones_is_the_l1_log_mgf(ring_three, mode):
+    # claim 07 reads the |.|_1 log-MGF of a block law as its log-MGF along
+    # the ones vector, which holds because bridge blocks are nonnegative
+    law = br.conditional_samples(br.BridgeSpec(ring_three, 0, 2, 0.5), mode, 2000, seed=4)
+    assert law.samples.min() >= 0.0
+    for s in (0.5, 1.0):
+        by_hand = math.log(np.exp(s * np.abs(law.samples).sum(axis=1)).mean())
+        assert law.log_mgf(np.full(law.d, s)) == pytest.approx(by_hand, rel=1e-12)
 
 
 def test_conditional_occupation_rows_sum_to_one(spec_one):

@@ -415,26 +415,6 @@ def test_contract_matches_direct_rate(tmp_path):
     assert flux.shape == (2, 2)
 
 
-def test_mc_verify_uses_config_reference(tmp_path):
-    cfg = write_config(
-        tmp_path / "cfg.json",
-        generator=SYM,
-        rho=[0.7, 0.3],
-        epsilon=0.25,
-        n_grid=[6, 10],
-        n_paths=4000,
-        reference=0.01,
-        seed=5,
-    )
-    code, out = run(tmp_path, "mc-verify", cfg)
-    assert code == 0
-    payload = json.loads((out / "mc-verify.json").read_text())
-    assert payload["n_grid"] == [6, 10]
-    assert all(h > 0 for h in payload["hits"])
-    assert payload["reference"] == pytest.approx(0.01)
-    assert payload["rel_error"] == pytest.approx(abs(payload["slope"] - 0.01) / 0.01)
-
-
 def test_mc_verify_reports_certified_reference(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", generator=SYM, rho=[0.7, 0.3], epsilon=0.05,
                        n_grid=[10, 20, 30], n_paths=20_000, seed=1)
@@ -445,20 +425,14 @@ def test_mc_verify_reports_certified_reference(tmp_path):
     assert payload["reference"] == pytest.approx((0.675**0.5 - 0.325**0.5) ** 2, rel=1e-12)
     assert payload["reference_gap"] <= 1e-10
     assert payload["reference_iterations"] >= 1
-
-
-def test_mc_verify_config_reference_has_no_certificate(tmp_path):
-    cfg = write_config(tmp_path / "cfg.json", generator=SYM, rho=[0.7, 0.3], epsilon=0.25,
-                       n_grid=[6, 10], n_paths=4000, reference=0.01, seed=5)
-    code, out = run(tmp_path, "mc-verify", cfg)
-    assert code == 0
-    payload = json.loads((out / "mc-verify.json").read_text())
-    assert payload["reference_gap"] is None
-    assert payload["reference_iterations"] is None
+    assert payload["rel_error"] == pytest.approx(
+        abs(payload["slope"] - payload["reference"]) / payload["reference"], rel=1e-12)
 
 
 @pytest.mark.parametrize("reference", [0.0, -0.5, "inf", "nan", "0.07", True])
 def test_mc_verify_rejects_bad_config_reference(tmp_path, reference):
+    # the ball rate is always computed, so a supplied reference is an
+    # unknown key, whatever its value
     value = float(reference) if reference in ("inf", "nan") else reference
     (tmp_path / "cfg.json").write_text(
         json.dumps({"generator": SYM, "rho": [0.7, 0.3], "n_grid": [6, 10], "n_paths": 4000,
@@ -467,7 +441,7 @@ def test_mc_verify_rejects_bad_config_reference(tmp_path, reference):
     assert code == 1
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "ValueError"
-    assert "reference" in error["message"]
+    assert error["message"] == "unknown config keys: reference"
 
 
 def test_infconv_with_infinite_window_fails_typed(tmp_path):

@@ -542,8 +542,6 @@ def test_mc_decay_validations(symmetric_two):
     ({"n_grid": (0, 10)}, "positive"),
     ({"n_grid": (6.2, 6.4), "kind": "pair"}, "whole window counts"),
     ({"n_grid": (0, 3), "kind": "pair"}, "positive"),
-    ({"init": -1}, "start state"),
-    ({"init": 5}, "start state"),
     ({"target": [[0.4, 0.1], [0.1, 0.4]]}, "shape"),
     ({"target": [0.7, 0.3], "kind": "pair"}, "shape"),
     ({"n_paths": 0}, "n_paths"),
@@ -556,11 +554,9 @@ def test_mc_decay_validations(symmetric_two):
     ({"kind": "pair", "t0": math.inf}, "t0"),
     ({"n_grid": (4, math.inf)}, "finite"),
     ({"n_grid": (4, math.inf), "kind": "pair"}, "finite"),
-    ({"init": True}, "start state"),
-], ids=["negative-T", "zero-T", "fractional-m", "zero-m", "init-below", "init-above",
+], ids=["negative-T", "zero-T", "fractional-m", "zero-m",
         "occupation-target-2d", "pair-target-1d", "zero-paths", "float-paths", "nan-epsilon",
-        "inf-epsilon", "bool-paths", "bool-epsilon", "nan-t0", "inf-t0", "inf-T", "inf-m",
-        "bool-init"])
+        "inf-epsilon", "bool-paths", "bool-epsilon", "nan-t0", "inf-t0", "inf-T", "inf-m"])
 def test_mc_decay_rejects_bad_input_before_simulating(symmetric_two, monkeypatch, kwargs, message):
     def no_simulation(*args, **kw):
         raise AssertionError("simulated before validating")

@@ -36,9 +36,12 @@ def test_gillespie_absorbing_raises():
 
 @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
 def test_gillespie_rejects_bad_horizons(symmetric_two, horizon):
-    # no holding time passes a nonfinite horizon, so the path would never end
+    # no holding time passes a nonfinite horizon, so the path would never
+    # end; a hand-built record with one could not be embedded
     with pytest.raises(ValueError, match="horizon"):
         br.gillespie(symmetric_two, 0, horizon, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="horizon"):
+        br.PathRecord(2, 0, horizon, np.array([]), np.array([]))
 
 
 @pytest.mark.parametrize("x0", [True, 0.5, -1, 2], ids=["bool", "float", "negative", "past-end"])
