@@ -33,7 +33,7 @@ def main() -> int:
             law = br.conditional_samples(spec, "flux", args.n_samples, args.seed)
             margins = []
             for s in args.s:
-                gap = br.flux_mgf_bound(Q, x, y, args.t0, s) - law.log_mgf(np.full(law.d, s))
+                gap = br.flux_mgf_bound(Q, y, args.t0, s) - law.log_mgf(np.full(law.d, s))
                 margins.append(gap)
                 worst = min(worst, gap)
             cells = "  ".join(f"{m:12.4f}" for m in margins)

@@ -13,7 +13,8 @@ counts to ``simulate._blocks``, which draws the occupation fractions from
 the Dirichlet law of the event spacings and, in flux mode, appends the
 jump counts per unit time. The blocks are the conditional laws feeding
 the per-pair conjugate oracle; no path is rejected, however small
-P_xy(t0).
+P_xy(t0). ``BridgeSpec`` solves no kernel: each of these three refuses an
+endpoint unreachable in time t0 where it divides by a kernel entry.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import GeneratorMatrix, _uniformized, transition_at
+from .chain import (GeneratorMatrix, _check_count, _check_seed, _check_state, _check_window,
+                    _uniformized, transition_at)
 from .conjugate import EmpiricalLaw
-from .simulate import MODES, _blocks, _check_state, _next_state_table, _skeleton, _state_dtype
+from .simulate import MODES, _blocks, _next_state_table, _skeleton, _state_dtype
 
 __all__ = [
     "DegenerateDenominator",
@@ -48,7 +50,10 @@ class DegenerateDenominator(ValueError):
 class BridgeSpec:
     """Chain bridged from x at time 0 to y at time t0.
 
-    x and y must be integer states of the chain, or ``ValueError``.
+    It only validates: x and y must be integer states of the chain
+    (``ValueError``) and t0 positive and finite (``ChainError``). An
+    unreachable y raises ``DegenerateDenominator`` where a kernel entry is
+    divided by, not here.
     """
 
     Q: GeneratorMatrix
@@ -59,12 +64,7 @@ class BridgeSpec:
     def __post_init__(self):
         _check_state(self.Q.n_states, self.x, "bridge start x")
         _check_state(self.Q.n_states, self.y, "bridge end y")
-        if self.t0 <= 0:
-            raise ValueError("window length must be positive")
-        if transition_at(self.Q, self.t0).probs[self.x, self.y] <= 0.0:
-            raise DegenerateDenominator(
-                f"endpoint {self.y} unreachable from {self.x} in time {self.t0!r}"
-            )
+        _check_window(self.t0)
 
     @property
     def n_states(self) -> int:
@@ -195,14 +195,13 @@ def conditional_samples(spec: BridgeSpec, mode: str, n_samples: int, seed: int) 
     uniforms of step k come from streams keyed by (seed, pair index, key)
     with key 0, 1 and k + 1, one draw per row in row order, so the result
     depends only on (seed, spec, n_samples) and its first k rows are the
-    same for every n_samples >= k.
+    same for every n_samples >= k. A bad count or seed, or an unreachable
+    endpoint (``DegenerateDenominator``), raises before any draw.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
-        raise ValueError(f"sample count must be an integer, got {n_samples!r}")
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    _check_count(n_samples, "sample count")
+    _check_seed(seed)
     n = spec.n_states
     pair_index = spec.x * n + spec.y
     lam, probs = _uniformized(spec.Q)

@@ -8,6 +8,7 @@ and row-stochastic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,8 @@ RESIDUAL_TOL = 1e-10
 _MAX_UNIFORMIZATION_MASS = 200.0
 
 
-class ChainError(Exception):
-    """Base class for malformed chain inputs."""
+class ChainError(ValueError):
+    """Base class for malformed chain and time inputs; a ``ValueError``, like every bad input."""
 
 
 class NonZeroRowSum(ChainError):
@@ -139,6 +140,48 @@ class ProbVector:
         return self.weights.shape[0]
 
 
+def _check_state(n: int, state, what: str) -> None:
+    """Refuse a state, named ``what``, that is not an integer in [0, n); bools are refused too."""
+    if isinstance(state, bool) or not isinstance(state, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer state, got {state!r}")
+    if not 0 <= state < n:
+        raise ValueError(f"{what} {state!r} outside [0, {n})")
+
+
+def _check_count(count, what: str) -> None:
+    """Refuse a count that is not a positive integer; bools are refused too."""
+    if isinstance(count, bool) or not (isinstance(count, (int, np.integer)) and count >= 1):
+        raise ValueError(f"{what} must be a positive integer, got {count!r}")
+
+
+def _check_seed(seed) -> None:
+    """Refuse a seed that is not a nonnegative integer; bools are refused too."""
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
+def _is_real(value) -> bool:
+    """Whether value is a finite real number other than a bool."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def _check_positive(value, what: str, error: type[ValueError] = ValueError) -> None:
+    """Refuse a value that is not a positive, finite real number; bools are refused too."""
+    if not (_is_real(value) and value > 0):
+        raise error(f"{what} must be positive and finite, got {value!r}")
+
+
+def _check_window(t0) -> None:
+    """Refuse a window length t0 that is not positive and finite, with a ``ChainError``."""
+    _check_positive(t0, "window length t0", ChainError)
+
+
+def _check_horizon(horizon, what: str = "horizon") -> None:
+    """Refuse a time that is not finite and nonnegative, with a ``ChainError``; bools too."""
+    if not (_is_real(horizon) and horizon >= 0):
+        raise ChainError(f"{what} must be finite and nonnegative, got {horizon!r}")
+
+
 def validate_generator(raw) -> GeneratorMatrix:
     """Validate a raw rate matrix and wrap it as a GeneratorMatrix.
 
@@ -201,8 +244,7 @@ def transition_at(Q: GeneratorMatrix, t: float) -> TransitionKernel:
     doubles the rounding error in the row sums, so the rows are
     renormalized after every squaring.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise ChainError(f"time must be finite and nonnegative, got {t!r}")
+    _check_horizon(t, "time")
     lam, base = _uniformized(Q)
     mass = lam * t
     if mass <= _MAX_UNIFORMIZATION_MASS:

@@ -20,7 +20,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .chain import GeneratorMatrix, TransitionKernel, transition_at
+from .chain import GeneratorMatrix, TransitionKernel, _check_state, _check_window, transition_at
 
 __all__ = [
     "ZeroRate",
@@ -337,8 +337,8 @@ def conjugate_at(phi, a) -> ConjugateEstimate:
 # bridge-block MGF bound
 
 
-def flux_mgf_bound(Q: GeneratorMatrix, x: int, y: int, t0: float, s: float) -> float:
-    """Uniform upper bound on the |.|_1 log-MGF of a bridge block for pair (x, y).
+def flux_mgf_bound(Q: GeneratorMatrix, y: int, t0: float, s: float) -> float:
+    """Upper bound on the |.|_1 log-MGF of a bridge block ending at y, uniform in its start.
 
     The endpoint-conditioned jump rates are bounded over the window by a
     constant Qbar (a sup over a grid of ``FLUX_GRID_POINTS`` times, together
@@ -350,22 +350,20 @@ def flux_mgf_bound(Q: GeneratorMatrix, x: int, y: int, t0: float, s: float) -> f
     the endpoints for s >= 0. At s < 0 it does not: on the unit two-state
     chain at t0 = 0.5 and s = -0.5 the pair (0, 0) has log-MGF about -0.60
     and the bound is -0.70. Bridge blocks are nonnegative, so the |.|_1
-    log-MGF this bounds is ``law.log_mgf(np.full(law.d, s))``. Requires
-    all off-diagonal rates positive.
+    log-MGF this bounds is ``law.log_mgf(np.full(law.d, s))``, whatever
+    the bridge's start. Requires all off-diagonal rates positive.
 
     Raises
     ------
     ValueError
-        If a state is out of range, t0 is not positive, or s is not finite
-        and nonnegative.
+        If y is not an integer state, t0 is not positive and finite (a
+        ``ChainError``), or s is not finite and nonnegative.
     ZeroRate
         If some off-diagonal rate of Q vanishes.
     """
     n = Q.n_states
-    if not (0 <= x < n and 0 <= y < n):
-        raise ValueError("states out of range")
-    if t0 <= 0:
-        raise ValueError("window length must be positive")
+    _check_state(n, y, "end state y")
+    _check_window(t0)
     if not (math.isfinite(s) and s >= 0):
         raise ValueError(f"s must be finite and nonnegative, got {s!r}")
     off = ~np.eye(n, dtype=bool)

@@ -29,12 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bridge import BridgeSpec, conditional_samples
-from .chain import (
-    GeneratorMatrix,
-    ProbVector,
-    invariant_measure,
-    transition_at,
-)
+from .chain import (GeneratorMatrix, ProbVector, _check_count, _check_positive, _check_seed,
+                    _check_window, invariant_measure, transition_at)
 from .conjugate import ConjugateOracle, _moment_work, conjugate_at
 from .ratefun import (
     ARMIJO,
@@ -482,8 +478,7 @@ def ball_rate(Q: GeneratorMatrix, center, epsilon: float) -> BallResult:
         raise ValueError("center must be finite and nonnegative")
     if abs(float(center.sum()) - 1.0) > 1e-12:
         raise ValueError(f"center sums to {center.sum()!r}, not 1")
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError("epsilon must be positive")
+    _check_positive(epsilon, "epsilon")
     if epsilon < BALL_MIN_EPSILON:
         raise ValueError(f"epsilon {epsilon!r} is below {BALL_MIN_EPSILON:g}, where l1 distances "
                          "between probability vectors are not resolved")
@@ -675,8 +670,8 @@ def mc_decay_rate(
     """
     if kind not in ("occupation", "pair"):
         raise ValueError("kind must be 'occupation' or 'pair'")
-    if kind == "pair" and (t0 is None or not (math.isfinite(t0) and t0 > 0)):
-        raise ValueError(f"pair kind needs a positive, finite window length t0, got {t0!r}")
+    if kind == "pair":
+        _check_window(t0)
     n = Q.n_states
     target = np.asarray(target.weights if isinstance(target, ProbVector) else target, dtype=float)
     shape = (n,) if kind == "occupation" else (n, n)
@@ -689,10 +684,9 @@ def mc_decay_rate(
         raise ValueError(f"n_grid must be positive and finite, got {n_grid.tolist()}")
     if kind == "pair" and np.any(n_grid != np.round(n_grid)):
         raise ValueError(f"pair kind needs whole window counts in n_grid, got {n_grid.tolist()}")
-    if isinstance(epsilon, bool) or not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    if isinstance(n_paths, bool) or not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
-        raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
+    _check_positive(epsilon, "epsilon")
+    _check_count(n_paths, "n_paths")
+    _check_seed(seed)
     hits = _count_hits(Q, n_grid, target, epsilon, n_paths, seed, invariant_measure(Q), kind, t0)
     # a point where every path hits carries no decay information (and an
     # infinite binomial weight), so it is as unusable as a rare one

@@ -376,11 +376,13 @@ def bfg_rate(rho: ProbVector | np.ndarray, j: np.ndarray, Q: GeneratorMatrix) ->
     inflow)) and vanishes wherever ``rho_x Q_xy`` does; otherwise ``inf``.
     Diagonal entries of j are ignored. The functional is jointly convex in
     (rho, j) and vanishes exactly at rho = pi, j = pi_x Q_xy. ``rho`` may
-    be a plain array; it is validated as a ProbVector. A nonfinite
-    off-diagonal flux raises ``ValueError`` and a negative one
-    ``NegativeInput``.
+    be a plain array; it is validated as a ProbVector. A rho or j sized
+    for another chain, or a nonfinite off-diagonal flux, raises
+    ``ValueError``, and a negative one ``NegativeInput``.
     """
     rho = rho if isinstance(rho, ProbVector) else ProbVector(rho)
+    if rho.n_states != Q.n_states:
+        raise ValueError("dimension mismatch between rho and Q")
     j = np.asarray(j, dtype=float)
     if j.shape != (Q.n_states, Q.n_states):
         raise ValueError(f"flux matrix shape {j.shape} does not match chain")

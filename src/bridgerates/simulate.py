@@ -43,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import GeneratorMatrix, ProbVector, _uniformized
+from .chain import (GeneratorMatrix, ProbVector, _check_count, _check_horizon, _check_state,
+                    _check_window, _uniformized)
 from .ratefun import FluxField, PairMeasure
 
 __all__ = [
@@ -199,23 +200,6 @@ def _next_state_table(probs: np.ndarray) -> np.ndarray:
     return np.where(cum[..., :-1] >= cum[..., -1:], 2.0, cum[..., :-1])
 
 
-def _check_state(n: int, state, what: str) -> None:
-    """Refuse a state that is not an integer in [0, n); bools are refused too.
-
-    ``what`` names the state in the message, such as "start state".
-    """
-    if isinstance(state, bool) or not isinstance(state, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer state, got {state!r}")
-    if not 0 <= state < n:
-        raise ValueError(f"{what} {state!r} outside [0, {n})")
-
-
-def _check_horizon(horizon) -> None:
-    """Refuse a path horizon that is not finite and nonnegative."""
-    if not (math.isfinite(horizon) and horizon >= 0):
-        raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
-
-
 def gillespie(Q: GeneratorMatrix, x0: int, horizon: float, rng: np.random.Generator) -> PathRecord:
     """Simulate one exact path of the chain on [0, horizon] from x0.
 
@@ -279,8 +263,7 @@ def discrete_embedding(path: PathRecord, t0: float, mode: str) -> DiscreteEmbedd
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if t0 <= 0:
-        raise ValueError("window length must be positive")
+    _check_window(t0)
     n_windows = int(round(path.horizon / t0))
     if n_windows < 1 or abs(n_windows * t0 - path.horizon) > 1e-9 * max(1.0, path.horizon):
         raise ValueError("path horizon must be a positive integer multiple of t0")
@@ -492,6 +475,7 @@ def _start_states(n: int, n_paths: int, rng: np.random.Generator,
     The states come in ``_state_dtype(n)``, the type ``_skeleton`` keeps
     them in.
     """
+    _check_count(n_paths, "n_paths")
     if isinstance(init, ProbVector):
         if init.weights.size != n:
             raise ValueError(f"start distribution has {init.weights.size} entries "
@@ -565,11 +549,8 @@ def batch_pair_statistics(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if not (math.isfinite(t0) and t0 > 0):
-        raise ValueError(f"window length t0 must be positive and finite, got {t0!r}")
-    if isinstance(n_windows, bool) or not (isinstance(n_windows, (int, np.integer))
-                                           and n_windows >= 1):
-        raise ValueError(f"n_windows must be a positive integer, got {n_windows!r}")
+    _check_window(t0)
+    _check_count(n_windows, "n_windows")
     n = Q.n_states
     d = n if mode == "occupation" else n + n * n
     states = _start_states(n, n_paths, rng, init)

@@ -210,7 +210,7 @@ def test_07_flux_mgf_bound_dominates():
             for s in (0.5, 1.0):
                 # blocks are nonnegative, so this is the log-MGF of |A|_1
                 emp = law.log_mgf(np.full(law.d, s))
-                bound = br.flux_mgf_bound(Q, x, y, t0, s)
+                bound = br.flux_mgf_bound(Q, y, t0, s)
                 if emp > bound:
                     violations.append((x, y, s, emp, bound))
     elapsed = time.perf_counter() - start

@@ -312,9 +312,47 @@ def test_conditional_means_match_forward_rejection(ring_three):
 
 
 def test_event_count_law_refuses_an_unreachable_endpoint():
-    # BridgeSpec already refuses such pairs; the law's truncation loop must
-    # still end if it is handed one
+    # BridgeSpec solves no kernel, so this is where conditional_samples
+    # refuses such a pair; the law's truncation loop must end on one
     with pytest.raises(br.DegenerateDenominator):
         br.bridge._event_count_law(np.eye(2), 0, 1, 3.0)
     with pytest.raises(br.DegenerateDenominator):
         br.bridge._event_count_law(np.eye(2), 0, 1, 0.0)
+
+
+def test_bridge_sampling_solves_no_kernel(symmetric_two, monkeypatch):
+    # the pinned sym2-occupation digest of test_conditional_samples_are_pinned:
+    # the laws are the same without a single exp(t0 Q) solve in the bridge
+    # layer; build_oracle solves its one kernel outside it
+    def no_solve(*args):
+        raise AssertionError("bridge layer solved a kernel")
+
+    monkeypatch.setattr(br.bridge, "transition_at", no_solve)
+    oracle = br.build_oracle(symmetric_two, 2.0, "occupation", 8000, seed=5)
+    direct, built = hashlib.sha256(), hashlib.sha256()
+    for x in range(2):
+        for y in range(2):
+            law = br.conditional_samples(br.BridgeSpec(symmetric_two, x, y, 2.0), "occupation",
+                                         8000, seed=5)
+            direct.update(np.ascontiguousarray(law.atoms.T).tobytes())
+            built.update(np.ascontiguousarray(oracle.law(x, y).atoms.T).tobytes())
+    digest = "30dcf06e35676851b6a43ef4c5081a035d28273ab3d9edd78dbeee3848e09481"
+    assert direct.hexdigest() == built.hexdigest() == digest
+
+
+def test_unreachable_endpoint_is_refused_before_its_draws(monkeypatch):
+    # state 1 absorbs, so no bridge runs from 1 to 0; BridgeSpec accepts the
+    # pair, and the event-count law refuses it before its streams are opened
+    Q = br.validate_generator([[-1.0, 1.0], [0.0, 0.0]])
+    opened = []
+    stream = br.bridge._stream
+    monkeypatch.setattr(br.bridge, "_stream",
+                        lambda seed, pair, key: opened.append(pair) or stream(seed, pair, key))
+    spec = br.BridgeSpec(Q, 1, 0, 0.5)
+    with pytest.raises(br.DegenerateDenominator):
+        br.conditional_samples(spec, "flux", 100, seed=3)
+    assert opened == []
+    with pytest.raises(br.DegenerateDenominator):
+        br.build_oracle(Q, 0.5, "occupation", 100, seed=3)
+    # pairs (0, 0) and (0, 1) come first and are drawn; pair (1, 0) is index 2
+    assert set(opened) == {0, 1}

@@ -178,3 +178,38 @@ def test_support_splits_do_not_import_numpy_ma():
     done = subprocess.run([sys.executable, "-c", NO_MASKED_CHILD], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     assert json.loads(done.stdout.strip().splitlines()[-1]) == [False, False]
+
+
+SYM = br.validate_generator([[-1.0, 1.0], [1.0, -1.0]])
+PATH = br.PathRecord(2, 0, 2.0, np.array([0.7]), np.array([1]))
+
+
+@pytest.mark.parametrize("call, word, is_time", [
+    (lambda: br.flux_mgf_bound(SYM, 1.0, 0.5, 1.0), "end state y", False),
+    (lambda: br.flux_mgf_bound(SYM, True, 0.5, 1.0), "end state y", False),
+    (lambda: br.flux_mgf_bound(SYM, 1, math.nan, 1.0), "t0", True),
+    (lambda: br.batch_occupations(SYM, 1.0, 0, np.random.default_rng(0), 0), "n_paths", False),
+    (lambda: br.batch_occupations(SYM, 1.0, 2.5, np.random.default_rng(0), 0), "n_paths",
+     False),
+    (lambda: br.conditional_samples(br.BridgeSpec(SYM, 0, 1, 0.5), "flux", 10, True), "seed",
+     False),
+    (lambda: br.conditional_samples(br.BridgeSpec(SYM, 0, 1, 0.5), "flux", 10, 1.5), "seed",
+     False),
+    (lambda: br.conditional_samples(br.BridgeSpec(SYM, 0, 1, 0.5), "flux", 10, -1), "seed",
+     False),
+    (lambda: br.mc_decay_rate(SYM, [0.7, 0.3], 0.1, (4, 6), 1000, True), "seed", False),
+    (lambda: br.discrete_embedding(PATH, math.nan, "occupation"), "t0", True),
+    (lambda: br.BridgeSpec(SYM, 0, 1, -1.0), "t0", True),
+    (lambda: br.BridgeSpec(SYM, 0, 1, math.nan), "t0", True),
+    (lambda: br.ball_rate(SYM, [0.7, 0.3], True), "epsilon", False),
+    (lambda: br.bfg_rate([0.5, 0.3, 0.2], np.zeros((2, 2)), SYM), "rho", False),
+], ids=["mgf-float-y", "mgf-bool-y", "mgf-nan-t0", "occupations-zero-paths",
+        "occupations-float-paths", "bridge-bool-seed", "bridge-float-seed",
+        "bridge-negative-seed", "mc-bool-seed", "embedding-nan-t0", "spec-negative-t0",
+        "spec-nan-t0", "ball-bool-epsilon", "bfg-rho-size"])
+def test_every_bad_input_is_a_value_error_that_names_it(call, word, is_time):
+    # a bad time is a ChainError, and ChainError is a ValueError like every
+    # other refusal, so one except clause catches every bad input
+    with pytest.raises(ValueError, match=word) as refused:
+        call()
+    assert isinstance(refused.value, br.ChainError) == is_time

@@ -208,8 +208,8 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def test_flux_mgf_bound_monotone_in_s(symmetric_two):
-    b1 = br.flux_mgf_bound(symmetric_two, 0, 1, 1.0, 0.5)
-    b2 = br.flux_mgf_bound(symmetric_two, 0, 1, 1.0, 1.0)
+    b1 = br.flux_mgf_bound(symmetric_two, 1, 1.0, 0.5)
+    b2 = br.flux_mgf_bound(symmetric_two, 1, 1.0, 1.0)
     assert 0.0 < b1 < b2
 
 
@@ -220,7 +220,7 @@ def test_flux_bound_needs_positive_rates():
         [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]]
     )
     with pytest.raises(br.ZeroRate):
-        br.flux_mgf_bound(ring, 0, 1, 1.0, 0.5)
+        br.flux_mgf_bound(ring, 1, 1.0, 0.5)
 
 
 @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, -0.5],
@@ -229,7 +229,7 @@ def test_flux_mgf_bound_rejects_bad_s(symmetric_two, s):
     # a nan bound compares false against every log-MGF, so claim 07 would
     # count it as no violation; below s = 0 the formula is no bound
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        br.flux_mgf_bound(symmetric_two, 0, 1, 1.0, s)
+        br.flux_mgf_bound(symmetric_two, 1, 1.0, s)
 
 
 @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 1.0))
