@@ -54,7 +54,6 @@ from .simulate import (
     PathRecord,
     accumulate,
     batch_occupations,
-    batch_pair_statistics,
     discrete_embedding,
     gillespie,
 )

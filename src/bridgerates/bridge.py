@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import (GeneratorMatrix, _check_count, _check_seed, _check_state, _check_window,
-                    _uniformized, transition_at)
+                    _is_real, _uniformized, transition_at)
 from .conjugate import EmpiricalLaw
 from .simulate import MODES, _blocks, _next_state_table, _skeleton, _state_dtype
 
@@ -78,11 +78,11 @@ def bridge_transition_row(spec: BridgeSpec, a: int, s: float, t: float) -> np.nd
     step reweighted by the likelihood of still hitting the pinned endpoint.
     The start state of the bridge does not enter, only the pinned endpoint
     does. Rows sum to 1 and satisfy the two-step (Chapman-Kolmogorov)
-    identity. An a that is not an integer state raises ``ValueError``.
+    identity. A bad state or time, bools included, raises ``ValueError``.
     """
     _check_state(spec.n_states, a, "bridge state a")
-    if not 0 <= s <= t <= spec.t0:
-        raise ValueError("need 0 <= s <= t <= t0")
+    if not (_is_real(s) and _is_real(t) and 0 <= s <= t <= spec.t0):
+        raise ValueError(f"need real times 0 <= s <= t <= t0, got s = {s!r}, t = {t!r}")
     p_step = transition_at(spec.Q, t - s).probs[a]
     p_close = transition_at(spec.Q, spec.t0 - t).probs[:, spec.y]
     denom = transition_at(spec.Q, spec.t0 - s).probs[a, spec.y]
@@ -101,8 +101,8 @@ def bridge_generator(spec: BridgeSpec, a: int, b: int, t: float) -> float:
     _check_state(spec.n_states, b, "bridge state b")
     if a == b:
         raise ValueError("generator entries are defined for a != b")
-    if not 0 <= t < spec.t0:
-        raise ValueError("need 0 <= t < t0")
+    if not (_is_real(t) and 0 <= t < spec.t0):
+        raise ValueError(f"need a real time 0 <= t < t0, got t = {t!r}")
     p_close = transition_at(spec.Q, spec.t0 - t).probs[:, spec.y]
     if p_close[a] <= 0.0:
         raise DegenerateDenominator(f"state {a} cannot reach {spec.y} in time {spec.t0 - t!r}")

@@ -182,6 +182,20 @@ def _check_horizon(horizon, what: str = "horizon") -> None:
         raise ChainError(f"{what} must be finite and nonnegative, got {horizon!r}")
 
 
+def _check_grid(times, what: str) -> np.ndarray:
+    """``times``, one positive finite time or an increasing 1-d grid of them, as floats.
+
+    Any other entry (bools too), and an empty, nested or unsorted grid, raise ``ValueError``.
+    """
+    raw = np.asarray(times, dtype=object)
+    grid = np.atleast_1d(raw)
+    if (grid.ndim != 1 or grid.size == 0 or not all(_is_real(t) and t > 0 for t in grid.tolist())
+            or np.any(np.diff(grid.astype(float)) <= 0)):
+        raise ValueError(f"{what} must be a positive, finite time or an increasing grid of them, "
+                         f"got {times!r}")
+    return raw.astype(float)
+
+
 def validate_generator(raw) -> GeneratorMatrix:
     """Validate a raw rate matrix and wrap it as a GeneratorMatrix.
 

@@ -28,7 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from .bridge import BridgeSpec, conditional_samples
-from .chain import GeneratorMatrix, ProbVector, invariant_measure, is_irreducible, transition_at, validate_generator
+from .chain import (GeneratorMatrix, ProbVector, _check_count, _check_positive, _check_seed,
+                    _check_window, invariant_measure, is_irreducible, transition_at,
+                    validate_generator)
 from .conjugate import save_samples
 from .estimate import (
     ball_rate,
@@ -39,6 +41,7 @@ from .estimate import (
     mc_decay_rate,
 )
 from .ratefun import PairMeasure, bfg_rate, dvg_rate, pair_empirical_rate
+from .simulate import MODES
 
 __all__ = ["ExperimentConfig", "main"]
 
@@ -47,7 +50,7 @@ SEED_ENV = "BRIDGERATES_SEED"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment's inputs, loaded strictly from a JSON file."""
+    """One experiment's inputs, loaded strictly from JSON and checked whatever the command."""
 
     generator: list
     t0: float = 1.0
@@ -62,6 +65,15 @@ class ExperimentConfig:
     epsilon: float = 0.03
     n_grid: list | None = None
     n_paths: int = 100_000
+
+    def __post_init__(self):
+        _check_window(self.t0)
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        _check_count(self.n_samples, "n_samples")
+        _check_count(self.n_paths, "n_paths")
+        _check_seed(self.seed)
+        _check_positive(self.epsilon, "epsilon")
 
     @classmethod
     def from_file(cls, path) -> tuple["ExperimentConfig", str]:
@@ -358,11 +370,12 @@ def main(argv=None) -> int:
     config_hash = None
     seed = None
     try:
-        cfg, config_hash = ExperimentConfig.from_file(args.config)
+        cfg, digest = ExperimentConfig.from_file(args.config)
         env_seed = os.environ.get(SEED_ENV)
         if env_seed is not None:
             cfg = dataclasses.replace(cfg, seed=int(env_seed))
-        seed = cfg.seed
+        # only a config that loaded, with its seed override, has a hash
+        config_hash, seed = digest, cfg.seed
         payload = args.handler(cfg, args)
     except Exception as exc:
         error = {

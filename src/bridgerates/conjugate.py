@@ -20,7 +20,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .chain import GeneratorMatrix, TransitionKernel, _check_state, _check_window, transition_at
+from .chain import (GeneratorMatrix, TransitionKernel, _check_state, _check_window, _is_real,
+                    transition_at)
 
 __all__ = [
     "ZeroRate",
@@ -357,14 +358,14 @@ def flux_mgf_bound(Q: GeneratorMatrix, y: int, t0: float, s: float) -> float:
     ------
     ValueError
         If y is not an integer state, t0 is not positive and finite (a
-        ``ChainError``), or s is not finite and nonnegative.
+        ``ChainError``), or s is not finite and nonnegative (bools too).
     ZeroRate
         If some off-diagonal rate of Q vanishes.
     """
     n = Q.n_states
     _check_state(n, y, "end state y")
     _check_window(t0)
-    if not (math.isfinite(s) and s >= 0):
+    if not (_is_real(s) and s >= 0):
         raise ValueError(f"s must be finite and nonnegative, got {s!r}")
     off = ~np.eye(n, dtype=bool)
     if Q.rates[off].min() <= 0:

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bridge import BridgeSpec, conditional_samples
-from .chain import (GeneratorMatrix, ProbVector, _check_count, _check_positive, _check_seed,
-                    _check_window, invariant_measure, transition_at)
+from .chain import (GeneratorMatrix, ProbVector, _check_count, _check_grid, _check_positive,
+                    _check_seed, invariant_measure, transition_at)
 from .conjugate import ConjugateOracle, _moment_work, conjugate_at
 from .ratefun import (
     ARMIJO,
@@ -43,7 +43,7 @@ from .ratefun import (
     bfg_rate,
     dvg_rate,
 )
-from .simulate import CHUNK, MODES, _batch_step, _start_states, batch_occupations
+from .simulate import CHUNK, MODES, batch_occupations
 
 __all__ = [
     "InsufficientHits",
@@ -546,17 +546,17 @@ def ball_rate(Q: GeneratorMatrix, center, epsilon: float) -> BallResult:
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Weighted least-squares fit of -log P(ball hit) against the horizon.
+    """Weighted least-squares fit of -log P(occupation ball hit) against the horizon.
 
     ``slope`` is the estimated decay exponent, clamped at zero (rates are
-    nonnegative). ``hits[i]`` counts the paths whose statistic at grid
-    point i lies in the ball; every grid point reads the same ``n_paths``
-    paths, each simulated once to the last grid point. ``slope_se`` is
-    the standard error for independent binomial hit counts at each
-    point: the sharing makes the counts positively correlated, but over
-    seeds 0-29 (sym2, rho = (0.7, 0.3), epsilon = 0.03, grid 40..100,
-    1e5 paths) the mean ``slope_se`` was 0.00338 against a seed-to-seed
-    sd of ``slope`` of 0.00326, so it covers the slope's spread.
+    nonnegative). ``hits[i]`` counts the paths whose occupation over
+    [0, n_grid[i]] lies in the ball; every grid point reads the same
+    ``n_paths`` paths, each simulated once to the last grid point.
+    ``slope_se`` is the standard error for independent binomial hit
+    counts at each point: the sharing makes the counts positively
+    correlated, but over seeds 0-29 (sym2, rho = (0.7, 0.3), epsilon =
+    0.03, grid 40..100, 1e5 paths) the mean ``slope_se`` was 0.00338
+    against a seed-to-seed sd of ``slope`` of 0.00326.
     The paths run in batches of at most MC_BATCH, each with the working
     set ``_count_hits`` describes.
     """
@@ -575,119 +575,67 @@ class DecayFit:
 
 
 def _ball_distances(Q: GeneratorMatrix, n_grid: np.ndarray, n_paths: int, rng: np.random.Generator,
-                    init, target: np.ndarray, kind: str, t0: float | None) -> np.ndarray:
-    """(n_paths, G) l1 distances of each path's statistic from ``target`` at each grid point.
-
-    Each path is simulated once, to the last grid point. In pair kind the
-    batch runs ``n_grid[-1]`` windows of length t0 and counts only their
-    endpoint pairs; column i holds the pair measure of the first
-    ``n_grid[i]`` windows.
-    """
-    if kind == "occupation":
-        stat = batch_occupations(Q, n_grid, n_paths, rng, init)
-        stat -= target
-        np.abs(stat, out=stat)
-        # each l1 norm goes into the first component, CHUNK rows at a time
-        for lo in range(0, n_paths, CHUNK):
-            stat[lo : lo + CHUNK, :, 0] = stat[lo : lo + CHUNK].sum(axis=2)
-        return stat[:, :, 0]
-    n = Q.n_states
-    windows = [int(m) for m in n_grid]
-    states = _start_states(n, n_paths, rng, init)
-    counts = np.zeros((n_paths, n * n))
-    cells = counts.reshape(n_paths, n, n)  # indexed by (path, x, y): no x n + y that could wrap
-    scratch = np.empty_like(counts)
-    rows = np.arange(n_paths)
-    dist = np.empty((n_paths, len(windows)))
-    col = 0
-    for m in range(1, windows[-1] + 1):
-        ends, _, _ = _batch_step(Q, t0, states, rng, want_flux=False)
-        cells[rows, states, ends] += 1.0
-        states = ends
-        if m == windows[col]:
-            np.divide(counts, m, out=scratch)
-            scratch -= target.ravel()
-            dist[:, col] = np.abs(scratch, out=scratch).sum(axis=1)
-            col += 1
-    return dist
+                    init, target: np.ndarray) -> np.ndarray:
+    """(n_paths, G) l1 distances of each path's occupation from ``target`` at each grid point."""
+    stat = batch_occupations(Q, n_grid, n_paths, rng, init)
+    stat -= target
+    np.abs(stat, out=stat)
+    # each l1 norm goes into the first component, CHUNK rows at a time
+    for lo in range(0, n_paths, CHUNK):
+        stat[lo : lo + CHUNK, :, 0] = stat[lo : lo + CHUNK].sum(axis=2)
+    return stat[:, :, 0]
 
 
 def _count_hits(Q: GeneratorMatrix, n_grid: np.ndarray, target: np.ndarray,
-                epsilon: float, n_paths: int, seed: int, init, kind: str,
-                t0: float | None) -> np.ndarray:
+                epsilon: float, n_paths: int, seed: int, init) -> np.ndarray:
     """Ball hits at every grid point, in batches of at most MC_BATCH paths.
 
-    Batch b draws from the stream keyed (seed, b), and a path's statistic
+    Batch b draws from the stream keyed (seed, b), and a path's occupation
     at a grid point uses only the draws up to that point, so
     ``hits[:i + 1]`` depends only on ``n_grid[:i + 1]``. A batch of m
-    paths holds, in occupation kind, the (m, G, n) float occupations of
-    ``batch_occupations``, reduced in place to the distances, plus the
-    lockstep walk's byte-sized states and visit counts, an int64 event
-    count and sort index per path and CHUNK-row scratch: for the mc-verify
-    shape (m = 50 000, G = 4, n = 2) that is 3.2 MB of occupations and a
-    tracemalloc peak of 4.6 MB. Pair kind holds two (m, n^2) float arrays
-    of pair counts in place of the occupations.
+    paths holds the (m, G, n) float occupations of ``batch_occupations``,
+    reduced in place to the distances, plus the lockstep walk's
+    byte-sized states and visit counts, an int64 event count and sort
+    index per path and CHUNK-row scratch: for the mc-verify shape
+    (m = 50 000, G = 4, n = 2) that is 3.2 MB of occupations and a
+    tracemalloc peak of 4.6 MB.
     """
     hits = np.zeros(n_grid.size, dtype=np.int64)
     for batch_index, done in enumerate(range(0, n_paths, MC_BATCH)):
         size = min(MC_BATCH, n_paths - done)
         rng = np.random.default_rng(np.random.SeedSequence([seed, batch_index]))
         hits += np.count_nonzero(
-            _ball_distances(Q, n_grid, size, rng, init, target, kind, t0) <= epsilon, axis=0)
+            _ball_distances(Q, n_grid, size, rng, init, target) <= epsilon, axis=0)
     return hits
 
 
-def mc_decay_rate(
-    Q: GeneratorMatrix,
-    target,
-    epsilon: float,
-    n_grid,
-    n_paths: int,
-    seed: int,
-    *,
-    kind: str = "occupation",
-    t0: float | None = None,
-) -> DecayFit:
-    """Estimate the exponential decay exponent of l1-ball hit probabilities.
+def mc_decay_rate(Q: GeneratorMatrix, target, epsilon: float, n_grid, n_paths: int,
+                  seed: int) -> DecayFit:
+    """Estimate the decay exponent in T of P(|occupation over [0, T] - target|_1 <= epsilon).
 
-    With ``kind="occupation"`` each point of ``n_grid`` is a time horizon
-    T and a path hits at T when its occupation vector over [0, T] has
-    ``|occ - target|_1 <= epsilon``. With ``kind="pair"`` the grid entries
-    are positive integer window counts m, ``t0`` is the window length,
-    and the hit statistic is the empirical pair measure of the first m
-    windows' skeleton against an (n, n) target. Either way ``n_paths``
-    paths start from the invariant measure, and each
-    is simulated once, to the last grid point, and tested at every grid
-    point on the way; see ``DecayFit`` for what that means for
-    ``slope_se``. The decay exponent comes from a weighted linear fit of
-    -log(hit fraction) on the grid. Grid points with fewer than MIN_HITS
-    hits, or where every path hits, are dropped (their ``neg_log_prob`` is
-    inf); if fewer than two survive, InsufficientHits is raised carrying the
-    largest grid point that was still usable. Deterministic in
-    (seed, n_grid, n_paths), and the hits up to a grid point do not depend
-    on the grid points after it. Invalid inputs raise ValueError before
+    ``ball_rate`` gives its reference value. ``n_paths`` paths start from
+    the invariant measure; each is simulated once, to the last horizon of
+    ``n_grid``, and tested at every horizon on the way (see ``DecayFit``
+    for what that means for ``slope_se``). The exponent is the slope of a
+    weighted linear fit of -log(hit fraction) on the grid. Horizons with
+    fewer than MIN_HITS hits, or where every path hits, are dropped (their
+    ``neg_log_prob`` is inf); if fewer than two survive, InsufficientHits
+    carries the largest horizon still usable. Deterministic in (seed,
+    n_grid, n_paths), and the hits up to a horizon do not depend on later
+    ones. Invalid inputs, bools among them, raise ValueError before
     anything is simulated.
     """
-    if kind not in ("occupation", "pair"):
-        raise ValueError("kind must be 'occupation' or 'pair'")
-    if kind == "pair":
-        _check_window(t0)
     n = Q.n_states
     target = np.asarray(target.weights if isinstance(target, ProbVector) else target, dtype=float)
-    shape = (n,) if kind == "occupation" else (n, n)
-    if target.shape != shape:
-        raise ValueError(f"{kind} target must have shape {shape}, got {target.shape}")
-    n_grid = np.asarray(n_grid, dtype=float)
-    if n_grid.ndim != 1 or n_grid.size < 2 or not np.all(np.diff(n_grid) > 0):
+    if target.shape != (n,):
+        raise ValueError(f"occupation target must have shape ({n},), got {target.shape}")
+    n_grid = _check_grid(n_grid, "n_grid")
+    if n_grid.ndim != 1 or n_grid.size < 2:
         raise ValueError("n_grid must be an increasing grid of at least two horizons")
-    if not np.all((n_grid > 0) & np.isfinite(n_grid)):
-        raise ValueError(f"n_grid must be positive and finite, got {n_grid.tolist()}")
-    if kind == "pair" and np.any(n_grid != np.round(n_grid)):
-        raise ValueError(f"pair kind needs whole window counts in n_grid, got {n_grid.tolist()}")
     _check_positive(epsilon, "epsilon")
     _check_count(n_paths, "n_paths")
     _check_seed(seed)
-    hits = _count_hits(Q, n_grid, target, epsilon, n_paths, seed, invariant_measure(Q), kind, t0)
+    hits = _count_hits(Q, n_grid, target, epsilon, n_paths, seed, invariant_measure(Q))
     # a point where every path hits carries no decay information (and an
     # infinite binomial weight), so it is as unusable as a rare one
     usable = (hits >= MIN_HITS) & (hits < n_paths)

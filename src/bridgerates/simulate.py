@@ -25,13 +25,15 @@ from the same counts in batch order. ``_blocks`` is the one place that
 turns those counts into window blocks: occupation fractions drawn from
 the Dirichlet law of the event spacings given the visit counts, followed
 in flux mode by the jump counts per unit time. Absorbing states need no
-special case there. ``_batch_step`` advances a batch through one window
-and drives tail-probability estimation, where ``batch_occupations``
-carries each path's end state from one horizon of a grid to the next, so
-a path is simulated once for the whole grid. ``_skeleton`` also runs the
-endpoint-conditioned skeletons of bridge sampling
-(``bridge.conditional_samples``), with next-state tables that depend on
-the number of steps left, and ``_blocks`` builds their blocks too.
+special case there. ``_batch_step`` advances a batch through one window.
+It drives the Monte Carlo decay fit, where ``batch_occupations`` carries
+each path's end state from one horizon of a grid to the next, so a path
+is simulated once for the whole grid; in flux mode it is the
+forward-simulated reference that the bridge tests condition by rejection
+on the end state. ``_skeleton`` also runs the endpoint-conditioned
+skeletons of bridge sampling (``bridge.conditional_samples``), with
+next-state tables that depend on the number of steps left, and
+``_blocks`` builds their blocks too.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (GeneratorMatrix, ProbVector, _check_count, _check_horizon, _check_state,
-                    _check_window, _uniformized)
+from .chain import (GeneratorMatrix, ProbVector, _check_count, _check_grid, _check_horizon,
+                    _check_state, _check_window, _is_real, _uniformized)
 from .ratefun import FluxField, PairMeasure
 
 __all__ = [
@@ -56,7 +58,6 @@ __all__ = [
     "discrete_embedding",
     "accumulate",
     "batch_occupations",
-    "batch_pair_statistics",
 ]
 
 MODES = ("occupation", "flux")
@@ -117,8 +118,8 @@ class PathRecord:
         return np.concatenate(([self.x0], self.destinations))
 
     def state_at(self, t: float) -> int:
-        """State at time t (right-continuous)."""
-        if not 0 <= t <= self.horizon:
+        """State at time t (right-continuous); t must be a real number in [0, horizon]."""
+        if not (_is_real(t) and 0 <= t <= self.horizon):
             raise ValueError(f"time {t!r} outside [0, {self.horizon!r}]")
         idx = int(np.searchsorted(self.jump_times, t, side="right"))
         return int(self.x0) if idx == 0 else int(self.destinations[idx - 1])
@@ -431,7 +432,8 @@ def _batch_step(Q: GeneratorMatrix, t0: float, states: np.ndarray, rng: np.rando
     into the window's blocks. A state with zero exit rate has the unit
     row in P and keeps its paths, so chains with absorbing states sample
     exactly and nothing raises ``AbsorbingState``. The cost is proportional to lam t0, not to the
-    number of real jumps.
+    number of real jumps. ``batch_occupations`` runs it without flux; with
+    ``want_flux`` it is the bridge tests' forward reference for flux means.
     """
     lam, probs = _uniformized(Q)
     events = rng.poisson(lam * t0, states.size)
@@ -508,11 +510,8 @@ def batch_occupations(
     states, where gillespie raises); the paths are simulated together by
     uniformization, see ``_batch_step``.
     """
-    grid = np.asarray(horizon, dtype=float)
+    grid = _check_grid(horizon, "horizon")
     times = np.atleast_1d(grid)
-    if (times.ndim != 1 or times.size == 0 or not np.all((times > 0) & np.isfinite(times))
-            or np.any(np.diff(times) <= 0)):
-        raise ValueError("horizon must be a positive, finite time or an increasing grid of them")
     states = _start_states(Q.n_states, n_paths, rng, init)
     out = np.empty((n_paths, times.size, Q.n_states))
     before = 0.0
@@ -526,40 +525,3 @@ def batch_occupations(
             frac *= before / t
         before = t
     return out if grid.ndim else out[:, 0]
-
-
-def batch_pair_statistics(
-    Q: GeneratorMatrix,
-    t0: float,
-    n_windows: int,
-    n_paths: int,
-    rng: np.random.Generator,
-    init: ProbVector | int,
-    mode: str = "flux",
-):
-    """Per-path block averages (K, Theta) over n_windows windows of length t0.
-
-    Returns (k, theta) arrays of shapes (n_paths, n, n, d) and
-    (n_paths, n, n); memory scales accordingly, so keep batches moderate.
-    A window length that is not positive and finite, or a window count
-    that is not a positive integer, raises ValueError before any draw.
-    No route calls it: it is the reference that the pair kind of
-    ``estimate._ball_distances``, which counts endpoint pairs only, is
-    checked against in law.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    _check_window(t0)
-    _check_count(n_windows, "n_windows")
-    n = Q.n_states
-    d = n if mode == "occupation" else n + n * n
-    states = _start_states(n, n_paths, rng, init)
-    k = np.zeros((n_paths, n, n, d))
-    theta = np.zeros((n_paths, n, n))
-    rows = np.arange(n_paths)
-    for _ in range(n_windows):
-        new_states, visits, jumps = _batch_step(Q, t0, states, rng, want_flux=(mode == "flux"))
-        k[rows, states, new_states] += _blocks(visits, jumps, rng, t0)
-        theta[rows, states, new_states] += 1.0
-        states = new_states
-    return k / n_windows, theta / n_windows

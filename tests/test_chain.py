@@ -213,3 +213,21 @@ def test_every_bad_input_is_a_value_error_that_names_it(call, word, is_time):
     with pytest.raises(ValueError, match=word) as refused:
         call()
     assert isinstance(refused.value, br.ChainError) == is_time
+
+
+SPEC = br.BridgeSpec(SYM, 0, 1, 1.0)
+
+
+@pytest.mark.parametrize("call, word", [
+    (lambda: br.bridge_transition_row(SPEC, 0, False, True), "s"),
+    (lambda: br.bridge_generator(SPEC, 0, 1, False), "t"),
+    (lambda: br.flux_mgf_bound(SYM, 1, 0.5, True), "s"),
+    (lambda: br.batch_occupations(SYM, True, 10, np.random.default_rng(0), 0), "horizon"),
+    (lambda: br.mc_decay_rate(SYM, [0.7, 0.3], 0.1, (True, 6), 2000, 0), "n_grid"),
+    (lambda: PATH.state_at(True), "time"),
+], ids=["bridge-row-times", "bridge-generator-time", "mgf-s", "occupations-horizon",
+        "mc-grid-point", "path-state-at"])
+def test_time_arguments_refuse_bools(call, word):
+    # True and False used to pass as the times 1 and 0
+    with pytest.raises(ValueError, match=word):
+        call()

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import tracemalloc
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 import bridgerates as br
 from bridgerates import conjugate, estimate
-from bridgerates.estimate import BALL_MIN_EPSILON, _ball_distances, _count_hits, _PairChain
+from bridgerates.estimate import BALL_MIN_EPSILON, _count_hits, _PairChain
 from conftest import random_generator, scaled_sweep_chains
 
 REPO = Path(__file__).resolve().parents[1]
@@ -531,61 +530,44 @@ def test_mc_decay_validations(symmetric_two):
         br.mc_decay_rate(symmetric_two, target, -0.1, (10, 20), 1000, 0)
     with pytest.raises(ValueError):
         br.mc_decay_rate(symmetric_two, target, 0.1, (20, 10), 1000, 0)
-    with pytest.raises(ValueError):
-        br.mc_decay_rate(symmetric_two, target, 0.1, (10, 20), 1000, 0, kind="nope")
-    with pytest.raises(ValueError):
-        br.mc_decay_rate(symmetric_two, target, 0.1, (10, 20), 1000, 0, kind="pair")
 
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"n_grid": (-5, 10)}, "positive"),
     ({"n_grid": (0, 10)}, "positive"),
-    ({"n_grid": (6.2, 6.4), "kind": "pair"}, "whole window counts"),
-    ({"n_grid": (0, 3), "kind": "pair"}, "positive"),
     ({"target": [[0.4, 0.1], [0.1, 0.4]]}, "shape"),
-    ({"target": [0.7, 0.3], "kind": "pair"}, "shape"),
     ({"n_paths": 0}, "n_paths"),
     ({"n_paths": 1000.0}, "n_paths"),
     ({"epsilon": math.nan}, "epsilon"),
     ({"epsilon": math.inf}, "epsilon"),
     ({"n_paths": True}, "n_paths"),
     ({"epsilon": True}, "epsilon"),
-    ({"kind": "pair", "t0": math.nan}, "t0"),
-    ({"kind": "pair", "t0": math.inf}, "t0"),
     ({"n_grid": (4, math.inf)}, "finite"),
-    ({"n_grid": (4, math.inf), "kind": "pair"}, "finite"),
-], ids=["negative-T", "zero-T", "fractional-m", "zero-m",
-        "occupation-target-2d", "pair-target-1d", "zero-paths", "float-paths", "nan-epsilon",
-        "inf-epsilon", "bool-paths", "bool-epsilon", "nan-t0", "inf-t0", "inf-T", "inf-m"])
+], ids=["negative-T", "zero-T", "occupation-target-2d", "zero-paths", "float-paths",
+        "nan-epsilon", "inf-epsilon", "bool-paths", "bool-epsilon", "inf-T"])
 def test_mc_decay_rejects_bad_input_before_simulating(symmetric_two, monkeypatch, kwargs, message):
     def no_simulation(*args, **kw):
         raise AssertionError("simulated before validating")
 
     monkeypatch.setattr(br.simulate, "_batch_step", no_simulation)
-    monkeypatch.setattr(br.estimate, "_batch_step", no_simulation)
-    kind = kwargs.get("kind", "occupation")
-    call = {"target": [0.7, 0.3] if kind == "occupation" else [[0.4, 0.1], [0.1, 0.4]],
-            "n_grid": (4, 6), "t0": 1.0 if kind == "pair" else None, **kwargs}
+    monkeypatch.setattr(br.estimate, "batch_occupations", no_simulation)
+    call = {"target": [0.7, 0.3], "n_grid": (4, 6), **kwargs}
     with pytest.raises(ValueError, match=message):
-        br.mc_decay_rate(symmetric_two, call.pop("target"), call.pop("epsilon", 0.1),
-                         call.pop("n_grid"), call.pop("n_paths", 1000), 0, **call)
+        br.mc_decay_rate(symmetric_two, call["target"], call.get("epsilon", 0.1),
+                         call["n_grid"], call.get("n_paths", 1000), 0)
 
 
-@pytest.mark.parametrize("kind", ["occupation", "pair"])
-def test_mc_hits_on_a_grid_prefix_do_not_see_later_points(symmetric_two, monkeypatch, kind):
+@pytest.mark.parametrize("target", [np.array([0.6, 0.4])], ids=["occupation"])
+def test_mc_hits_on_a_grid_prefix_do_not_see_later_points(symmetric_two, monkeypatch, target):
     # each path is simulated once across the grid, so shortening the grid
     # leaves the hits at the points it keeps unchanged; a small batch size
     # runs several batch streams
     monkeypatch.setattr(br.estimate, "MC_BATCH", 1500)
-    if kind == "occupation":
-        target, epsilon, t0 = np.array([0.6, 0.4]), 0.1, None
-    else:
-        target, epsilon, t0 = np.full((2, 2), 0.25), 0.2, 1.0
+    epsilon = 0.1
     init = br.invariant_measure(symmetric_two)
     full = _count_hits(symmetric_two, np.array([40.0, 60.0, 80.0, 100.0]), target, epsilon,
-                       4000, 5, init, kind, t0)
-    prefix = _count_hits(symmetric_two, np.array([40.0, 60.0]), target, epsilon,
-                         4000, 5, init, kind, t0)
+                       4000, 5, init)
+    prefix = _count_hits(symmetric_two, np.array([40.0, 60.0]), target, epsilon, 4000, 5, init)
     assert np.array_equal(full[:2], prefix)
     assert np.all(full > 0)
 
@@ -594,20 +576,8 @@ def test_mc_hits_on_the_bench_shape_are_pinned(symmetric_two):
     # the mc-verify shape of the rates-mc benchmark: two batches of 50 000
     # paths from the streams keyed (7, 0) and (7, 1) (numpy 2.4's generator)
     hits = _count_hits(symmetric_two, np.array([40.0, 60.0, 80.0, 100.0]), np.array([0.7, 0.3]),
-                       0.03, 100_000, 7, br.invariant_measure(symmetric_two), "occupation", None)
+                       0.03, 100_000, 7, br.invariant_measure(symmetric_two))
     assert hits.tolist() == [614, 161, 44, 11]
-
-
-def test_mc_pair_distances_on_the_ring_are_pinned(ring_three):
-    init = br.invariant_measure(ring_three)
-    grid = np.array([4.0, 6.0, 8.0])
-    theta = init.weights[:, None] * br.transition_at(ring_three, 0.5).probs
-    dist = _ball_distances(ring_three, grid, 3000, np.random.default_rng(31), init, theta,
-                           "pair", 0.5)
-    digest = hashlib.sha256(dist.tobytes()).hexdigest()
-    assert digest == "fd6f17531375b7fa8267db1f8c639cffcda665e8d5aadb46663395e1d07dfa79"
-    hits = _count_hits(ring_three, grid, theta, 0.6, 3000, 31, init, "pair", 0.5)
-    assert hits.tolist() == [0, 108, 292]
 
 
 def test_mc_batch_step_keeps_a_small_working_set(symmetric_two):
@@ -624,38 +594,6 @@ def test_mc_batch_step_keeps_a_small_working_set(symmetric_two):
         tracemalloc.stop()
     assert fit.hits.tolist() == [614, 161, 44, 11]
     assert peak <= 5.5e6
-
-
-def test_mc_pair_statistic_agrees_in_law_with_batch_pair_statistics(ring_three):
-    # against the unit target at (x, y) the l1 distance is 2 (1 - theta_xy),
-    # so these distances give each entry of theta after m windows; their
-    # means, and the hit fraction of a ball around the stationary pair
-    # measure, must match batch_pair_statistics run for m windows, each
-    # within 5 standard errors of the difference
-    n, count, t0, grid = 3, 6000, 0.5, np.array([4.0, 6.0, 8.0])
-    init = br.invariant_measure(ring_three)
-    theta = np.empty((count, grid.size, n, n))
-    for x in range(n):
-        for y in range(n):
-            unit = np.zeros((n, n))
-            unit[x, y] = 1.0
-            dist = _ball_distances(ring_three, grid, count, np.random.default_rng(31), init,
-                                   unit, "pair", t0)
-            theta[:, :, x, y] = 1.0 - dist / 2.0
-    assert np.allclose(theta.sum(axis=(2, 3)), 1.0, atol=1e-12)
-    P = br.transition_at(ring_three, t0).probs
-    stationary = init.weights[:, None] * P
-    ours = _ball_distances(ring_three, grid, count, np.random.default_rng(32), init,
-                           stationary, "pair", t0) <= 1.1
-    for col, m in enumerate(grid.astype(int)):
-        _, ref = br.batch_pair_statistics(ring_three, t0, m, count, np.random.default_rng(33 + m),
-                                          init, mode="occupation")
-        se = np.sqrt((theta[:, col].var(axis=0) + ref.var(axis=0)) / count)
-        assert np.all(np.abs(theta[:, col].mean(axis=0) - ref.mean(axis=0)) <= 5.0 * se + 1e-12)
-        hit_ref = np.abs(ref - stationary).sum(axis=(1, 2)) <= 1.1
-        p, q = ours[:, col].mean(), hit_ref.mean()
-        assert 0.05 < q < 0.95
-        assert abs(p - q) <= 5.0 * np.sqrt((p * (1 - p) + q * (1 - q)) / count)
 
 
 def test_mc_decay_insufficient_hits(symmetric_two):
@@ -685,15 +623,3 @@ def test_mc_decay_occupation_slope(symmetric_two):
     probs = fit.probabilities()
     assert probs.shape == (3,)
     assert np.all(np.diff(fit.neg_log_prob) > 0)
-
-
-def test_mc_decay_pair_kind_runs(symmetric_two):
-    # pair statistic over windows: target the stationary pair measure
-    P = br.transition_at(symmetric_two, 1.0)
-    mu = br.dtmc_invariant(P).weights
-    theta = mu[:, None] * P.probs
-    fit = br.mc_decay_rate(
-        symmetric_two, theta, 0.35, (6, 10), 4000, seed=4, kind="pair", t0=1.0
-    )
-    assert fit.slope >= 0
-    assert len(fit.hits) == 2

@@ -6,6 +6,7 @@ import pytest
 
 import bridgerates as br
 from bridgerates.estimate import _ball_distances
+from bridgerates.simulate import _batch_step, _blocks, _start_states
 from conftest import random_generator
 
 
@@ -207,57 +208,37 @@ def test_batch_occupations_rejects_bad_horizons(symmetric_two, horizon):
 def test_batch_samplers_reject_start_states_outside_the_chain(symmetric_two, init):
     with pytest.raises(ValueError, match="start state"):
         br.batch_occupations(symmetric_two, 1.0, 10, np.random.default_rng(0), init)
-    with pytest.raises(ValueError, match="start state"):
-        br.batch_pair_statistics(symmetric_two, 1.0, 2, 10, np.random.default_rng(0), init)
 
 
-@pytest.mark.parametrize("t0, n_windows, message", [
-    (0.0, 2, "t0"), (math.inf, 2, "t0"), (math.nan, 2, "t0"),
-    (1.0, 0, "n_windows"), (1.0, 2.0, "n_windows"), (1.0, True, "n_windows"),
-], ids=["zero-t0", "inf-t0", "nan-t0", "zero-windows", "float-windows", "bool-windows"])
-def test_batch_pair_statistics_rejects_bad_windows(symmetric_two, t0, n_windows, message):
-    # these used to return NaN arrays with a RuntimeWarning, or fail inside
-    # the Poisson draw
-    with pytest.raises(ValueError, match=message):
-        br.batch_pair_statistics(symmetric_two, t0, n_windows, 10, np.random.default_rng(0), 0)
-
-
-def test_batch_pair_statistics_shapes_and_mass(symmetric_two):
-    k, theta = br.batch_pair_statistics(
-        symmetric_two, 1.0, 6, 50, np.random.default_rng(19), 0, mode="flux"
-    )
-    assert k.shape == (50, 2, 2, 6)
-    assert theta.shape == (50, 2, 2)
-    assert np.allclose(theta.sum(axis=(1, 2)), 1.0, atol=1e-12)
-    # integrality of window counts
-    counts = theta * 6
-    assert np.allclose(counts, np.round(counts), atol=1e-9)
+def _windows(Q, t0, states, n_windows, rng, want_flux):
+    """End states and blocks of n_windows consecutive ``_batch_step`` windows."""
+    ends, blocks = [], []
+    for _ in range(n_windows):
+        states, visits, jumps = _batch_step(Q, t0, states, rng, want_flux)
+        ends.append(states.astype(np.int64))
+        blocks.append(_blocks(visits, jumps, rng, t0))
+    return np.stack(ends), np.stack(blocks)
 
 
 @pytest.mark.parametrize("init", [0, "pi"])
 def test_batch_pair_statistics_block_layout_agrees_across_modes(ring_three, init):
-    # both modes take the same draws: the flux blocks extend the occupation
-    # blocks by the jump counts, whose self-loop columns stay zero
+    # both modes of _batch_step take the same draws: the flux blocks extend
+    # the occupation blocks by the jump counts, whose self-loop columns
+    # stay zero
     n = 3
     start = br.invariant_measure(ring_three) if init == "pi" else init
-    k_occ, theta_occ = br.batch_pair_statistics(
-        ring_three, 0.25, 5, 300, np.random.default_rng(9), start, mode="occupation"
-    )
-    k_flux, theta_flux = br.batch_pair_statistics(
-        ring_three, 0.25, 5, 300, np.random.default_rng(9), start, mode="flux"
-    )
-    assert k_flux.shape == (300, n, n, n + n * n)
-    assert np.array_equal(k_occ, k_flux[..., :n])
-    assert np.array_equal(theta_occ, theta_flux)
-    jumps = k_flux[..., n:].reshape(300, n, n, n, n)
+
+    def run(want_flux):
+        rng = np.random.default_rng(9)
+        return _windows(ring_three, 0.25, _start_states(n, 300, rng, start), 5, rng, want_flux)
+
+    ends_occ, occ = run(False)
+    ends_flux, flux = run(True)
+    assert flux.shape == (5, 300, n + n * n)
+    assert np.array_equal(ends_occ, ends_flux)
+    assert np.array_equal(occ, flux[..., :n])
+    jumps = flux[..., n:].reshape(5, 300, n, n)
     assert np.all(jumps[..., np.arange(n), np.arange(n)] == 0.0)
-
-
-def test_batch_pair_statistics_rejects_bad_mode(symmetric_two):
-    with pytest.raises(ValueError):
-        br.batch_pair_statistics(
-            symmetric_two, 1.0, 3, 10, np.random.default_rng(0), 0, mode="nope"
-        )
 
 
 class _TopUniform:
@@ -282,9 +263,10 @@ def test_largest_uniform_picks_a_valid_next_state(ring_three):
     seq = path.states()
     assert path.n_jumps > 0 and seq.max() < 3
     assert np.all(seq[1:] != seq[:-1])
-    k, theta = br.batch_pair_statistics(ring_three, 5.0, 1, 200, _TopUniform(1), 1, mode="flux")
-    assert np.allclose(theta.sum(axis=(1, 2)), 1.0)
-    assert np.allclose(k[..., :3].sum(axis=3), theta)
+    rng = _TopUniform(1)
+    ends, visits, jumps = _batch_step(ring_three, 5.0, np.full(200, 1), rng, want_flux=True)
+    assert ends.min() >= 0 and ends.max() < 3
+    assert np.allclose(_blocks(visits, jumps, rng, 5.0)[:, :3].sum(axis=1), 1.0)
     # the moves out of state 2 here cumulate to the largest uniform too, which
     # used to pick state 2 itself although it has probability 0
     Q = br.validate_generator([[-0.2, 0.1, 0.1], [0.1, -0.2, 0.1], [0.1, 0.3, -0.4]])
@@ -313,10 +295,10 @@ def test_batch_window_is_exact(request, chain, horizon):
     # sampler against the kernel, each within 5 standard errors
     Q = request.getfixturevalue(chain)
     n, count, x = Q.n_states, 20_000, 0
-    k, theta = br.batch_pair_statistics(Q, horizon, 1, count, np.random.default_rng(17), x,
-                                        mode="flux")
-    ends = theta[:, x, :]
-    block = k[:, x, :, :].sum(axis=1)
+    rng = np.random.default_rng(17)
+    states, visits, jumps = _batch_step(Q, horizon, np.full(count, x), rng, want_flux=True)
+    ends = np.eye(n)[states]
+    block = _blocks(visits, jumps, rng, horizon)
     occ, jumps = block[:, :n], block[:, n:].reshape(count, n, n) * horizon
     want_end = br.transition_at(Q, horizon).probs[x]
     se_end = np.sqrt(want_end * (1.0 - want_end) / count)
@@ -347,23 +329,17 @@ def test_batch_absorbing_state_samples_exactly():
 
 
 def test_thirteen_state_batches_are_pinned():
-    # states are kept in int8, where a * 13 + b wraps: the jump cells, the
-    # endpoint pairs and the bridge tables must still be read at the right
-    # index (digests of numpy 2.4's generator output, as drawn with int64
-    # states)
+    # states are kept in int8, where a * 13 + b wraps: the jump cells and
+    # the bridge tables must still be read at the right index (digests of
+    # numpy 2.4's generator output, as drawn with int64 states)
     Q = random_generator(np.random.default_rng(13), 13)
-    pi = br.invariant_measure(Q)
 
     def digest(array):
         return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
-    k, theta = br.batch_pair_statistics(Q, 0.4, 3, 500, np.random.default_rng(5), 12, mode="flux")
-    assert digest(k) == "509610e16e5a4f5e07ac4159364eaa6d47d2aae0ea1669bb07a2d8529c27d7d7"
-    assert digest(theta) == "78fd97874812a4fa5e22f92b70b6c6b25ed11dcdee1cc7f0b70ec85230cda742"
-    target = pi.weights[:, None] * br.transition_at(Q, 0.4).probs
-    dist = _ball_distances(Q, np.array([2.0, 3.0]), 500, np.random.default_rng(6), pi, target,
-                           "pair", 0.4)
-    assert digest(dist) == "67c2690e01a4b637b74f47f409cf0eaded5bf923b19bffe7ceac9a695456dc37"
+    ends, blocks = _windows(Q, 0.4, np.full(500, 12), 3, np.random.default_rng(5), True)
+    assert digest(ends) == "4567f1e6017aa7f244da45ac094a369de00c974dedb064e58d3bb34e3c0b0d11"
+    assert digest(blocks) == "b1831eb16d2e8f9d5002aa8929d5db6c1dbaa680fd8e896816ea3b56f0d48ed0"
     law = br.conditional_samples(br.BridgeSpec(Q, 12, 11, 0.4), "flux", 500, seed=3)
     assert digest(law.atoms.T) == "9db4297f360b6ee0f7d1d559e08d388be01d6d1dbb5e4616a31ba6f2599f6185"
 
@@ -377,10 +353,10 @@ def test_chunk_size_leaves_every_draw_unchanged(ring_three, monkeypatch):
     def draws():
         return [
             br.batch_occupations(ring_three, (1.0, 3.0), 400, np.random.default_rng(2), init),
-            *br.batch_pair_statistics(ring_three, 0.7, 3, 400, np.random.default_rng(3), 1),
+            *_windows(ring_three, 0.7, np.full(400, 1), 3, np.random.default_rng(3), True),
             br.conditional_samples(br.BridgeSpec(ring_three, 0, 2, 2.0), "flux", 400, 4).samples,
             _ball_distances(ring_three, np.array([1.0, 2.0]), 400, np.random.default_rng(5), init,
-                            target, "occupation", None),
+                            target),
         ]
 
     default = draws()
