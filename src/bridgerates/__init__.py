@@ -38,7 +38,6 @@ from .ratefun import (
 )
 from .conjugate import (
     ConjugateEstimate,
-    ConjugateOracle,
     DiscreteLaw,
     EmpiricalLaw,
     ZeroRate,
@@ -66,6 +65,7 @@ from .bridge import (
 )
 from .estimate import (
     BallResult,
+    ConjugateOracle,
     ContractionResult,
     DecayFit,
     InfConvResult,

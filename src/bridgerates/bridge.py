@@ -27,7 +27,7 @@ import numpy as np
 from .chain import (GeneratorMatrix, _check_count, _check_seed, _check_state, _check_window,
                     _is_real, _uniformized, transition_at)
 from .conjugate import EmpiricalLaw
-from .simulate import MODES, _blocks, _next_state_table, _skeleton, _state_dtype
+from .simulate import _blocks, _check_mode, _next_state_table, _skeleton, _state_dtype
 
 __all__ = [
     "DegenerateDenominator",
@@ -198,8 +198,7 @@ def conditional_samples(spec: BridgeSpec, mode: str, n_samples: int, seed: int) 
     same for every n_samples >= k. A bad count or seed, or an unreachable
     endpoint (``DegenerateDenominator``), raises before any draw.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    _check_mode(mode)
     _check_count(n_samples, "sample count")
     _check_seed(seed)
     n = spec.n_states

@@ -13,6 +13,7 @@ rerun with the same config is byte-identical. Failures write
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import ctypes
 import dataclasses
@@ -28,9 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .bridge import BridgeSpec, conditional_samples
-from .chain import (GeneratorMatrix, ProbVector, _check_count, _check_positive, _check_seed,
-                    _check_window, invariant_measure, is_irreducible, transition_at,
-                    validate_generator)
+from .chain import (GeneratorMatrix, ProbVector, _check_count, _check_grid, _check_positive,
+                    _check_seed, _check_state, _check_window, invariant_measure, is_irreducible,
+                    transition_at, validate_generator)
 from .conjugate import save_samples
 from .estimate import (
     ball_rate,
@@ -41,7 +42,7 @@ from .estimate import (
     mc_decay_rate,
 )
 from .ratefun import PairMeasure, bfg_rate, dvg_rate, pair_empirical_rate
-from .simulate import MODES
+from .simulate import _check_mode
 
 __all__ = ["ExperimentConfig", "main"]
 
@@ -50,33 +51,60 @@ SEED_ENV = "BRIDGERATES_SEED"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment's inputs, loaded strictly from JSON and checked whatever the command."""
+    """One experiment's inputs, loaded strictly from JSON and checked whatever the command.
 
-    generator: list
+    Every key present is checked at load, by a ``ValueError`` that names it,
+    and held as the type the commands read: the ``generator``'s n states bound
+    ``rho`` (a ``ProbVector``), ``flux`` (a float matrix), ``theta`` (a
+    ``PairMeasure``) and ``x``/``y`` (both or neither); ``n_grid`` is a grid.
+    """
+
+    generator: GeneratorMatrix
     t0: float = 1.0
     mode: str = "occupation"
     n_samples: int = 20_000
     seed: int = 0
-    rho: list | None = None
-    flux: list | None = None
-    theta: list | None = None
+    rho: ProbVector | None = None
+    flux: np.ndarray | None = None
+    theta: PairMeasure | None = None
     x: int | None = None
     y: int | None = None
     epsilon: float = 0.03
-    n_grid: list | None = None
+    n_grid: np.ndarray | None = None
     n_paths: int = 100_000
 
     def __post_init__(self):
+        with _naming("generator"):
+            Q = validate_generator(self.generator)
+        n = Q.n_states
         _check_window(self.t0)
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        _check_mode(self.mode)
         _check_count(self.n_samples, "n_samples")
         _check_count(self.n_paths, "n_paths")
         _check_seed(self.seed)
         _check_positive(self.epsilon, "epsilon")
+        if (self.x is None) != (self.y is None):
+            raise ValueError("set both 'x' and 'y', or neither")
+        if self.x is not None:
+            _check_state(n, self.x, "x")
+            _check_state(n, self.y, "y")
+        typed = {"generator": Q}
+        if self.n_grid is not None:
+            typed["n_grid"] = _check_grid(self.n_grid, "n_grid")
+        as_floats = functools.partial(np.asarray, dtype=float)
+        for key, convert, shape in (("rho", ProbVector, (n,)), ("flux", as_floats, (n, n)),
+                                    ("theta", PairMeasure, (n, n))):
+            if getattr(self, key) is not None:
+                with _naming(key):
+                    typed[key] = convert(getattr(self, key))
+                    if getattr(typed[key], "weights", typed[key]).shape != shape:
+                        raise ValueError(f"needs shape {shape}")
+        for key, value in typed.items():
+            object.__setattr__(self, key, value)
 
     @classmethod
-    def from_file(cls, path) -> tuple["ExperimentConfig", str]:
+    def from_file(cls, path, seed=None) -> tuple["ExperimentConfig", str]:
+        """The config in ``path`` with its hash; a ``seed`` given here replaces the file's."""
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
         if not isinstance(raw, dict):
@@ -89,15 +117,24 @@ class ExperimentConfig:
             raise ValueError("config needs a 'generator' matrix")
         canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(canonical.encode()).hexdigest()
-        return cls(**raw), digest
+        return cls(**(raw if seed is None else {**raw, "seed": seed})), digest
 
-    def chain(self) -> GeneratorMatrix:
-        return validate_generator(self.generator)
+    def need(self, key: str):
+        """The value of ``key``, which the running command cannot do without."""
+        value = getattr(self, key)
+        if value is None:
+            raise ValueError(f"config needs '{key}' for this command")
+        return value
 
-    def rho_vector(self) -> ProbVector:
-        if self.rho is None:
-            raise ValueError("config needs 'rho' for this command")
-        return ProbVector(np.asarray(self.rho, dtype=float))
+
+@contextlib.contextmanager
+def _naming(key: str):
+    """Re-raise a refusal of the config value ``key`` with the key in its message."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        error = type(exc) if isinstance(exc, ValueError) else ValueError
+        raise error(f"config '{key}': {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +206,7 @@ def _write_outputs(out_dir: Path, name: str, payload: dict, config_hash: str, se
 
 def cmd_chain_info(cfg: ExperimentConfig, args) -> dict:
     """Describe the chain: exit rates, invariant measure and the transition matrix at t0."""
-    Q = cfg.chain()
+    Q = cfg.generator
     P = transition_at(Q, cfg.t0)
     return {
         "n_states": Q.n_states,
@@ -184,8 +221,7 @@ def cmd_chain_info(cfg: ExperimentConfig, args) -> dict:
 
 def cmd_rates(cfg: ExperimentConfig, args) -> dict:
     """Evaluate the occupation rate at rho, plus the flux and pair rates when configured."""
-    Q = cfg.chain()
-    rho = cfg.rho_vector()
+    Q, rho = cfg.generator, cfg.need("rho")
     res = dvg_rate(rho, Q)
     payload = {
         "rho": rho.weights,
@@ -197,26 +233,18 @@ def cmd_rates(cfg: ExperimentConfig, args) -> dict:
         },
     }
     if cfg.flux is not None:
-        j = np.asarray(cfg.flux, dtype=float)
-        payload["bfg"] = {"value": bfg_rate(rho, j, Q), "flux": j}
+        payload["bfg"] = {"value": bfg_rate(rho, cfg.flux, Q), "flux": cfg.flux}
     if cfg.theta is not None:
         P = transition_at(Q, cfg.t0)
-        theta = PairMeasure(np.asarray(cfg.theta, dtype=float))
-        payload["pair"] = {"value": pair_empirical_rate(theta, P), "t0": cfg.t0}
+        payload["pair"] = {"value": pair_empirical_rate(cfg.theta, P), "t0": cfg.t0}
     return payload
 
 
 def cmd_bridge_sample(cfg: ExperimentConfig, args) -> dict:
     """Sample bridge-conditioned block statistics and dump them as .f64 files."""
-    Q = cfg.chain()
-    out_dir = Path(args.out)
-    if (cfg.x is None) != (cfg.y is None):
-        raise ValueError("set both 'x' and 'y', or neither")
-    pairs = (
-        [(cfg.x, cfg.y)]
-        if cfg.x is not None
-        else [(x, y) for x in range(Q.n_states) for y in range(Q.n_states)]
-    )
+    Q, out_dir = cfg.generator, Path(args.out)
+    n = Q.n_states
+    pairs = [(cfg.x, cfg.y)] if cfg.x is not None else [(x, y) for x in range(n) for y in range(n)]
     summary = []
     for x, y in pairs:
         spec = BridgeSpec(Q, x, y, cfg.t0)
@@ -236,17 +264,14 @@ def cmd_bridge_sample(cfg: ExperimentConfig, args) -> dict:
 
 def cmd_infconv(cfg: ExperimentConfig, args) -> dict:
     """Recover a rate from sampled block laws by inf-convolution, against its direct value."""
-    Q = cfg.chain()
-    rho = cfg.rho_vector()
+    Q, rho = cfg.generator, cfg.need("rho")
     oracle = build_oracle(Q, cfg.t0, cfg.mode, cfg.n_samples, cfg.seed)
     if cfg.mode == "occupation":
         res = infconv_dvg(rho, oracle)
         reference = dvg_rate(rho, Q).value
         target = {"rho": rho.weights}
     else:
-        if cfg.flux is None:
-            raise ValueError("flux mode needs a 'flux' target in the config")
-        j = np.asarray(cfg.flux, dtype=float)
+        j = cfg.need("flux")
         res = infconv_bfg(rho, j, oracle)
         reference = bfg_rate(rho, j, Q)
         target = {"rho": rho.weights, "flux": j}
@@ -274,8 +299,7 @@ def cmd_infconv(cfg: ExperimentConfig, args) -> dict:
 
 def cmd_contract(cfg: ExperimentConfig, args) -> dict:
     """Contract the joint occupation-flux rate onto rho, certified by its duality gap."""
-    Q = cfg.chain()
-    rho = cfg.rho_vector()
+    Q, rho = cfg.generator, cfg.need("rho")
     res = contract_dvg_from_bfg(rho, Q)
     # the dual value is the dvg_rate call the contraction already made
     return {
@@ -292,11 +316,8 @@ def cmd_contract(cfg: ExperimentConfig, args) -> dict:
 
 def cmd_mc_verify(cfg: ExperimentConfig, args) -> dict:
     """Fit the Monte Carlo decay rate of l1-ball hit probabilities and compare it with the ball rate."""
-    Q = cfg.chain()
-    rho = cfg.rho_vector()
-    if cfg.n_grid is None:
-        raise ValueError("config needs 'n_grid' for mc-verify")
-    fit = mc_decay_rate(Q, rho, cfg.epsilon, cfg.n_grid, cfg.n_paths, cfg.seed)
+    Q, rho = cfg.generator, cfg.need("rho")
+    fit = mc_decay_rate(Q, rho, cfg.epsilon, cfg.need("n_grid"), cfg.n_paths, cfg.seed)
     ball = ball_rate(Q, rho, cfg.epsilon)
     rel_error = abs(fit.slope - ball.value) / ball.value if ball.value > 0 else math.inf
     return {
@@ -370,10 +391,9 @@ def main(argv=None) -> int:
     config_hash = None
     seed = None
     try:
-        cfg, digest = ExperimentConfig.from_file(args.config)
         env_seed = os.environ.get(SEED_ENV)
-        if env_seed is not None:
-            cfg = dataclasses.replace(cfg, seed=int(env_seed))
+        cfg, digest = ExperimentConfig.from_file(
+            args.config, seed=None if env_seed is None else int(env_seed))
         # only a config that loaded, with its seed override, has a hash
         config_hash, seed = digest, cfg.seed
         payload = args.handler(cfg, args)

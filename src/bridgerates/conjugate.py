@@ -20,8 +20,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .chain import (GeneratorMatrix, TransitionKernel, _check_state, _check_window, _is_real,
-                    transition_at)
+from .chain import GeneratorMatrix, _check_state, _check_window, _is_real, transition_at
 
 __all__ = [
     "ZeroRate",
@@ -32,7 +31,6 @@ __all__ = [
     "flux_mgf_bound",
     "save_samples",
     "load_samples",
-    "ConjugateOracle",
 ]
 
 DEFAULT_LAM_BOX = 40.0
@@ -98,7 +96,7 @@ class DiscreteLaw:
     is copied once. The law keeps no scratch: a moment pass writes its
     temporaries into the ``work`` it is given or into fresh arrays, and
     the solvers hold one set while they run (``conjugate_at`` one for
-    both its boxes, ``estimate._PairChain`` one shared by all its laws).
+    both its boxes, ``estimate.ConjugateOracle`` one shared by all its laws).
     """
 
     atoms: np.ndarray
@@ -430,36 +428,3 @@ def load_samples(path) -> np.ndarray:
     if d <= 0 or n <= 0 or flat.size != 2 + n * d:
         raise ValueError(f"sample dump {path} has inconsistent header ({d}, {n})")
     return flat[2:].reshape(n, d)
-
-
-# ---------------------------------------------------------------------------
-# per-pair oracle
-
-
-@dataclass(frozen=True)
-class ConjugateOracle:
-    """Per-endpoint-pair block laws over windows of length t0, with their kernel.
-
-    Maps every ordered state pair (x, y) to the law of its conditioned
-    block statistic; each law answers its own ``mean`` and ``log_mgf``.
-    ``kernel`` is the window transition kernel P(t0) those laws were
-    conditioned under, which the decomposition tilts by them. A pair's
-    conjugate is ``conjugate_at(oracle.law(x, y), a)``. Evaluations return
-    the same values in any order; the laws keep no scratch, so nothing an
-    evaluation writes is shared.
-    """
-
-    laws: dict
-    kernel: TransitionKernel
-    mode: str
-    t0: float
-
-    @property
-    def d(self) -> int:
-        return next(iter(self.laws.values())).d
-
-    def law(self, x: int, y: int):
-        try:
-            return self.laws[(x, y)]
-        except KeyError:
-            raise KeyError(f"oracle does not cover endpoint pair ({x}, {y})") from None

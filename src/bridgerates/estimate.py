@@ -24,14 +24,14 @@ l1 ball, certified by a Frank-Wolfe duality gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bridge import BridgeSpec, conditional_samples
-from .chain import (GeneratorMatrix, ProbVector, _check_count, _check_grid, _check_positive,
-                    _check_seed, invariant_measure, transition_at)
-from .conjugate import ConjugateOracle, _moment_work, conjugate_at
+from .chain import (GeneratorMatrix, ProbVector, TransitionKernel, _check_count, _check_grid,
+                    _check_positive, _check_seed, invariant_measure, transition_at)
+from .conjugate import _moment_work, conjugate_at
 from .ratefun import (
     ARMIJO,
     MIN_STEP,
@@ -43,9 +43,10 @@ from .ratefun import (
     bfg_rate,
     dvg_rate,
 )
-from .simulate import CHUNK, MODES, batch_occupations
+from .simulate import CHUNK, _check_mode, batch_occupations
 
 __all__ = [
+    "ConjugateOracle",
     "InsufficientHits",
     "InfConvResult",
     "ContractionResult",
@@ -99,8 +100,7 @@ def build_oracle(Q: GeneratorMatrix, t0: float, mode: str, n_samples: int,
     Every call samples afresh: a whole oracle takes a fraction of a second,
     well under the solves it feeds.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    _check_mode(mode)
     n = Q.n_states
     laws = {(x, y): conditional_samples(BridgeSpec(Q, x, y, t0), mode, n_samples, seed)
             for x in range(n) for y in range(n)}
@@ -121,9 +121,9 @@ class InfConvResult:
     solve's ``ConjugateEstimate.growth``: the relative change of the optimum
     when its maximizer pressed the box and the box was doubled, 0.0 when it
     did not. ``theta`` and ``k`` are the pair measure and pair block sums of
-    the tilted chain at the maximizer. ``iterations`` counts the evaluations
-    of that chain (its log Perron root with gradient and Hessian, one moment
-    pass per pair each), and ``decrement`` is the solve's
+    the tilted chain at the maximizer. ``iterations`` counts the oracle's
+    evaluations over the call (its log Perron root with gradient and
+    Hessian, one moment pass per pair each), and ``decrement`` is the solve's
     ``ConjugateEstimate.decrement``, the dual value its maximizer has left
     to gain; ``converged`` says every box's solve met its gradient tolerance.
     """
@@ -138,11 +138,17 @@ class InfConvResult:
     decrement: float
 
 
-class _PairChain:
-    """Window kernel tilted by the bridge laws, as a law for ``conjugate_at``.
+@dataclass(eq=False)
+class ConjugateOracle:
+    """Per-pair bridge block laws over windows of length t0, tilted together as one law.
 
-    At a multiplier lam, each allowed pair p = (x, y) tilts its window
-    transition by the log-MGF Lambda_p of its block law,
+    ``laws`` maps every ordered state pair (x, y) to the law of its
+    conditioned block statistic, ``kernel`` is the window kernel P(t0) they
+    were conditioned under, and a pair's own conjugate is
+    ``conjugate_at(oracle.law(x, y), a)``. The oracle is itself the law whose
+    conjugate is the decomposition: at a multiplier lam, each pair
+    p = (x, y) with P_xy > 0 tilts its window transition by the log-MGF
+    Lambda_p of its block law,
 
         M(lam)_xy = P_xy exp(Lambda_xy(lam)),
 
@@ -156,55 +162,66 @@ class _PairChain:
     every pair's multiplier, so the boxed conjugate is the decomposition
     with boxed per-pair conjugates.
 
-    The derivatives come from the Doob transform K_xy = M_xy h_y / (r h_x)
-    of M, with h and l its right and left Perron vectors: K has the
-    stationary law pi proportional to l h and the pair measure
-    theta = pi_x K_xy, which is the minimizing decomposition's theta. The
-    gradient is the tilted block mean sum_p theta_p m_p, and the Hessian is
-    the asymptotic variance of the block sum along K: each pair's tilted
-    covariance, plus the autocovariance series of the centered means
-    f_p = m_p - grad, summed in closed form by the fundamental matrix
-    (I - K + 1 pi)^-1. ``evaluations`` counts the passes.
+    The derivatives come from the Doob transform K_xy = M_xy h_y / (r h_x),
+    with h the right Perron vector from one ``np.linalg.eig`` of M. One
+    inverse Z = (I - K + 1 1^T / n)^-1 gives K's stationary law
+    pi = 1^T Z / n, hence the pair measure theta = pi_x K_xy, which is the
+    minimizing decomposition's theta. The gradient is the tilted block mean
+    sum_p theta_p m_p, and the Hessian is the asymptotic variance of the
+    block sum along K: each pair's tilted covariance, plus the
+    autocovariance series of the centered means f_p = m_p - grad, which Z
+    sums by solving a Poisson equation. Z solves it up to an additive
+    constant, which drops out since sum_p theta_p f_p = 0. ``evaluations``
+    counts the passes, which share one set of moment-pass temporaries, made
+    at the first pass for its sample count.
     """
 
-    def __init__(self, oracle: ConjugateOracle):
-        P = oracle.kernel.probs
-        self.d = oracle.d
-        self.n = P.shape[0]
-        self._pairs = list(zip(*np.nonzero(P > 0)))
-        self._laws = [oracle.law(x, y) for x, y in self._pairs]
-        self._log_p = np.log(P)
-        # moment-pass temporaries, one set per sample count shared by the
-        # laws (build_oracle gives them all one (d, N)); reused pass after
-        # pass, they spare the page faults that fresh arrays of that size cost
-        self._work = {m: _moment_work(self.d, m) for m in {law.n_samples for law in self._laws}}
-        self.evaluations = 0
+    laws: dict
+    kernel: TransitionKernel
+    mode: str
+    t0: float
+    evaluations: int = field(default=0, init=False)
+    _work: tuple | None = field(default=None, init=False, repr=False)
+
+    @property
+    def d(self) -> int:
+        return next(iter(self.laws.values())).d
+
+    def law(self, x: int, y: int):
+        try:
+            return self.laws[(x, y)]
+        except KeyError:
+            raise KeyError(f"oracle does not cover endpoint pair ({x}, {y})") from None
 
     def tilt(self, lam: np.ndarray):
-        """log r(M(lam)), the tilted chain K with its pair measure theta, and
-        the per-pair tilted means and covariances."""
+        """log r(M(lam)), the tilted chain K with its inverse Z and pair measure theta,
+        and the per-pair tilted means and covariances."""
         self.evaluations += 1
-        n, d = self.n, self.d
+        P = self.kernel.probs
+        n, d = P.shape[0], self.d
         log_m = np.full((n, n), -np.inf)
         means = np.zeros((n, n, d))
         covs = np.zeros((n, n, d, d))
-        for (x, y), law in zip(self._pairs, self._laws):
-            lmgf, means[x, y], covs[x, y] = law._moments(lam, self._work[law.n_samples])
-            log_m[x, y] = self._log_p[x, y] + lmgf
+        for x, y in zip(*np.nonzero(P > 0)):
+            law = self.law(x, y)
+            if self._work is None:
+                self._work = _moment_work(d, law.n_samples)
+            work = self._work if law.n_samples == self._work[0].size else None
+            lmgf, means[x, y], covs[x, y] = law._moments(lam, work)
+            log_m[x, y] = math.log(P[x, y]) + lmgf
         shift = log_m.max()
         M = np.exp(log_m - shift)
         r, h = _perron(M, lam)
-        _, left = _perron(M.T, lam)
         K = M * h[None, :] / (r * h[:, None])
-        pi = left * h / (left @ h)
-        theta = pi[:, None] * K
-        return shift + math.log(r), K, pi, theta / theta.sum(), means, covs
+        Z = np.linalg.inv(np.eye(n) - K + 1.0 / n)
+        theta = Z.sum(axis=0)[:, None] * K
+        return shift + math.log(r), K, Z, theta / theta.sum(), means, covs
 
     def _moments(self, lam: np.ndarray):
-        log_r, K, pi, theta, means, covs = self.tilt(lam)
+        log_r, K, Z, theta, means, covs = self.tilt(lam)
         grad = np.einsum("xy,xyi->i", theta, means)
         f = means - grad
-        w = np.linalg.solve(np.eye(self.n) - K + pi[None, :], np.einsum("xy,xyi->xi", K, f))
+        w = Z @ np.einsum("xy,xyi->xi", K, f)
         cross = np.einsum("xy,xyi,yj->ij", theta, f, w)
         hess = (np.einsum("xy,xyij->ij", theta, covs) + np.einsum("xy,xyi,xyj->ij", theta, f, f)
                 + cross + cross.T)
@@ -236,13 +253,13 @@ def _infconv(oracle: ConjugateOracle, target: np.ndarray) -> InfConvResult:
         raise ValueError(f"target has dimension {target.shape}, oracle expects ({oracle.d},)")
     if not np.all(np.isfinite(target)):
         raise ValueError("target entries must be finite")
-    chain = _PairChain(oracle)
+    start = oracle.evaluations
     # off the decomposable set the value grows with the box, so it comes back inf
-    est = conjugate_at(chain, target)
-    _, _, _, theta, means, _ = chain.tilt(est.maximizer)
+    est = conjugate_at(oracle, target)
+    _, _, _, theta, means, _ = oracle.tilt(est.maximizer)
     return InfConvResult(est.value, PairMeasure(theta), FluxField(theta[:, :, None] * means),
-                         est.growth, est.converged, math.isfinite(est.value), chain.evaluations,
-                         est.decrement)
+                         est.growth, est.converged, math.isfinite(est.value),
+                         oracle.evaluations - start, est.decrement)
 
 
 def infconv_dvg(rho, oracle: ConjugateOracle) -> InfConvResult:
@@ -470,14 +487,10 @@ def ball_rate(Q: GeneratorMatrix, center, epsilon: float) -> BallResult:
     gap) when ``BALL_MAX_EVALS`` rate evaluations do not reach the
     tolerance.
     """
-    center = np.array(center.weights if isinstance(center, ProbVector) else center, dtype=float)
+    center = (center if isinstance(center, ProbVector) else ProbVector(center)).weights
     n = Q.n_states
     if center.shape != (n,):
         raise ValueError(f"center must have shape ({n},), got {center.shape}")
-    if not np.all(np.isfinite(center)) or center.min() < 0:
-        raise ValueError("center must be finite and nonnegative")
-    if abs(float(center.sum()) - 1.0) > 1e-12:
-        raise ValueError(f"center sums to {center.sum()!r}, not 1")
     _check_positive(epsilon, "epsilon")
     if epsilon < BALL_MIN_EPSILON:
         raise ValueError(f"epsilon {epsilon!r} is below {BALL_MIN_EPSILON:g}, where l1 distances "

@@ -159,19 +159,14 @@ def rel_entropy(a: float, b: float) -> float:
 
     Conventions: s(0 | b) = b for b >= 0, and s(a | 0) = inf for a > 0.
     Negative arguments raise NegativeInput. The kernel is nonnegative,
-    vanishes exactly at a = b, and is jointly convex.
+    vanishes exactly at a = b, and is jointly convex. It is
+    ``_rel_entropy_sum`` on one-element arrays.
     """
-    if a < 0 or b < 0:
-        raise NegativeInput(f"rel_entropy needs nonnegative arguments, got ({a!r}, {b!r})")
-    if a == 0:
-        return float(b)
-    if b == 0:
-        return math.inf
-    return float(_rel_entr(a, b) - a + b)
+    return _rel_entropy_sum(np.array([a], dtype=float), np.array([b], dtype=float))
 
 
 def _rel_entropy_sum(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of rel_entropy over arrays, with +inf when a > 0 meets b == 0."""
+    """Sum of s(a | b) over arrays, with +inf when a > 0 meets b == 0."""
     if a.min() < 0 or b.min() < 0:
         raise NegativeInput("rel_entropy needs nonnegative arguments")
     if np.any((a > 0) & (b == 0)):
@@ -419,7 +414,7 @@ def pair_empirical_rate(theta: PairMeasure | np.ndarray, P: TransitionKernel) ->
 def cond_rate(k: FluxField, theta: PairMeasure, oracle) -> float:
     """Conditional-cost part of the block rate: sum_xy theta_xy phi*_xy(k_xy / theta_xy).
 
-    ``oracle`` supplies the per-pair block laws (see conjugate.ConjugateOracle).
+    ``oracle`` supplies the per-pair block laws (see estimate.ConjugateOracle).
     Pairs with theta_xy = 0 contribute 0 if their k vector is exactly zero
     and inf otherwise. The value is inf whenever some conjugate is
     effectively infinite at its evaluation point.

@@ -62,6 +62,13 @@ __all__ = [
 
 MODES = ("occupation", "flux")
 
+
+def _check_mode(mode) -> None:
+    """Refuse a block mode that is not one of ``MODES``."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 # rows per chunk of the lockstep walk and of the gamma draws: the per-step
 # scratch of a batch is a few arrays of this many rows, whatever its size
 CHUNK = 8192
@@ -143,8 +150,7 @@ class DiscreteEmbedding:
     blocks: np.ndarray
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+        _check_mode(self.mode)
         states = np.asarray(self.states, dtype=np.int64)
         blocks = np.asarray(self.blocks, dtype=float)
         if states.ndim != 1 or blocks.ndim != 2 or states.size != blocks.shape[0] + 1:
@@ -262,8 +268,7 @@ def discrete_embedding(path: PathRecord, t0: float, mode: str) -> DiscreteEmbedd
     jump counts per unit time. Claim 09 checks this embedding's relabeling
     equivariance and window-count integrality on ``gillespie`` paths.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    _check_mode(mode)
     _check_window(t0)
     n_windows = int(round(path.horizon / t0))
     if n_windows < 1 or abs(n_windows * t0 - path.horizon) > 1e-9 * max(1.0, path.horizon):

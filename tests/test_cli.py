@@ -292,24 +292,30 @@ def test_env_seed_overrides_config(tmp_path, monkeypatch):
     assert payload["seed"] == 777
 
 
-@pytest.mark.parametrize("command, key, value, error_name", [
-    ("contract", "t0", -1, "ChainError"),
-    ("contract", "mode", "nope", "ValueError"),
-    ("rates", "seed", 1.5, "ValueError"),
-    ("rates", "seed", -1, "ValueError"),
-    ("rates", "n_samples", "x", "ValueError"),
-    ("chain-info", "epsilon", -3, "ValueError"),
+@pytest.mark.parametrize("command, keys, error_name", [
+    ("contract", {"t0": -1}, "ChainError"),
+    ("contract", {"mode": "nope"}, "ValueError"),
+    ("rates", {"seed": 1.5}, "ValueError"),
+    ("rates", {"seed": -1}, "ValueError"),
+    ("rates", {"n_samples": "x"}, "ValueError"),
+    ("chain-info", {"epsilon": -3}, "ValueError"),
+    ("chain-info", {"rho": "abc"}, "ValueError"),
+    ("chain-info", {"n_grid": [True]}, "ValueError"),
+    ("chain-info", {"theta": 5}, "ValueError"),
+    ("chain-info", {"x": 1.5, "y": 0}, "ValueError"),
+    ("contract", {"x": 1.5, "y": 0}, "ValueError"),
+    ("contract", {"flux": "zz"}, "ValueError"),
 ], ids=["contract-t0", "contract-mode", "rates-float-seed", "rates-negative-seed",
-        "rates-n_samples", "chain-info-epsilon"])
-def test_config_values_a_command_does_not_read_are_checked(tmp_path, command, key, value,
-                                                          error_name):
+        "rates-n_samples", "chain-info-epsilon", "chain-info-rho", "chain-info-bool-grid",
+        "chain-info-theta", "chain-info-x", "contract-x", "contract-flux"])
+def test_config_values_a_command_does_not_read_are_checked(tmp_path, command, keys, error_name):
     # each of these used to exit 0 and write its output
-    cfg = write_config(tmp_path / "cfg.json", generator=SYM, rho=[0.7, 0.3], **{key: value})
+    cfg = write_config(tmp_path / "cfg.json", **{"generator": SYM, "rho": [0.7, 0.3], **keys})
     code, out = run(tmp_path, command, cfg)
     assert code == 1
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == error_name
-    assert key in error["message"]
+    assert next(iter(keys)) in error["message"]
     assert error["config_hash"] is None
     assert not (out / f"{command}.json").exists()
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import bridgerates as br
 from bridgerates import conjugate, estimate
-from bridgerates.estimate import BALL_MIN_EPSILON, _count_hits, _PairChain
+from bridgerates.estimate import BALL_MIN_EPSILON, _count_hits
 from conftest import random_generator, scaled_sweep_chains
 
 REPO = Path(__file__).resolve().parents[1]
@@ -69,7 +69,7 @@ def test_oracle_holds_one_copy_of_its_samples(ring_three, mode, n_samples, monke
         return moments(columns, *rest)
 
     monkeypatch.setattr(conjugate, "_tilted_moments", spy)
-    _PairChain(oracle)._moments(np.zeros(oracle.d))
+    oracle._moments(np.zeros(oracle.d))
     assert len(reads) == len(oracle.laws)
     for law, columns in zip(oracle.laws.values(), reads):
         assert columns.flags.c_contiguous and columns.shape == (oracle.d, n_samples)
@@ -88,8 +88,8 @@ def test_infconv_dvg_matches_closed_form(symmetric_two, occ_oracle):
 
 def test_interior_infconv_makes_one_fixed_box_solve(occ_oracle, monkeypatch):
     # an interior target's maximizer never touches the box, so the dual is
-    # one solve on the base box with zero growth; the numbers are the ones
-    # the base-plus-doubled-box pair of solves gave, bit for bit
+    # one solve on the base box with zero growth; the numbers are pinned
+    # bit for bit
     boxes = []
     boxed = conjugate._boxed_conjugate
 
@@ -103,13 +103,13 @@ def test_interior_infconv_makes_one_fixed_box_solve(occ_oracle, monkeypatch):
     assert res.certificate == 0.0
     assert res.converged and res.feasible
     assert res.iterations == 6
-    assert res.value == 0.04186612562161622
-    assert res.decrement == 4.503474425933285e-28
-    assert res.theta.weights.tolist() == [[0.5606769653896686, 0.13950732450512843],
-                                          [0.13950732450512843, 0.1603083856000745]]
+    assert res.value == 0.041866125621617
+    assert res.decrement == 4.943258371774357e-28
+    assert res.theta.weights.tolist() == [[0.5606769653896674, 0.13950732450512868],
+                                          [0.13950732450512873, 0.1603083856000752]]
     assert res.k.vectors.tolist() == [
-        [[0.5430134133758621, 0.017663552013796942], [0.07491053253525694, 0.06459679196987152]],
-        [[0.07487040224062941, 0.06463692226449898], [0.007205651848227289, 0.15310273375184555]],
+        [[0.543013413375861, 0.017663552013796907], [0.07491053253525708, 0.06459679196987164]],
+        [[0.07487040224062959, 0.06463692226449913], [0.007205651848227321, 0.15310273375184622]],
     ]
 
 
@@ -223,22 +223,45 @@ def test_infconv_dvg_boundary_rates_config():
     assert res.value / t0 == pytest.approx(br.dvg_rate(rho, Q).value, abs=0.01)
 
 
-@pytest.mark.parametrize("mode, t0", [("occupation", 1.0), ("flux", 0.5)])
-def test_pair_chain_derivatives_match_finite_differences(ring_three, mode, t0):
-    oracle = br.build_oracle(ring_three, t0, mode, 3000, seed=5)
-    chain = _PairChain(oracle)
-    lam = np.random.default_rng(9).normal(size=chain.d)
-    _, grad, hess = chain._moments(lam)
+@pytest.mark.parametrize("chain, mode, t0", [
+    ("ring", "occupation", 1.0),
+    ("ring", "flux", 0.5),
+    ("random4", "flux", 0.5),
+], ids=["occupation-1.0", "flux-0.5", "random4-flux-0.5"])
+def test_pair_chain_derivatives_match_finite_differences(ring_three, chain, mode, t0):
+    Q = ring_three if chain == "ring" else random_generator(np.random.default_rng(11), 4)
+    oracle = br.build_oracle(Q, t0, mode, 3000, seed=5)
+    assert oracle.d == (Q.n_states if mode == "occupation" else Q.n_states * (Q.n_states + 1))
+    lam = np.random.default_rng(9).normal(size=oracle.d)
+    _, grad, hess = oracle._moments(lam)
+    # theta = pi_x K_xy has equal marginals only if pi = 1^T Z / n is stationary for K
+    theta = oracle.tilt(lam)[3]
+    assert np.abs(theta.sum(axis=1) - theta.sum(axis=0)).max() <= 1e-12
     h = 1e-5
-    fd_grad = np.empty(chain.d)
-    fd_hess = np.empty((chain.d, chain.d))
-    for i, step in enumerate(h * np.eye(chain.d)):
-        up, grad_up, _ = chain._moments(lam + step)
-        down, grad_down, _ = chain._moments(lam - step)
+    fd_grad = np.empty(oracle.d)
+    fd_hess = np.empty((oracle.d, oracle.d))
+    for i, step in enumerate(h * np.eye(oracle.d)):
+        up, grad_up, _ = oracle._moments(lam + step)
+        down, grad_down, _ = oracle._moments(lam - step)
         fd_grad[i] = (up - down) / (2 * h)
         fd_hess[i] = (grad_up - grad_down) / (2 * h)
     assert np.abs(fd_grad - grad).max() <= 1e-8
     assert np.abs(fd_hess - hess).max() <= 1e-7 * max(1.0, np.abs(hess).max())
+
+
+def test_each_tilted_chain_evaluation_makes_one_eigensolve(ring_three, monkeypatch):
+    oracle = br.build_oracle(ring_three, 0.5, "occupation", 500, seed=5)
+    calls = []
+    eig = np.linalg.eig
+
+    def spy(matrix):
+        calls.append(matrix.shape)
+        return eig(matrix)
+
+    monkeypatch.setattr(np.linalg, "eig", spy)
+    res = br.infconv_dvg(np.array([0.5, 0.3, 0.2]), oracle)
+    assert res.iterations == oracle.evaluations >= 2
+    assert calls == [(3, 3)] * res.iterations
 
 
 def _gap_case(name, symmetric_two, ring_three):
