@@ -46,16 +46,7 @@ from .conjugate import (
     load_samples,
     save_samples,
 )
-from .simulate import (
-    AbsorbingState,
-    DiscreteEmbedding,
-    EmpiricalPair,
-    PathRecord,
-    accumulate,
-    batch_occupations,
-    discrete_embedding,
-    gillespie,
-)
+from .simulate import batch_occupations
 from .bridge import (
     BridgeSpec,
     DegenerateDenominator,

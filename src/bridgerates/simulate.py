@@ -1,17 +1,8 @@
-"""Exact simulation of CTMC paths: reference single paths and uniformized batches.
+"""Exact simulation of CTMC paths by uniformization, many paths at once.
 
-Two samplers live here. The reference one is ``gillespie``: one path at a
-time, jump by jump (exponential holding times plus the embedded jump
-chain), raising ``AbsorbingState`` when a path reaches a state it cannot
-leave. ``discrete_embedding`` splits such a path into its endpoint
-skeleton and per-window blocks, and ``accumulate`` averages the blocks by
-endpoint pair. No route samples this way; these per-path pieces are the
-independent reference that claim 09 (relabeling equivariance and
-window-count integrality of the embedding) runs on.
-
-Everything else samples by uniformization, many paths at once with one
-stream per batch: a Poisson number of events per path, and the skeleton
-chain P = I + Q / lam (``chain._uniformized``) run in lockstep by
+Every sampler here runs a batch of paths with one stream per batch: a
+Poisson number of events per path, and the skeleton chain
+P = I + Q / lam (``chain._uniformized``) run in lockstep by
 ``_skeleton``, which returns each path's end state, visit counts and jump
 counts in batch order. The lockstep walk keeps states in the smallest
 signed integer type that holds n and visit counts in the smallest type
@@ -25,10 +16,11 @@ from the same counts in batch order. ``_blocks`` is the one place that
 turns those counts into window blocks: occupation fractions drawn from
 the Dirichlet law of the event spacings given the visit counts, followed
 in flux mode by the jump counts per unit time. Absorbing states need no
-special case there. ``_batch_step`` advances a batch through one window.
-It drives the Monte Carlo decay fit, where ``batch_occupations`` carries
-each path's end state from one horizon of a grid to the next, so a path
-is simulated once for the whole grid; in flux mode it is the
+special case: uniformization keeps a path in a state it cannot leave,
+which is the exact law. ``_batch_step`` advances a batch through one
+window. It drives the Monte Carlo decay fit, where ``batch_occupations``
+carries each path's end state from one horizon of a grid to the next, so
+a path is simulated once for the whole grid; in flux mode it is the
 forward-simulated reference that the bridge tests condition by rejection
 on the end state. ``_skeleton`` also runs the endpoint-conditioned
 skeletons of bridge sampling (``bridge.conditional_samples``), with
@@ -38,27 +30,14 @@ next-state tables that depend on the number of steps left, and
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (GeneratorMatrix, ProbVector, _check_count, _check_grid, _check_horizon,
-                    _check_state, _check_window, _is_real, _uniformized)
-from .ratefun import FluxField, PairMeasure
+from .chain import (GeneratorMatrix, ProbVector, _check_count, _check_grid, _check_state,
+                    _uniformized)
 
-__all__ = [
-    "AbsorbingState",
-    "PathRecord",
-    "DiscreteEmbedding",
-    "EmpiricalPair",
-    "gillespie",
-    "discrete_embedding",
-    "accumulate",
-    "batch_occupations",
-]
+__all__ = ["batch_occupations"]
 
 MODES = ("occupation", "flux")
 
@@ -74,125 +53,6 @@ def _check_mode(mode) -> None:
 CHUNK = 8192
 
 
-class AbsorbingState(RuntimeError):
-    """A gillespie path entered a state with zero total exit rate.
-
-    Only the reference sampler of claim 09 raises it. The batch helpers
-    never do: uniformization keeps their paths in such a state, which is
-    the exact law.
-    """
-
-
-@dataclass(frozen=True)
-class PathRecord:
-    """A cadlag CTMC path on [0, horizon]: start state plus jump sequence.
-
-    What ``gillespie`` returns and ``discrete_embedding`` reads; claim 09
-    relabels these paths to check the embedding's equivariance. A horizon
-    that is not finite and nonnegative raises ``ValueError``, as in
-    ``gillespie``.
-    """
-
-    n_states: int
-    x0: int
-    horizon: float
-    jump_times: np.ndarray
-    destinations: np.ndarray
-
-    def __post_init__(self):
-        _check_horizon(self.horizon)
-        times = np.asarray(self.jump_times, dtype=float)
-        dests = np.asarray(self.destinations, dtype=np.int64)
-        if times.shape != dests.shape or times.ndim != 1:
-            raise ValueError("jump times and destinations must be matching 1-d arrays")
-        if times.size:
-            if times[0] <= 0 or np.any(np.diff(times) <= 0):
-                raise ValueError("jump times must be strictly increasing and positive")
-            if times[-1] > self.horizon:
-                raise ValueError("jump beyond the path horizon")
-            if dests.min() < 0 or dests.max() >= self.n_states:
-                raise ValueError("destination out of range")
-        _check_state(self.n_states, self.x0, "start state")
-        object.__setattr__(self, "jump_times", times)
-        object.__setattr__(self, "destinations", dests)
-
-    @property
-    def n_jumps(self) -> int:
-        return self.jump_times.size
-
-    def states(self) -> np.ndarray:
-        """State sequence between jumps: x0 followed by each destination."""
-        return np.concatenate(([self.x0], self.destinations))
-
-    def state_at(self, t: float) -> int:
-        """State at time t (right-continuous); t must be a real number in [0, horizon]."""
-        if not (_is_real(t) and 0 <= t <= self.horizon):
-            raise ValueError(f"time {t!r} outside [0, {self.horizon!r}]")
-        idx = int(np.searchsorted(self.jump_times, t, side="right"))
-        return int(self.x0) if idx == 0 else int(self.destinations[idx - 1])
-
-
-@dataclass(frozen=True)
-class DiscreteEmbedding:
-    """Endpoint skeleton and per-window additive blocks of a path.
-
-    ``states`` holds the n+1 window endpoints X(0), X(t0), ..., X(n t0);
-    ``blocks`` holds one d-vector per window: occupation fractions, or
-    occupation fractions followed by the n^2 jump counts divided by t0.
-    Claim 09's reference statistic: the routes build their blocks with
-    ``_blocks`` instead.
-    """
-
-    t0: float
-    n_states: int
-    mode: str
-    states: np.ndarray
-    blocks: np.ndarray
-
-    def __post_init__(self):
-        _check_mode(self.mode)
-        states = np.asarray(self.states, dtype=np.int64)
-        blocks = np.asarray(self.blocks, dtype=float)
-        if states.ndim != 1 or blocks.ndim != 2 or states.size != blocks.shape[0] + 1:
-            raise ValueError("states must hold one more entry than blocks has rows")
-        d = self.n_states if self.mode == "occupation" else self.n_states + self.n_states**2
-        if blocks.shape[1] != d:
-            raise ValueError(f"blocks must have width {d} in mode {self.mode!r}")
-        occ = blocks[:, : self.n_states]
-        if occ.size and (occ.min() < -1e-12 or np.abs(occ.sum(axis=1) - 1.0).max() > 1e-9):
-            raise ValueError("occupation components of each block must sum to 1")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def n_windows(self) -> int:
-        return self.blocks.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.blocks.shape[1]
-
-
-@dataclass(frozen=True)
-class EmpiricalPair:
-    """Pair-indexed block averages: K (per-pair sums / n) and Theta.
-
-    What ``accumulate`` returns, and what claim 09's equivariance and
-    integrality checks compare.
-    """
-
-    k: FluxField
-    theta: PairMeasure
-    n_windows: int
-
-    def __post_init__(self):
-        if self.k.n_states != self.theta.n_states:
-            raise ValueError("k and theta must share the state space")
-        scaled = self.theta.weights * self.n_windows
-        if np.abs(scaled - np.round(scaled)).max() > 1e-9:
-            raise ValueError("theta must sit on the 1/n lattice")
-
-
 def _next_state_table(probs: np.ndarray) -> np.ndarray:
     """Cumulative row sums of a stochastic matrix, without the last column.
 
@@ -205,123 +65,6 @@ def _next_state_table(probs: np.ndarray) -> np.ndarray:
     """
     cum = np.cumsum(probs, axis=-1)
     return np.where(cum[..., :-1] >= cum[..., -1:], 2.0, cum[..., :-1])
-
-
-def gillespie(Q: GeneratorMatrix, x0: int, horizon: float, rng: np.random.Generator) -> PathRecord:
-    """Simulate one exact path of the chain on [0, horizon] from x0.
-
-    Each step draws one exponential holding time with the state's exit
-    rate and, unless the path has run past the horizon, one uniform that
-    picks the next state from the embedded jump chain. This per-path loop
-    is claim 09's independent reference: its paths, embedded by
-    ``discrete_embedding``, are what the relabeling and integrality checks
-    run on. Every route samples with the batch helpers below instead.
-
-    Raises
-    ------
-    ValueError
-        If x0 is not an integer state, or the horizon is not finite and
-        nonnegative.
-    AbsorbingState
-        If the path visits a state with zero exit rate.
-    """
-    _check_state(Q.n_states, x0, "start state")
-    _check_horizon(horizon)
-    exit_rates = Q.exit_rates.tolist()
-    cum_jump = _next_state_table(Q.jump_probs()).tolist()
-    times: list[float] = []
-    dests: list[int] = []
-    state = x0
-    t = 0.0
-    while True:
-        rate = exit_rates[state]
-        if rate <= 0.0:
-            raise AbsorbingState(f"state {state} has zero exit rate")
-        t += rng.exponential(1.0 / rate)
-        if t > horizon:
-            break
-        # table rows are nondecreasing, so this counts the entries the uniform reaches
-        state = bisect_right(cum_jump[state], rng.random())
-        times.append(t)
-        dests.append(state)
-    return PathRecord(Q.n_states, x0, horizon, np.array(times), np.array(dests, dtype=np.int64))
-
-
-def _segments(path: PathRecord):
-    """(state, start, end) triples covering [0, horizon]."""
-    bounds = np.concatenate(([0.0], path.jump_times, [path.horizon]))
-    states = path.states()
-    for idx in range(states.size):
-        lo, hi = bounds[idx], bounds[idx + 1]
-        if lo >= path.horizon:
-            break
-        yield int(states[idx]), lo, hi
-
-
-def discrete_embedding(path: PathRecord, t0: float, mode: str) -> DiscreteEmbedding:
-    """Split a path over [0, n*t0] into its endpoint skeleton and window blocks.
-
-    Window m covers ((m-1) t0, m t0]. Occupation fractions are relative to
-    t0; jump counts are divided by t0 so every block is an average per unit
-    time. The horizon must be an integer multiple of t0; with one window
-    (t0 = horizon) the block is the whole path's occupation fractions and
-    jump counts per unit time. Claim 09 checks this embedding's relabeling
-    equivariance and window-count integrality on ``gillespie`` paths.
-    """
-    _check_mode(mode)
-    _check_window(t0)
-    n_windows = int(round(path.horizon / t0))
-    if n_windows < 1 or abs(n_windows * t0 - path.horizon) > 1e-9 * max(1.0, path.horizon):
-        raise ValueError("path horizon must be a positive integer multiple of t0")
-    n = path.n_states
-    occ = np.zeros((n_windows, n))
-    for state, lo, hi in _segments(path):
-        w = min(int(lo / t0), n_windows - 1)
-        while w < n_windows and w * t0 < hi:
-            overlap = min(hi, (w + 1) * t0) - max(lo, w * t0)
-            if overlap > 0:
-                occ[w, state] += overlap
-            w += 1
-    occ /= t0
-
-    endpoints = np.empty(n_windows + 1, dtype=np.int64)
-    for m in range(n_windows + 1):
-        endpoints[m] = path.state_at(min(m * t0, path.horizon))
-
-    if mode == "occupation":
-        blocks = occ
-    else:
-        flux = np.zeros((n_windows, n, n))
-        states = path.states()
-        for j, tau in enumerate(path.jump_times):
-            w = min(int(math.ceil(tau / t0)) - 1, n_windows - 1)
-            w = max(w, 0)
-            flux[w, states[j], states[j + 1]] += 1.0
-        blocks = np.concatenate([occ, flux.reshape(n_windows, n * n) / t0], axis=1)
-    return DiscreteEmbedding(t0, n, mode, endpoints, blocks)
-
-
-def accumulate(embedding: DiscreteEmbedding) -> EmpiricalPair:
-    """Average the blocks of an embedding by their endpoint pair.
-
-    Returns K (block sums per endpoint pair, divided by the number of
-    windows) and Theta (endpoint-pair frequencies). The total of K over all
-    pairs equals the plain average of all blocks. Part of claim 09's
-    reference, with ``discrete_embedding``.
-    """
-    n = embedding.n_states
-    n_win = embedding.n_windows
-    k = np.zeros((n, n, embedding.d))
-    counts = np.zeros((n, n))
-    for m in range(n_win):
-        x, y = embedding.states[m], embedding.states[m + 1]
-        counts[x, y] += 1.0
-        k[x, y] += embedding.blocks[m]
-    return EmpiricalPair(FluxField(k / n_win), PairMeasure(counts / n_win), n_win)
-
-
-# ---------------------------------------------------------------------------
-# vectorized batch simulation
 
 
 def _state_dtype(n: int) -> np.dtype:
@@ -436,8 +179,8 @@ def _batch_step(Q: GeneratorMatrix, t0: float, states: np.ndarray, rng: np.rando
     and step; returns its (ends, visits, jumps), which ``_blocks`` turns
     into the window's blocks. A state with zero exit rate has the unit
     row in P and keeps its paths, so chains with absorbing states sample
-    exactly and nothing raises ``AbsorbingState``. The cost is proportional to lam t0, not to the
-    number of real jumps. ``batch_occupations`` runs it without flux; with
+    exactly. The cost is proportional to lam t0, not to the number of real
+    jumps. ``batch_occupations`` runs it without flux; with
     ``want_flux`` it is the bridge tests' forward reference for flux means.
     """
     lam, probs = _uniformized(Q)
@@ -510,10 +253,9 @@ def batch_occupations(
     window's. The grid points of one path are thus dependent, and the
     draws up to T_i do not depend on the later grid points. A single T is
     the grid of one. ``init`` is either a fixed start state or a
-    distribution to draw the start states from. Statistically identical
-    to repeated gillespie calls (and exact on chains with absorbing
-    states, where gillespie raises); the paths are simulated together by
-    uniformization, see ``_batch_step``.
+    distribution to draw the start states from. The paths are simulated
+    together by uniformization, exactly also on chains with absorbing
+    states; see ``_batch_step``.
     """
     grid = _check_grid(horizon, "horizon")
     times = np.atleast_1d(grid)

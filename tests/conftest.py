@@ -49,6 +49,15 @@ def random_generator(rng: np.random.Generator, n: int) -> "br.GeneratorMatrix":
     return br.validate_generator(rates)
 
 
+def time_reversed(Q: "br.GeneratorMatrix") -> "br.GeneratorMatrix":
+    """The time reversal of an irreducible chain: Q^_ab = pi_b Q_ba / pi_a."""
+    pi = br.invariant_measure(Q).weights
+    rates = Q.rates.T * pi[None, :] / pi[:, None]
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    return br.validate_generator(rates)
+
+
 def scaled_sweep_chains(count: int):
     """The first ``count`` of a seeded sweep of chains: n = 2 + i % 6 states,
     ``random_generator`` rates and a Dirichlet(0.5) occupation each."""

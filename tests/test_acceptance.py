@@ -13,7 +13,7 @@ import pytest
 
 import bridgerates as br
 from bridgerates.simulate import _batch_step
-from conftest import random_generator
+from conftest import random_generator, time_reversed
 
 SYM = [[-1.0, 1.0], [1.0, -1.0]]
 BALL_73_003 = 0.07096824596787867  # inf of the occupation rate over the eps=0.03 ball
@@ -292,44 +292,65 @@ def test_09_property_sweeps():
         if math.isfinite(ends) and mid > ends + 1e-9:
             violations += 1
 
-    # relabeling equivariance and window-count integrality of the embedding
-    ring = br.validate_generator(
-        [[-1.2, 1.0, 0.2], [0.3, -1.3, 1.0], [1.0, 0.4, -1.4]]
-    )
+    # exact invariances of the live routes, each within 1e-12 max(1, |v|):
+    # the rates under relabeling of the states (new state k is old state
+    # inv[k]), time reversal (flux transposed) and scaling of Q, and a
+    # sampled decomposition under relabeling: its laws move with their pairs
+    # and coordinates, so no sampler is involved
+    def same(got, want):
+        return math.isfinite(want) and abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def relabeled(law, inv, n):
+        occ = law.atoms[:, :n][:, inv]
+        if law.d == n:
+            return br.EmpiricalLaw(occ)
+        jumps = law.atoms[:, n:].reshape(-1, n, n)[:, inv][:, :, inv]
+        return br.EmpiricalLaw(np.concatenate([occ, jumps.reshape(-1, n * n)], axis=1))
+
     for trial in range(6):
-        path = br.gillespie(ring, trial % 3, 15.0 + 3.0 * trial, rng)
-        perm = rng.permutation(3)
-        relabeled = br.PathRecord(
-            n_states=3,
-            x0=int(perm[path.x0]),
-            horizon=path.horizon,
-            jump_times=path.jump_times.copy(),
-            destinations=perm[path.destinations],
-        )
+        n = 3 + trial % 3
+        Q = random_generator(rng, n)
+        rho = rng.dirichlet(np.ones(n))
+        perm = rng.permutation(n)
+        inv = np.argsort(perm)
+        dvg = br.dvg_rate(rho, Q)
+        j = dvg.flux
+        joint = br.bfg_rate(rho, j, Q)
+
+        Q_perm = br.GeneratorMatrix(Q.rates[np.ix_(inv, inv)])
+        Q_rev = time_reversed(Q)
+        c = 10.0 ** rng.uniform(-3.0, 3.0)
+        pairs = [
+            (br.dvg_rate(rho[inv], Q_perm).value, dvg.value),
+            (br.bfg_rate(rho[inv], j[np.ix_(inv, inv)], Q_perm), joint),
+            (br.contract_dvg_from_bfg(rho[inv], Q_perm).value,
+             br.contract_dvg_from_bfg(rho, Q).value),
+            (br.dvg_rate(rho, Q_rev).value, dvg.value),
+            (br.bfg_rate(rho, j.T, Q_rev), joint),
+            (br.dvg_rate(rho, br.GeneratorMatrix(c * Q.rates)).value, c * dvg.value),
+        ]
+
         mode = ("occupation", "flux")[trial % 2]
-        a = br.accumulate(br.discrete_embedding(path, 1.0, mode))
-        b = br.accumulate(br.discrete_embedding(relabeled, 1.0, mode))
-        checks += 2
-        if not np.allclose(b.theta.weights[np.ix_(perm, perm)], a.theta.weights, atol=1e-12):
-            violations += 1
+        oracle = br.build_oracle(Q, 0.5, mode, 2_000, seed=trial)
+        moved = br.ConjugateOracle(
+            {(int(perm[x]), int(perm[y])): relabeled(law, inv, n)
+             for (x, y), law in oracle.laws.items()},
+            kernel=br.TransitionKernel(oracle.kernel.probs[np.ix_(inv, inv)]),
+            mode=mode, t0=0.5,
+        )
         if mode == "occupation":
-            moved = b.k.vectors[np.ix_(perm, perm)][:, :, perm]
+            a, b = br.infconv_dvg(rho, oracle), br.infconv_dvg(rho[inv], moved)
         else:
-            occ_part = b.k.vectors[..., :3][np.ix_(perm, perm)][:, :, perm]
-            flux_part = b.k.vectors[..., 3:].reshape(3, 3, 3, 3)
-            flux_part = flux_part[np.ix_(perm, perm)][:, :, perm][:, :, :, perm]
-            moved = np.concatenate(
-                [occ_part, flux_part.reshape(3, 3, 9)], axis=2
-            )
-        if not np.allclose(moved, a.k.vectors, atol=1e-12):
-            violations += 1
-        counts = a.theta.weights * a.n_windows
-        checks += 1
-        if not np.allclose(counts, np.round(counts), atol=1e-9):
+            a = br.infconv_bfg(rho, j, oracle)
+            b = br.infconv_bfg(rho[inv], j[np.ix_(inv, inv)], moved)
+        pairs.append((b.value, a.value))
+        checks += len(pairs) + 1
+        violations += sum(not same(got, want) for got, want in pairs)
+        if not np.abs(b.theta.weights[np.ix_(perm, perm)] - a.theta.weights).max() <= 1e-12:
             violations += 1
 
     _report(
-        "property sweeps: convexity, duality, equivariance, integrality",
+        "property sweeps: convexity, duality, relabeling, reversal",
         violations == 0,
         f"{violations} violations across {checks} seeded checks",
     )

@@ -6,6 +6,7 @@ import pytest
 
 import bridgerates as br
 from bridgerates.simulate import _batch_step, _blocks
+from conftest import time_reversed
 
 P11_HALF = 0.6839397205857212
 P12_HALF = 0.31606027941427883
@@ -85,20 +86,6 @@ def test_bridge_states_must_be_states_of_the_chain(ring_three, name, state):
                  lambda spec, a: br.bridge_generator(spec, a, 1, 0.2)):
         with pytest.raises(ValueError, match=f"bridge .*{name}"):
             call(br.BridgeSpec(ring_three, states["x"], states["y"], 1.0), states["a"])
-
-
-def test_gillespie_end_state_tracks_the_kernel(symmetric_two):
-    # the reference paths of claim 09 end at y with probability P_xy(t0)
-    rng = np.random.default_rng(17)
-    n_try = 20_000
-    accepted = 0
-    for _ in range(n_try):
-        path = br.gillespie(symmetric_two, 0, 0.5, rng)
-        end = path.destinations[-1] if path.destinations.size else path.x0
-        accepted += end == 1
-    phat = accepted / n_try
-    sigma = (P12_HALF * (1 - P12_HALF) / n_try) ** 0.5
-    assert abs(phat - P12_HALF) < 4 * sigma
 
 
 def test_conditional_samples_deterministic(spec_one):
@@ -306,6 +293,24 @@ def test_conditional_means_match_forward_rejection(ring_three):
         law = br.conditional_samples(spec, "flux", count, seed=43)
         se = np.sqrt((ref.var(axis=0, ddof=1) + law.samples.var(axis=0, ddof=1)) / count)
         gap = np.abs(law.samples.mean(axis=0) - ref.mean(axis=0))
+        live = se > 0
+        assert np.all(gap[~live] == 0.0)
+        assert np.all(gap[live] < 5.0 * se[live])
+
+
+def test_time_reversed_bridge_is_the_reversed_chains_bridge(ring_three):
+    # the bridge x -> y of Q, run backwards in time, is the bridge y -> x of
+    # Q^_ab = pi_b Q_ba / pi_a: the same occupation law with the flux
+    # transposed; ring_three is not reversible, so Q^ differs from Q
+    n, t0, count = 3, 0.5, 20_000
+    reversed_chain = time_reversed(ring_three)
+    for x, y in ((0, 2), (1, 1), (2, 0)):
+        forward = br.conditional_samples(br.BridgeSpec(ring_three, x, y, t0), "flux", count, 1)
+        back = br.conditional_samples(br.BridgeSpec(reversed_chain, y, x, t0), "flux", count, 2)
+        back = back.samples.copy()
+        back[:, n:] = back[:, n:].reshape(count, n, n).transpose(0, 2, 1).reshape(count, n * n)
+        se = np.sqrt((forward.samples.var(axis=0, ddof=1) + back.var(axis=0, ddof=1)) / count)
+        gap = np.abs(forward.samples.mean(axis=0) - back.mean(axis=0))
         live = se > 0
         assert np.all(gap[~live] == 0.0)
         assert np.all(gap[live] < 5.0 * se[live])

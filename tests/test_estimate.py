@@ -89,7 +89,7 @@ def test_infconv_dvg_matches_closed_form(symmetric_two, occ_oracle):
 def test_interior_infconv_makes_one_fixed_box_solve(occ_oracle, monkeypatch):
     # an interior target's maximizer never touches the box, so the dual is
     # one solve on the base box with zero growth; the numbers are pinned
-    # bit for bit
+    # bit for bit, except the decrement, which is pure roundoff (about 5e-28)
     boxes = []
     boxed = conjugate._boxed_conjugate
 
@@ -104,7 +104,7 @@ def test_interior_infconv_makes_one_fixed_box_solve(occ_oracle, monkeypatch):
     assert res.converged and res.feasible
     assert res.iterations == 6
     assert res.value == 0.041866125621617
-    assert res.decrement == 4.943258371774357e-28
+    assert 0.0 <= res.decrement <= 1e-20
     assert res.theta.weights.tolist() == [[0.5606769653896674, 0.13950732450512868],
                                           [0.13950732450512873, 0.1603083856000752]]
     assert res.k.vectors.tolist() == [
